@@ -1,9 +1,16 @@
 """Gradient-boosted shallow regression trees with logistic loss.
 
 Additive depth-limited trees fit to the negative gradient of the logistic
-loss, exact greedy split search over every feature, Newton leaf values and
-shrinkage. Everything is deterministic: split-gain ties break on the lowest
-feature index, then the lowest threshold.
+loss, exact greedy split search over every feature (XGBoost's exact greedy
+algorithm), Newton leaf values and shrinkage.
+
+Each node carries its rows in sorted order per feature: row f of ``S`` lists
+the node's rows in ascending order of feature f and row f of ``V`` their
+values. The root's orders come from one stable argsort per ensemble; a
+child's are a stable compaction of its parent's, so no node sorts and no
+node touches rows outside it. Prefix sums of the gradients along each row
+give every candidate split's gain. Everything is deterministic: split-gain
+ties break on the lowest feature index, then the lowest threshold.
 """
 from __future__ import annotations
 
@@ -11,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .network import _sigmoid
 
 H_EPS = 1e-16
 GAIN_TOL = 1e-12
@@ -28,19 +37,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.feature < 0
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"value": self.value}
-        return {"feature": self.feature, "threshold": self.threshold,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
-        if "value" in doc:
-            return cls(value=float(doc["value"]))
-        return cls(feature=int(doc["feature"]), threshold=float(doc["threshold"]),
-                   left=cls.from_dict(doc["left"]), right=cls.from_dict(doc["right"]))
-
 
 @dataclass
 class BoostedTrees:
@@ -50,78 +46,58 @@ class BoostedTrees:
     feature_dimension: int
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _best_split(g: np.ndarray, h: np.ndarray, S: np.ndarray, V: np.ndarray):
+    """Best (gain, feature, threshold) over all features for one node.
 
-
-def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                sort_idx: np.ndarray, Xs: np.ndarray, mask: np.ndarray):
-    """Best (gain, feature, threshold) over all features for the masked rows.
-
-    ``sort_idx`` is a per-column argsort of X and ``Xs`` the column-sorted
-    feature matrix, both computed once per ensemble. Returns None when no
-    valid split exists.
+    Row f of ``S`` lists the node's rows in ascending order of feature f and
+    row f of ``V`` their values. A split may fall only between neighbours
+    with different values. Returns None when no valid split exists.
     """
-    n, d = X.shape
-    ms = mask[sort_idx]                               # (n, d) node membership in sorted order
-    gs = np.where(ms, g[sort_idx], 0.0)
-    hs = np.where(ms, h[sort_idx], 0.0)
-    cg = np.cumsum(gs, axis=0)
-    ch = np.cumsum(hs, axis=0)
-    cnt = np.cumsum(ms, axis=0)
-    G = cg[-1]
-    H = ch[-1]
-    n_node = cnt[-1]
-
-    # value of the next in-node row below each position (per column)
-    pos = np.where(ms, np.arange(n)[:, None], n)
-    nxt_pos = np.minimum.accumulate(pos[::-1], axis=0)[::-1]
-    nxt_pos = np.vstack([nxt_pos[1:], np.full(d, n, dtype=nxt_pos.dtype)])
-    safe = np.minimum(nxt_pos, n - 1)
-    nxt_val = np.take_along_axis(Xs, safe, axis=0)
-
-    valid = ms & (cnt >= 1) & (cnt < n_node) & (nxt_pos < n) & (nxt_val > Xs)
-    if not valid.any():
+    m = S.shape[1]
+    GL = np.cumsum(g.take(S), axis=1)
+    HL = np.cumsum(h.take(S), axis=1)
+    between = V[:, 1:] > V[:, :-1]  # [f, i]: a threshold fits between positions i, i + 1
+    cand = np.flatnonzero(between)
+    if cand.size == 0:
         return None
-    GL, HL = cg, ch
-    GR, HR = G - cg, H - ch
-    gain = GL * GL / (HL + H_EPS) + GR * GR / (HR + H_EPS) - G * G / (H + H_EPS)
-    gain = np.where(valid, gain, -np.inf)
-    best_gain = gain.max()
-    # deterministic ties: lowest feature index, then lowest threshold
-    rows, cols = np.nonzero(gain == best_gain)
-    thresholds = 0.5 * (Xs[rows, cols] + nxt_val[rows, cols])
-    order = np.lexsort((thresholds, cols))
-    i = order[0]
-    return float(best_gain), int(cols[i]), float(thresholds[i])
+    at = cand + cand // (m - 1)  # the same positions in the (d, m) sums
+    per_feature = between.sum(axis=1)
+    G, H = np.repeat(GL[:, -1], per_feature), np.repeat(HL[:, -1], per_feature)
+    gl, hl = GL.take(at), HL.take(at)
+    gr, hr = G - gl, H - hl
+    gain = gl * gl / (hl + H_EPS) + gr * gr / (hr + H_EPS) - G * G / (H + H_EPS)
+    # candidates come by feature, then by position, so the first maximum is
+    # the deterministic tie-break: lowest feature index, then lowest threshold
+    i = int(np.argmax(gain))
+    f, p = divmod(int(cand[i]), m - 1)
+    return float(gain[i]), f, float(0.5 * (V[f, p] + V[f, p + 1]))
+
+
+def _compact(A: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Keep the marked entries of every row of ``A``, in order."""
+    return A.ravel().compress(keep.ravel()).reshape(A.shape[0], -1)
 
 
 def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                sort_idx: np.ndarray, Xs: np.ndarray, mask: np.ndarray,
-                depth: int) -> TreeNode:
-    split = _best_split(X, g, h, sort_idx, Xs, mask) if depth > 0 else None
+                S: np.ndarray, V: np.ndarray, depth: int) -> TreeNode:
+    split = _best_split(g, h, S, V) if depth > 0 else None
     if split is not None and split[0] <= GAIN_TOL:
         # a zero-gain split is worth taking only when a child split can still
         # realize the gain (XOR-style interactions): needs remaining depth and
         # mixed gradient signs in the node
-        gm = g[mask]
+        gm = g.take(S[0])
         if depth < 2 or gm.min() >= 0.0 or gm.max() <= 0.0:
             split = None
     if split is None:
-        G = g[mask].sum()
-        H = h[mask].sum()
-        return TreeNode(value=-G / (H + H_EPS))
+        rows = np.sort(S[0])  # in row order: a float sum's rounding depends on order
+        return TreeNode(value=-g[rows].sum() / (h[rows].sum() + H_EPS))
     _, feature, threshold = split
-    go_left = mask & (X[:, feature] <= threshold)
-    go_right = mask & ~(X[:, feature] <= threshold)
+    if depth == 1:  # both children are leaves and need only their rows
+        S, V = S[:1], V[:1]
+    left = (X[:, feature] <= threshold).take(S)
     return TreeNode(feature=feature, threshold=threshold,
-                    left=_build_tree(X, g, h, sort_idx, Xs, go_left, depth - 1),
-                    right=_build_tree(X, g, h, sort_idx, Xs, go_right, depth - 1))
+                    left=_build_tree(X, g, h, _compact(S, left), _compact(V, left), depth - 1),
+                    right=_build_tree(X, g, h, _compact(S, ~left), _compact(V, ~left), depth - 1))
 
 
 def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -145,20 +121,21 @@ def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = 200,
     y = np.asarray(y, dtype=np.float64)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError("X must be a matrix with at least one feature column")
     p_base = y.mean()
     if p_base in (0.0, 1.0):
         raise ValueError("single-class input")
     base = math.log(p_base / (1.0 - p_base))
-    sort_idx = np.argsort(X, axis=0, kind="stable")
-    Xs = np.take_along_axis(X, sort_idx, axis=0)
+    S = np.argsort(X.T, axis=1, kind="stable")  # the root's sorted orders
+    V = np.take_along_axis(X.T, S, axis=1)
     scores = np.full(len(y), base)
-    mask = np.ones(len(y), dtype=bool)
     trees: list[TreeNode] = []
     for _ in range(rounds):
         p = _sigmoid(scores)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(X, g, h, sort_idx, Xs, mask, max_depth)
+        tree = _build_tree(X, g, h, S, V, max_depth)
         trees.append(tree)
         scores = scores + shrinkage * _tree_predict(tree, X)
     return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage,

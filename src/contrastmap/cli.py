@@ -40,6 +40,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -426,7 +436,7 @@ def build_parser() -> _Parser:
     p.add_argument("--concat", required=True)
     p.add_argument("--train-pairs", required=True)
     p.add_argument("--test-pairs", required=True)
-    p.add_argument("--rounds", type=int, default=200)
+    p.add_argument("--rounds", type=_positive_int, default=200)
     common(p)
     p.set_defaults(func=_cmd_eval_classifiers)
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .boosting import BoostedTrees, boosted_proba, train_boosted_trees
 from .embeddings import EmbeddingTable, cosine_distance
+from .network import _sigmoid
 from .pairs import ANTONYM, SYNONYM, PairSet
 
 N_BINS = 100
@@ -174,15 +175,6 @@ def featurize_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
     return np.concatenate([u, v])
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def train_linear(features: np.ndarray, labels: np.ndarray,

@@ -39,6 +39,18 @@ def test_usage_errors_exit_1(capsys):
     assert "usage-error:" in err
 
 
+def test_eval_classifiers_rounds_checked_at_parsing(tmp_path, capsys):
+    # the inputs do not exist: a usage error must come before any input is read
+    args = ["eval-classifiers", "--out", str(tmp_path / "out")]
+    for flag in ("--raw", "--new", "--concat", "--train-pairs", "--test-pairs"):
+        args += [flag, str(tmp_path / "missing")]
+    for rounds in ("0", "-3", "abc"):
+        assert run(args + ["--rounds", rounds]) == 1
+        err = capsys.readouterr().err
+        assert "usage-error:" in err and "--rounds" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_input_exit_2(tmp_path, capsys):
     code = run(["split", "--pairs", str(tmp_path / "nope.tsv"),
                 "--out", str(tmp_path / "out")])
