@@ -23,7 +23,7 @@ from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig,
                        train_classifier_system, transform_vocabulary)
 from .evaluation import (build_accuracy_table, distance_report, extreme_pairs,
                          shift_report)
-from .downstream import load_text_csv, run_downstream
+from .downstream import load_text_csv, run_downstream, tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,9 +109,9 @@ def _write_table(table, path: Path) -> None:
         write_embedding_text(table, f)
 
 
-def _load_table(path: Path):
+def _load_table(path: Path, vocabulary=None):
     with open(path, "r", encoding="utf-8") as f:
-        return parse_embedding_text(f, source_label=path.name)
+        return parse_embedding_text(f, source_label=path.name, vocabulary=vocabulary)
 
 
 def _load_pairs_file(path: Path):
@@ -180,6 +180,19 @@ def _parse_dims(text: str | None) -> list[int] | None:
     return [int(t) for t in text.split(",")]
 
 
+def _dims_arg(text: str) -> str:
+    """argparse type for ``--dims`` / ``--head-dims``: a comma-separated list
+    of positive ints, kept as given so run.json records the text."""
+    try:
+        dims = _parse_dims(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of ints: {text!r}") from None
+    if dims and min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"dims must be >= 1, got {text!r}")
+    return text
+
+
 def _cmd_train(args) -> None:
     mode = BASELINE if args.mode == "baseline" else CLASSIFIER_SYSTEM
     config = {"mode": args.mode, "embeddings": args.embeddings, "pairs": args.pairs,
@@ -192,12 +205,16 @@ def _cmd_train(args) -> None:
     emb_path = run.check_input("embeddings", args.embeddings)
     pairs_path = run.check_input("pairs", args.pairs)
     run.start()
-    table = _load_table(emb_path)
     pairs = _load_pairs_file(pairs_path)
+    table = _load_table(emb_path, pairs.vocabulary())
+    layer_dims = _parse_dims(args.dims)
+    if layer_dims and layer_dims[0] != table.dimension:
+        raise UsageError(f"--dims starts with {layer_dims[0]} but the embedding "
+                         f"dimension is {table.dimension}")
     triplets = build_triplets(pairs, cap_per_anchor=args.cap_per_anchor,
                               seed=args.seed)
     train_config = TrainConfig(
-        layer_dims=_parse_dims(args.dims), hidden_activation=args.activation,
+        layer_dims=layer_dims, hidden_activation=args.activation,
         learning_rate=args.lr, batch_size=args.batch_size,
         max_epochs=args.epochs, early_stop_patience=args.patience,
         validation_fraction=args.val_fraction, seed=args.seed, mode=mode,
@@ -253,7 +270,8 @@ def _cmd_eval_distances(args) -> None:
     emb_path = run.check_input("embeddings", args.embeddings)
     pairs_path = run.check_input("pairs", args.pairs)
     run.start()
-    report = distance_report(_load_table(emb_path), _load_pairs_file(pairs_path),
+    pairs = _load_pairs_file(pairs_path)
+    report = distance_report(_load_table(emb_path, pairs.vocabulary()), pairs,
                              space_label=args.label)
     csv_path = run.out / f"distances_{args.label}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
@@ -279,8 +297,10 @@ def _cmd_eval_shifts(args) -> None:
     after_path = run.check_input("after", args.after)
     pairs_path = run.check_input("pairs", args.pairs)
     run.start()
-    report = shift_report(_load_table(before_path), _load_table(after_path),
-                          _load_pairs_file(pairs_path))
+    pairs = _load_pairs_file(pairs_path)
+    vocabulary = pairs.vocabulary()
+    report = shift_report(_load_table(before_path, vocabulary),
+                          _load_table(after_path, vocabulary), pairs)
     csv_path = run.out / "shifts.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
         report.write_csv(f)
@@ -305,8 +325,10 @@ def _cmd_eval_extremes(args) -> None:
     after_path = run.check_input("after", args.after)
     pairs_path = run.check_input("pairs", args.pairs)
     run.start()
-    report = shift_report(_load_table(before_path), _load_table(after_path),
-                          _load_pairs_file(pairs_path))
+    pairs = _load_pairs_file(pairs_path)
+    vocabulary = pairs.vocabulary()
+    report = shift_report(_load_table(before_path, vocabulary),
+                          _load_table(after_path, vocabulary), pairs)
     extremes = extreme_pairs(report, args.n)
     path = run.out / "extremes.json"
     _json_dump(extremes, path)
@@ -326,9 +348,12 @@ def _cmd_eval_classifiers(args) -> None:
     train_path = run.check_input("train_pairs", args.train_pairs)
     test_path = run.check_input("test_pairs", args.test_pairs)
     run.start()
+    train_pairs = _load_pairs_file(train_path)
+    test_pairs = _load_pairs_file(test_path)
+    vocabulary = train_pairs.vocabulary() | test_pairs.vocabulary()
     table = build_accuracy_table(
-        _load_table(raw_path), _load_table(new_path), _load_table(concat_path),
-        _load_pairs_file(train_path), _load_pairs_file(test_path),
+        _load_table(raw_path, vocabulary), _load_table(new_path, vocabulary),
+        _load_table(concat_path, vocabulary), train_pairs, test_pairs,
         boosted_config={"rounds": args.rounds})
     json_path = run.out / "accuracy.json"
     _json_dump(table.to_dict(), json_path)
@@ -352,7 +377,9 @@ def _cmd_downstream(args) -> None:
     run.start()
     with open(data_path, "r", encoding="utf-8", newline="") as f:
         data = load_text_csv(f, name=data_path.name)
-    result = run_downstream(_load_table(raw_path), _load_table(concat_path),
+    vocabulary = {t for text, _ in data.records for t in tokenize(text)}
+    result = run_downstream(_load_table(raw_path, vocabulary),
+                            _load_table(concat_path, vocabulary),
                             data, test_fraction=args.test_fraction,
                             seed=args.seed)
     path = run.out / "downstream.json"
@@ -390,8 +417,10 @@ def build_parser() -> _Parser:
                    default="baseline")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--pairs", required=True, help="train-side pair TSV")
-    p.add_argument("--dims", help="comma-separated layer dims, e.g. 300,128,40")
-    p.add_argument("--head-dims", help="classifier head dims (classifier-system)")
+    p.add_argument("--dims", type=_dims_arg,
+                   help="comma-separated layer dims, e.g. 300,128,40")
+    p.add_argument("--head-dims", type=_dims_arg,
+                   help="classifier head dims (classifier-system)")
     p.add_argument("--activation", choices=["tanh", "relu"], default="tanh")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--batch-size", type=int, default=256)

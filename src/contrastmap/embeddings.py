@@ -4,13 +4,22 @@ The on-disk format is the plain text layout shared by the GloVe/FastText
 distributions: one word per line followed by its vector components, with an
 optional ``count dim`` header line. Only this text format is supported; the
 binary Word2Vec format must be converted externally.
+
+The reader converts each row's values with one ``np.array(tokens,
+dtype=float64)`` call, which parses every token by Python's ``float`` rules.
+Given a ``vocabulary``, it converts only the rows a caller will look up:
+after the first accepted row (which fixes the dimension and is always kept),
+a row whose word is outside the vocabulary is passed over unsplit,
+unconverted and uncounted. The result is the full parse restricted to the
+vocabulary plus that first row, in file order and bit for bit. The writer
+renders each row with ``repr`` (the shortest round-trip form) and prints
+integral values without their trailing ``.0``.
 """
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Container, Iterable, Iterator
 
 import numpy as np
 
@@ -64,16 +73,17 @@ class EmbeddingTable:
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
 
+    def indices(self, words: Iterable[str]) -> np.ndarray:
+        """Row index of each word, -1 where the word is absent."""
+        get = self._index.get
+        return np.array([get(w, -1) for w in words], dtype=np.intp)
+
     def lookup(self, word: str) -> np.ndarray | None:
         """Exact-match vector for ``word``, or None if absent."""
         i = self._index.get(word)
         if i is None:
             return None
         return self.matrix[i]
-
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for i, w in enumerate(self.words):
-            yield w, self.matrix[i]
 
 
 def _as_lines(stream: str | IO[str] | Iterable[str]) -> Iterable[str]:
@@ -89,13 +99,17 @@ def _is_header(tokens: list[str]) -> bool:
 
 
 def parse_embedding_text(stream: str | IO[str] | Iterable[str],
-                         source_label: str = "") -> EmbeddingTable:
+                         source_label: str = "",
+                         vocabulary: Container[str] | None = None) -> EmbeddingTable:
     """Parse a text vector stream into an :class:`EmbeddingTable`.
 
     An optional first line ``count dim`` (two bare integers) is skipped.
     The dimension is inferred from the first content line. Rows with wrong
     arity, non-finite values or zero norm are skipped and counted; duplicate
     words keep the first occurrence and bump ``duplicate_warnings``.
+
+    With a ``vocabulary``, rows after the first accepted one are read only
+    for words in it; the others are neither converted nor counted.
     """
     words: list[str] = []
     rows: list[np.ndarray] = []
@@ -107,6 +121,10 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
 
     for raw_line in _as_lines(stream):
         line = raw_line.rstrip("\r\n")
+        if dim is not None and vocabulary is not None:
+            head = line.split(None, 1)
+            if head and head[0] not in vocabulary:
+                continue
         tokens = line.split()
         if first_line and _is_header(tokens):
             first_line = False
@@ -118,7 +136,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
             if len(tokens) < 2:
                 raise EmbeddingParseError("bad format")
             try:
-                vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+                vec = np.array(tokens[1:], dtype=np.float64)
             except ValueError as exc:
                 raise EmbeddingParseError("bad format") from exc
             dim = len(tokens) - 1
@@ -135,7 +153,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
             skipped += 1
             continue
         try:
-            vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
+            vec = np.array(tokens[1:], dtype=np.float64)
         except ValueError:
             skipped += 1
             continue
@@ -158,15 +176,6 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     return table
 
 
-def _render_value(v: float) -> str:
-    # repr() is the shortest round-trip representation in Python 3;
-    # strip a trailing ".0" so integral values print as plain integers.
-    s = repr(float(v))
-    if s.endswith(".0"):
-        s = s[:-2]
-    return s
-
-
 def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:
     """Write ``table`` in the text format with a ``count dim`` header.
 
@@ -177,8 +186,11 @@ def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:
     header = f"{len(table)} {table.dimension}\n"
     stream.write(header)
     written += len(header)
-    for word, vec in table.items():
-        line = word + " " + " ".join(_render_value(v) for v in vec) + "\n"
+    for word, row in zip(table.words, table.matrix):
+        # repr() is the shortest round-trip form; integral values lose their
+        # ".0". One tolist() per row: a whole-matrix one holds every float.
+        values = " ".join(map(repr, row.tolist())) + "\n"
+        line = word + " " + values.replace(".0 ", " ").replace(".0\n", "\n")
         stream.write(line)
         written += len(line)
     return written

@@ -169,12 +169,12 @@ def extreme_pairs(report: ShiftReport | DistanceReport, n: int) -> dict:
 
 
 def featurize_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pair feature vector: plain concatenation [u; v]."""
+    """Pair features: plain concatenation [u; v], row-wise for (n, d) inputs."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError("dimension mismatch")
-    return np.concatenate([u, v])
+    return np.concatenate([u, v], axis=-1)
 
 
 def train_linear(features: np.ndarray, labels: np.ndarray,
@@ -241,22 +241,20 @@ def classify_accuracy(model: PairClassifierModel, features: np.ndarray,
 
 
 def _pair_features(table: EmbeddingTable, pairs: PairSet, augment: bool):
-    feats = []
-    labels = []
-    for p in pairs:
-        u = table.lookup(p.left)
-        v = table.lookup(p.right)
-        if u is None or v is None:
-            continue
-        y = 1 if p.relation == SYNONYM else 0
-        feats.append(featurize_pair(u, v))
-        labels.append(y)
-        if augment:
-            feats.append(featurize_pair(v, u))
-            labels.append(y)
-    if not feats:
+    """Rows [u; v] of the resolvable pairs in pair order; with ``augment``
+    each is followed by its swapped row [v; u]."""
+    left = table.indices([p.left for p in pairs])
+    right = table.indices([p.right for p in pairs])
+    found = (left >= 0) & (right >= 0)
+    if not found.any():
         raise ValueError("no resolvable pairs")
-    return np.array(feats), np.array(labels)
+    left, right = left[found], right[found]
+    labels = np.array([1 if p.relation == SYNONYM else 0 for p in pairs])[found]
+    if augment:
+        left, right = (np.column_stack([left, right]).ravel(),
+                       np.column_stack([right, left]).ravel())
+        labels = np.repeat(labels, 2)
+    return featurize_pair(table.matrix[left], table.matrix[right]), labels
 
 
 def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,

@@ -91,7 +91,7 @@ def sentiment_corpus(world: PlantedWorld, n_documents: int = 200,
     neg = sorted(w for w in region if world.polarity[w] == -1)
     if not pos or not neg:
         raise ValueError("sentiment region lacks one polarity; widen it")
-    all_words = sorted(world.polarity)
+    all_words = np.array(sorted(world.polarity))  # once, not per rng.choice
     docs: list[tuple[str, int]] = []
     for i in range(n_documents):
         label = i % 2

@@ -96,9 +96,12 @@ def _split_validation(n: int, fraction: float, rng: np.random.Generator):
 
 
 def _default_dims(m: int, dims: list[int] | None) -> list[int]:
-    if dims is not None:
-        return list(dims)
-    return [m, 128, 40]
+    if dims is None:
+        return [m, 128, 40]
+    if dims[0] != m:
+        raise ValueError(f"layer_dims starts with {dims[0]} but the embedding "
+                         f"dimension is {m}")
+    return list(dims)
 
 
 def train_baseline(table: EmbeddingTable, triplets: list[Triplet],
@@ -267,14 +270,15 @@ def transform_vocabulary(contrast_map: MlpParams,
 
 def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTable:
     """Per-word concatenation [raw; new] over the common vocabulary."""
-    common = [w for w in raw.words if w in new]
+    rows = new.indices(raw.words)
+    found = rows >= 0
+    common = [w for w, f in zip(raw.words, found) if f]
     if not common:
         raise ValueError("no common vocabulary")
-    raw_rows = np.array([raw.lookup(w) for w in common])
-    new_rows = np.array([new.lookup(w) for w in common])
     table = EmbeddingTable(dimension=raw.dimension + new.dimension,
                            words=common,
-                           matrix=np.concatenate([raw_rows, new_rows], axis=1),
+                           matrix=np.concatenate([raw.matrix[found],
+                                                  new.matrix[rows[found]]], axis=1),
                            source_label=f"{raw.source_label}+{new.source_label}")
     table.skipped_rows = (len(raw) - len(common)) + (len(new) - len(common))
     return table

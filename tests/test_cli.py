@@ -51,6 +51,28 @@ def test_eval_classifiers_rounds_checked_at_parsing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--dims", "3,abc"), ("--dims", "20,,4"),
+                                        ("--dims", "20,0"), ("--head-dims", "8,x")])
+def test_train_dims_checked_at_parsing(tmp_path, capsys, flag, value):
+    # the inputs do not exist: a usage error must come before any input is read
+    args = ["train", "--embeddings", str(tmp_path / "missing"),
+            "--pairs", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
+    assert run(args + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "usage-error:" in err and flag in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_dims_must_start_with_embedding_dimension(fixtures, tmp_path, capsys):
+    assert run(["train", "--embeddings", str(fixtures["embeddings"]),
+                "--pairs", str(fixtures["pairs"]), "--dims", "5,2", "--epochs", "1",
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage-error:" in err and "--dims" in err
+    assert "5" in err and "20" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def test_missing_input_exit_2(tmp_path, capsys):
     code = run(["split", "--pairs", str(tmp_path / "nope.tsv"),
                 "--out", str(tmp_path / "out")])

@@ -72,6 +72,34 @@ def test_embed_document_permutation_invariant():
     assert np.array_equal(v1, v2)
 
 
+def _reference_sentiment_corpus(world, n_documents, seed, sentiment_groups=1):
+    # the list-based draw that sentiment_corpus used before its word array
+    rng = np.random.default_rng(seed)
+    gs = world.group_size
+    region = [w for g in range(sentiment_groups)
+              for w in world.table.words[g * gs:(g + 1) * gs]]
+    pos = sorted(w for w in region if world.polarity[w] == 1)
+    neg = sorted(w for w in region if world.polarity[w] == -1)
+    all_words = sorted(world.polarity)
+    docs = []
+    for i in range(n_documents):
+        pool = pos if i % 2 == 1 else neg
+        chosen = list(rng.choice(pool, size=2, replace=True))
+        chosen += list(rng.choice(all_words, size=13, replace=True))
+        rng.shuffle(chosen)
+        docs.append((" ".join(chosen), i % 2))
+    return docs
+
+
+@pytest.mark.parametrize("seed,groups", [(0, 1), (3, 1), (11, 4)])
+def test_sentiment_corpus_matches_list_based_draws(seed, groups):
+    world = planted_world(n_words=400, dim=10, seed=seed)
+    got = sentiment_corpus(world, n_documents=60, seed=seed + 1,
+                           sentiment_groups=groups)
+    assert got == _reference_sentiment_corpus(world, 60, seed + 1, groups)
+    assert all(type(text) is str for text, _ in got)
+
+
 @pytest.fixture(scope="module")
 def corpus_setup():
     world = planted_world(n_words=200, dim=20, seed=1)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from contrastmap.embeddings import EmbeddingTable
-from contrastmap.evaluation import (build_accuracy_table, classify_accuracy,
-                                    distance_report, extreme_pairs,
+from contrastmap.evaluation import (_pair_features, build_accuracy_table,
+                                    classify_accuracy, distance_report,
+                                    extreme_pairs,
                                     featurize_pair, predict_proba,
                                     shift_report, train_boosted, train_linear)
 from contrastmap.pairs import ANTONYM, SYNONYM, LabeledPair, PairSet
@@ -109,6 +110,45 @@ def test_featurize_pair():
     assert sorted(featurize_pair(u, v)) == sorted(featurize_pair(v, u))
     with pytest.raises(ValueError, match="mismatch"):
         featurize_pair([1, 2], [1, 2, 3])
+    U, V = np.arange(6.0).reshape(3, 2), -np.arange(6.0).reshape(3, 2)
+    assert np.array_equal(featurize_pair(U, V),
+                          [featurize_pair(u, v) for u, v in zip(U, V)])
+
+
+def _reference_pair_features(table, pairs, augment):
+    # the per-pair loop that _pair_features replaced
+    feats, labels = [], []
+    for p in pairs:
+        u, v = table.lookup(p.left), table.lookup(p.right)
+        if u is None or v is None:
+            continue
+        y = 1 if p.relation == SYNONYM else 0
+        feats.append(featurize_pair(u, v))
+        labels.append(y)
+        if augment:
+            feats.append(featurize_pair(v, u))
+            labels.append(y)
+    if not feats:
+        raise ValueError("no resolvable pairs")
+    return np.array(feats), np.array(labels)
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_pair_features_match_per_pair_loop(augment):
+    from contrastmap.synthetic import planted_world
+    world = planted_world(n_words=300, dim=8, seed=5)
+    # drop every seventh word so some pairs do not resolve
+    kept = [w for i, w in enumerate(world.table.words) if i % 7]
+    table = EmbeddingTable(dimension=8, words=kept,
+                           matrix=world.table.matrix[[i % 7 != 0 for i in range(300)]])
+    X, y = _pair_features(table, world.pairs, augment)
+    X_ref, y_ref = _reference_pair_features(table, world.pairs, augment)
+    assert len(y_ref) < (2 if augment else 1) * len(world.pairs)
+    assert X.shape == X_ref.shape and X.dtype == X_ref.dtype
+    assert X.tobytes() == X_ref.tobytes()
+    assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
+    with pytest.raises(ValueError, match="no resolvable pairs"):
+        _pair_features(table, _pairs(("zz", "a", SYNONYM)), augment)
 
 
 def test_train_linear_separable():

@@ -171,6 +171,31 @@ def test_concat_basic():
     assert np.allclose(out.lookup("a"), [1.0, 0.0, 5.0])
 
 
+def test_concat_matches_per_word_loop():
+    rng = np.random.default_rng(3)
+    raw = EmbeddingTable(dimension=4, words=[f"w{i}" for i in range(30)],
+                         matrix=rng.standard_normal((30, 4)))
+    picked = [i for i in range(40) if i % 3]
+    new = EmbeddingTable(dimension=2, words=[f"w{i}" for i in reversed(picked)],
+                         matrix=rng.standard_normal((len(picked), 2)))
+    out = concat_embeddings(raw, new)
+    common = [w for w in raw.words if w in new]
+    ref = np.concatenate([np.array([raw.lookup(w) for w in common]),
+                          np.array([new.lookup(w) for w in common])], axis=1)
+    assert out.words == common
+    assert out.matrix.tobytes() == ref.tobytes()
+    assert out.skipped_rows == (30 - len(common)) + (len(picked) - len(common))
+
+
+def test_layer_dims_must_start_with_embedding_dimension(small_world):
+    world, _, triplets = small_world
+    for mode, train in ((None, train_baseline), (CLASSIFIER_SYSTEM, train_classifier_system)):
+        config = _small_config(layer_dims=[49, 8, 4], max_epochs=1,
+                               **({"mode": mode} if mode else {}))
+        with pytest.raises(ValueError, match="starts with 49 but the embedding dimension is 50"):
+            train(world.table, triplets, config)
+
+
 def test_concat_disjoint_errors():
     raw = EmbeddingTable.from_entries([("a", np.array([1.0, 0.0]))])
     new = EmbeddingTable.from_entries([("b", np.array([5.0]))])
