@@ -98,6 +98,11 @@ def _is_header(tokens: list[str]) -> bool:
     return all(t.isdigit() for t in tokens)
 
 
+def _unusable(vec: np.ndarray) -> bool:
+    """A non-finite value, or a norm of zero (also when tiny values underflow)."""
+    return not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0
+
+
 def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                          source_label: str = "",
                          vocabulary: Container[str] | None = None) -> EmbeddingTable:
@@ -105,7 +110,9 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
 
     An optional first line ``count dim`` (two bare integers) is skipped.
     The dimension is inferred from the first content line. Rows with wrong
-    arity, non-finite values or zero norm are skipped and counted; duplicate
+    arity, non-finite values or a zero norm (as ``np.linalg.norm`` computes
+    it, so rows of tiny values whose norm underflows count) are skipped and
+    counted, the first row by the same rule as the others; duplicate
     words keep the first occurrence and bump ``duplicate_warnings``.
 
     With a ``vocabulary``, rows after the first accepted one are read only
@@ -140,7 +147,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
             except ValueError as exc:
                 raise EmbeddingParseError("bad format") from exc
             dim = len(tokens) - 1
-            if not np.all(np.isfinite(vec)) or not np.any(vec):
+            if _unusable(vec):
                 skipped += 1
                 dim = None  # first row rejected; keep inferring on next row
                 continue
@@ -157,7 +164,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
         except ValueError:
             skipped += 1
             continue
-        if not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0:
+        if _unusable(vec):
             skipped += 1
             continue
         word = tokens[0]

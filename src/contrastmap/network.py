@@ -242,12 +242,8 @@ def triplet_backward(params: MlpParams, batch: TripletBatch) -> tuple[float, Gra
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def pair_head_forward(head: MlpParams, u: np.ndarray, v: np.ndarray) -> float:

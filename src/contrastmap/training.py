@@ -72,21 +72,14 @@ def resolve_triplets(table: EmbeddingTable, triplets: list[Triplet]):
 
     Returns (anchors, synonyms, antonyms) as (n, m) arrays plus the drop count.
     """
-    rows_w, rows_s, rows_a = [], [], []
-    dropped = 0
-    for t in triplets:
-        w = table.lookup(t.anchor)
-        s = table.lookup(t.synonym)
-        a = table.lookup(t.antonym)
-        if w is None or s is None or a is None:
-            dropped += 1
-            continue
-        rows_w.append(w)
-        rows_s.append(s)
-        rows_a.append(a)
-    if not rows_w:
+    columns = [table.indices([t.anchor for t in triplets]),
+               table.indices([t.synonym for t in triplets]),
+               table.indices([t.antonym for t in triplets])]
+    resolved = (columns[0] >= 0) & (columns[1] >= 0) & (columns[2] >= 0)
+    if not resolved.any():
         raise ValueError("no resolvable triplets")
-    return (np.array(rows_w), np.array(rows_s), np.array(rows_a)), dropped
+    rows = tuple(table.matrix[c[resolved]] for c in columns)
+    return rows, len(triplets) - int(np.count_nonzero(resolved))
 
 
 def _split_validation(n: int, fraction: float, rng: np.random.Generator):

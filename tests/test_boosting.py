@@ -1,12 +1,13 @@
 """Tests for the gradient-boosted tree ensemble."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contrastmap import boosting
-from contrastmap.boosting import (GAIN_TOL, H_EPS, TreeNode, boosted_proba,
-                                  boosted_scores, logistic_loss,
+from contrastmap.boosting import (BLOCK_CELLS, GAIN_TOL, H_EPS, TreeNode,
+                                  boosted_proba, boosted_scores, logistic_loss,
                                   train_boosted_trees)
 from contrastmap.evaluation import _pair_features
 from contrastmap.pairs import split_pairs
@@ -185,12 +186,58 @@ def _constant_columns():
     return np.full((10, 3), 2.5), np.array([0.0, 1.0] * 5)
 
 
+def _twinned(X):
+    """``X`` beside a copy of itself, for fixtures that span several blocks.
+
+    At the root a feature block (BLOCK_CELLS // rows features) is then
+    narrower than ``X``, so each column's twin lies in a later block and each
+    exact gain tie between twins crosses a block boundary.
+    """
+    assert BLOCK_CELLS // X.shape[0] < X.shape[1]
+    return np.hstack([X, X])
+
+
+def _blocked_pair_features():
+    world = planted_world(n_words=700, dim=16, seed=5)
+    X, y = _pair_features(world.table, split_pairs(world.pairs).train, augment=True)
+    return _twinned(X), y
+
+
+def _blocked_special_values():
+    # small integers and two huge values whose midpoint overflows to inf,
+    # with NaN and infinities sprinkled in
+    rng = np.random.default_rng(8)
+    X = rng.choice([0.0, 1.0, 2.0, 1e308, 1.7e308], size=(2100, 32))
+    for value, share in [(np.nan, 0.05), (np.inf, 0.03), (-np.inf, 0.03)]:
+        X[rng.random(X.shape) < share] = value
+    y = ((X[:, 0] > 1.0) ^ (X[:, 5] == 1.7e308)).astype(float)
+    return _twinned(X), y
+
+
+_OVERFLOW_OK = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+
 @pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
 @pytest.mark.parametrize("fixture", [_planted_pair_features, _xor, _continuous,
-                                     _small_integers, _constant_columns])
+                                     _small_integers, _constant_columns,
+                                     _blocked_pair_features,
+                                     pytest.param(_blocked_special_values, marks=_OVERFLOW_OK)])
 def test_trees_match_masked_reference_bit_for_bit(fixture, max_depth):
     X, y = fixture()
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     model = train_boosted_trees(X, y, rounds=8, shrinkage=0.3, max_depth=max_depth)
     reference = _reference_trees(X, y, 8, 0.3, max_depth)
     assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference]
+
+
+def test_fit_peak_memory_stays_under_four_times_the_input():
+    world = planted_world(n_words=2000, dim=32, seed=1)
+    X, y = _pair_features(world.table, split_pairs(world.pairs).train, augment=True)
+    assert X.shape == (6000, 64)
+    tracemalloc.start()
+    try:
+        train_boosted_trees(X, y, rounds=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * X.nbytes

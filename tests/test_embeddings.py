@@ -33,6 +33,15 @@ def test_parse_sole_zero_norm_row_is_no_vectors():
         parse_embedding_text("cat 0 0 0")
 
 
+def test_zero_norm_rule_is_the_same_for_the_first_row():
+    # 1e-200 squared underflows, so these rows have norm 0 wherever they sit
+    table = parse_embedding_text("a 1e-200 1e-200\nb 1e-200 1e-200\nc 1 2\n")
+    assert table.words == ["c"] and table.skipped_rows == 2
+    table = parse_embedding_text("a 5e-324\nb 1\n")
+    assert table.words == ["b"] and table.skipped_rows == 1
+    assert np.all(np.linalg.norm(table.matrix, axis=1) > 0.0)
+
+
 def test_parse_empty_stream():
     with pytest.raises(EmbeddingParseError, match="no vectors"):
         parse_embedding_text("")
@@ -188,7 +197,7 @@ def _reference_parse(stream):
             except ValueError as exc:
                 raise EmbeddingParseError("bad format") from exc
             dim = len(tokens) - 1
-            if not np.all(np.isfinite(vec)) or not np.any(vec):
+            if not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0:
                 skipped += 1
                 dim = None
                 continue

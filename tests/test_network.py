@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from contrastmap.network import (DivergenceError, Gradients, MlpParams,
-                                 OptimizerState, TripletBatch, flatten_grads,
-                                 flatten_params, forward, init_head_params,
+                                 OptimizerState, TripletBatch, _sigmoid,
+                                 flatten_grads, flatten_params, forward,
+                                 init_head_params,
                                  init_optimizer, init_params, load_params,
                                  optimizer_step, pair_head_forward,
                                  pair_head_loss_backward, save_params,
@@ -235,6 +236,27 @@ def test_optimizer_diverged():
                       [np.zeros_like(b) for b in params.biases])
     with pytest.raises(DivergenceError, match="diverged"):
         optimizer_step(params, grads, init_optimizer(params))
+
+
+# --- sigmoid ------------------------------------------------------------------
+
+def _masked_sigmoid(z):
+    """The sigmoid as written before: two boolean-mask scatters."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_version_bit_for_bit():
+    rng = np.random.default_rng(12)
+    z = np.concatenate([rng.standard_normal(20_000) * 30.0,
+                        rng.uniform(-800.0, 800.0, 20_000),
+                        [0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 745.2, -745.2,
+                         1e-300, -1e-300, 5e-324, -5e-324]])
+    assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
 
 
 # --- pair head ----------------------------------------------------------------

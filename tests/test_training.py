@@ -90,6 +90,28 @@ def test_unresolvable_triplets_dropped(small_world):
     assert dropped == 1
 
 
+def test_resolve_triplets_matches_per_triplet_loop(small_world):
+    world, _, triplets = small_world
+    from contrastmap.pairs import Triplet
+    anchor = triplets[0].anchor
+    mixed = ([Triplet("missing", anchor, anchor)] + triplets[:50]
+             + [Triplet(anchor, "gone", anchor), Triplet(anchor, anchor, "absent")]
+             + triplets[50:])
+    rows, dropped = [], 0
+    for t in mixed:  # the per-triplet lookups resolve_triplets used to do
+        vecs = [world.table.lookup(w) for w in (t.anchor, t.synonym, t.antonym)]
+        if any(v is None for v in vecs):
+            dropped += 1
+        else:
+            rows.append(vecs)
+    expected = tuple(np.array([r[i] for r in rows]) for i in range(3))
+    got, got_dropped = resolve_triplets(world.table, mixed)
+    assert got_dropped == dropped == 3
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
 def test_all_unresolvable_errors(small_world):
     world, _, _ = small_world
     from contrastmap.pairs import Triplet
