@@ -10,7 +10,8 @@ f, and row f of ``R`` their dense ranks in it (equal values share a rank).
 The root's come from one stable argsort per feature per ensemble; a child's
 are a stable compaction of its parent's, so no node sorts and no node touches
 rows outside it. A split may fall only where the rank rises, that is between
-neighbours with different values; its threshold is read back from ``X``.
+neighbours with different values; its threshold, read back from ``X``, is
+their midpoint, halved before the sum so that it cannot overflow.
 Prefix sums of the gradients along each row give every candidate's gain.
 
 The split search and the compaction walk blocks of feature rows of about
@@ -101,7 +102,9 @@ def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
         if best is None or gain[i] > best[0]:
             r, p = divmod(int(at[i]), m)
             f = b.start + r
-            best = (float(gain[i]), f, float(0.5 * (X[S[f, p], f] + X[S[f, p + 1], f])))
+            lo, hi = float(X[S[f, p], f]), float(X[S[f, p + 1], f])
+            t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
+            best = (float(gain[i]), f, t if t < hi else lo)
     return best
 
 
@@ -111,7 +114,7 @@ def _compact(S: np.ndarray, R: np.ndarray, keep: np.ndarray):
     S_kept, R_kept = np.empty((len(S), k), np.int32), np.empty((len(S), k), np.int32)
     for b in _blocks(S):
         kept = keep.take(S[b]).ravel()
-        shape = (b.stop - b.start, k)  # explicit: k is 0 when a threshold overflowed
+        shape = (b.stop - b.start, k)  # explicit: a reshape cannot infer it when k is 0
         S_kept[b] = S[b].ravel().compress(kept).reshape(shape)
         R_kept[b] = R[b].ravel().compress(kept).reshape(shape)
     return S_kept, R_kept

@@ -88,14 +88,11 @@ def tokenize(text: str) -> list[str]:
 
 def embed_document(table: EmbeddingTable, tokens: Iterable[str]) -> tuple[np.ndarray, bool]:
     """Mean of in-vocabulary token vectors; (zero vector, True) when all OOV."""
-    rows = []
-    for tok in tokens:
-        v = table.lookup(tok)
-        if v is not None:
-            rows.append(v)
-    if not rows:
+    idx = table.indices(tokens)
+    idx = idx[idx >= 0]
+    if idx.size == 0:
         return np.zeros(table.dimension), True
-    return np.mean(rows, axis=0), False
+    return np.mean(table.matrix[idx], axis=0), False
 
 
 def _stratified_split(labels: np.ndarray, test_fraction: float,

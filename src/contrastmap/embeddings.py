@@ -23,8 +23,6 @@ from typing import IO, Container, Iterable, Iterator
 
 import numpy as np
 
-COSINE_EPS = 1e-12
-
 
 class EmbeddingParseError(ValueError):
     """Raised when a vector stream cannot be parsed at all."""

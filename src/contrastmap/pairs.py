@@ -1,11 +1,12 @@
 """Labeled synonym/antonym pairs: loading, relation graph, leakage-free split, triplets."""
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
 import numpy as np
+
+from .embeddings import _as_lines
 
 SYNONYM = "synonym"
 ANTONYM = "antonym"
@@ -75,12 +76,6 @@ class Triplet:
     anchor: str
     synonym: str
     antonym: str
-
-
-def _as_lines(stream: str | IO[str] | Iterable[str]) -> Iterable[str]:
-    if isinstance(stream, str):
-        return io.StringIO(stream)
-    return stream
 
 
 def _valid_token(tok: str) -> bool:

@@ -117,7 +117,9 @@ def _reference_best_split(X, g, h, sort_idx, Xs, mask):
     gain = np.where(valid, gain, -np.inf)
     best_gain = gain.max()
     rows, cols = np.nonzero(gain == best_gain)
-    thresholds = 0.5 * (Xs[rows, cols] + nxt_val[rows, cols])
+    lo, hi = Xs[rows, cols], nxt_val[rows, cols]
+    thresholds = 0.5 * lo + 0.5 * hi
+    thresholds = np.where(thresholds < hi, thresholds, lo)
     i = np.lexsort((thresholds, cols))[0]
     return float(best_gain), int(cols[i]), float(thresholds[i])
 
@@ -214,14 +216,10 @@ def _blocked_special_values():
     return _twinned(X), y
 
 
-_OVERFLOW_OK = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-
-
 @pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
 @pytest.mark.parametrize("fixture", [_planted_pair_features, _xor, _continuous,
                                      _small_integers, _constant_columns,
-                                     _blocked_pair_features,
-                                     pytest.param(_blocked_special_values, marks=_OVERFLOW_OK)])
+                                     _blocked_pair_features, _blocked_special_values])
 def test_trees_match_masked_reference_bit_for_bit(fixture, max_depth):
     X, y = fixture()
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
@@ -241,3 +239,35 @@ def test_fit_peak_memory_stays_under_four_times_the_input():
     finally:
         tracemalloc.stop()
     assert peak < 4 * X.nbytes
+
+
+def _node_sizes(node, X, rows):
+    """Rows reaching each node of the tree, in preorder."""
+    if node.is_leaf:
+        return [len(rows)]
+    left = X[rows, node.feature] <= node.threshold
+    return ([len(rows)] + _node_sizes(node.left, X, rows[left])
+            + _node_sizes(node.right, X, rows[~left]))
+
+
+def test_no_child_is_empty_with_huge_and_infinite_neighbours():
+    X, y = _blocked_special_values()
+    model = train_boosted_trees(X, y, rounds=8, shrinkage=0.3, max_depth=3)
+    sizes = [s for t in model.trees for s in _node_sizes(t, X, np.arange(len(y)))]
+    assert len(sizes) > 8 * 7 and min(sizes) > 0
+
+
+def test_threshold_lies_between_neighbours_without_overflow():
+    model = train_boosted_trees(np.array([[1e308], [1.7e308]]), np.array([0.0, 1.0]),
+                                rounds=1, max_depth=1)
+    root = model.trees[0]
+    assert 1e308 <= root.threshold < 1.7e308
+    assert root.left.value < 0.0 < root.right.value
+    # adjacent floats: the rounded midpoint would be the upper value itself
+    a, b = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+    assert 0.5 * (a + b) == b
+    model = train_boosted_trees(np.array([[a], [b]]), np.array([0.0, 1.0]),
+                                rounds=1, max_depth=1)
+    root = model.trees[0]
+    assert root.threshold == a
+    assert root.left.value < 0.0 < root.right.value

@@ -72,6 +72,34 @@ def test_embed_document_permutation_invariant():
     assert np.array_equal(v1, v2)
 
 
+def _reference_embed_document(table, tokens):
+    # the per-word lookups that embed_document replaced
+    rows = []
+    for tok in tokens:
+        v = table.lookup(tok)
+        if v is not None:
+            rows.append(v)
+    if not rows:
+        return np.zeros(table.dimension), True
+    return np.mean(rows, axis=0), False
+
+
+def test_embed_document_matches_per_word_lookups():
+    world = planted_world(n_words=300, dim=7, seed=4)
+    keep = [i % 3 != 0 for i in range(300)]
+    table = EmbeddingTable(dimension=7, words=[w for w, k in zip(world.table.words, keep) if k],
+                           matrix=world.table.matrix[keep])
+    docs = [tokenize(text) for text, _ in sentiment_corpus(world, n_documents=50, seed=5)]
+    docs += [[], ["w00000", "w00003", "unknown"], ["w00001"], ["w00001", "w00001", "w00002"]]
+    oov_docs = 0
+    for tokens in docs:
+        vec, oov = embed_document(table, tokens)
+        ref_vec, ref_oov = _reference_embed_document(table, tokens)
+        assert oov == ref_oov and vec.tobytes() == ref_vec.tobytes()
+        oov_docs += oov
+    assert oov_docs == 2
+
+
 def _reference_sentiment_corpus(world, n_documents, seed, sentiment_groups=1):
     # the list-based draw that sentiment_corpus used before its word array
     rng = np.random.default_rng(seed)

@@ -5,13 +5,17 @@ import io
 import numpy as np
 import pytest
 
-from contrastmap.embeddings import EmbeddingTable
-from contrastmap.evaluation import (_pair_features, build_accuracy_table,
+from contrastmap.embeddings import EmbeddingTable, cosine_distance
+from contrastmap.evaluation import (LINEAR_DEFAULTS, PairClassifierModel,
+                                    _pair_features, build_accuracy_table,
                                     classify_accuracy, distance_report,
                                     extreme_pairs,
                                     featurize_pair, predict_proba,
                                     shift_report, train_boosted, train_linear)
-from contrastmap.pairs import ANTONYM, SYNONYM, LabeledPair, PairSet
+from contrastmap.network import _sigmoid, init_params
+from contrastmap.pairs import ANTONYM, SYNONYM, LabeledPair, PairSet, split_pairs
+from contrastmap.synthetic import planted_world
+from contrastmap.training import concat_embeddings, transform_vocabulary
 
 
 def _table(entries):
@@ -65,6 +69,54 @@ def test_distance_report_csv_shape():
     lines = out.getvalue().strip().split("\n")
     assert lines[0] == "bin_lo,bin_hi,syn_count,ant_count"
     assert len(lines) == 101
+
+
+def _reference_distance_records(table, pairs):
+    # the per-word lookups that distance_report replaced
+    records, unresolved = [], 0
+    for p in pairs:
+        u, v = table.lookup(p.left), table.lookup(p.right)
+        if u is None or v is None:
+            unresolved += 1
+            continue
+        records.append((p.left, p.right, p.relation, cosine_distance(u, v)))
+    return records, unresolved
+
+
+def _reference_shift_records(before, after, pairs):
+    # the per-word lookups that shift_report replaced
+    records, unresolved = [], 0
+    for p in pairs:
+        ub, vb = before.lookup(p.left), before.lookup(p.right)
+        ua, va = after.lookup(p.left), after.lookup(p.right)
+        if ub is None or vb is None or ua is None or va is None:
+            unresolved += 1
+            continue
+        db, da = cosine_distance(ub, vb), cosine_distance(ua, va)
+        records.append((p.left, p.right, p.relation, db, da, da - db))
+    return records, unresolved
+
+
+def _without_every(table, k, offset):
+    keep = [i % k != offset for i in range(len(table))]
+    return EmbeddingTable(dimension=table.dimension,
+                          words=[w for w, f in zip(table.words, keep) if f],
+                          matrix=table.matrix[keep])
+
+
+def test_reports_match_per_word_lookups():
+    world = planted_world(n_words=400, dim=12, seed=9)
+    new = transform_vocabulary(init_params([12, 10, 3], seed=2), world.table)
+    before, after = _without_every(world.table, 7, 0), _without_every(new, 11, 3)
+    records, unresolved = _reference_distance_records(before, world.pairs)
+    report = distance_report(before, world.pairs)
+    assert unresolved > 0
+    assert report.records == records and report.unresolved == unresolved
+    assert report.syn_counts.sum() + report.ant_counts.sum() == len(records)
+    records, unresolved = _reference_shift_records(before, after, world.pairs)
+    shifts = shift_report(before, after, world.pairs)
+    assert unresolved > report.unresolved
+    assert shifts.records == records and shifts.unresolved == unresolved
 
 
 def test_shift_report_identity_is_zero():
@@ -135,7 +187,6 @@ def _reference_pair_features(table, pairs, augment):
 
 @pytest.mark.parametrize("augment", [False, True])
 def test_pair_features_match_per_pair_loop(augment):
-    from contrastmap.synthetic import planted_world
     world = planted_world(n_words=300, dim=8, seed=5)
     # drop every seventh word so some pairs do not resolve
     kept = [w for i, w in enumerate(world.table.words) if i % 7]
@@ -149,6 +200,73 @@ def test_pair_features_match_per_pair_loop(augment):
     assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
     with pytest.raises(ValueError, match="no resolvable pairs"):
         _pair_features(table, _pairs(("zz", "a", SYNONYM)), augment)
+
+
+def _reference_train_linear(X, y, config):
+    # the fit train_linear ran on every input before it fit order-augmented
+    # pair features on u + v: full-batch descent over the (2m, 2d) matrix
+    cfg = {**LINEAR_DEFAULTS, **(config or {})}
+    n, d = X.shape
+    w, b = np.zeros(d), 0.0
+    for _ in range(int(cfg["epochs"])):
+        p = _sigmoid(X @ w + b)
+        err = (p - y) / n
+        gw = X.T @ err + cfg["l2"] * w
+        gb = err.sum()
+        w -= cfg["lr"] * gw
+        b -= cfg["lr"] * gb
+    return PairClassifierModel(kind="linear", feature_dimension=d, weights=w, bias=b)
+
+
+@pytest.fixture(scope="module")
+def pair_spaces():
+    """Order-augmented train and plain test pair features per space."""
+    world = planted_world(n_words=600, dim=16, seed=3)
+    split = split_pairs(world.pairs)
+    new = transform_vocabulary(init_params([16, 12, 4], seed=1), world.table)
+    spaces = {"raw": world.table, "new": new,
+              "concatenated": concat_embeddings(world.table, new)}
+    features = {space: (_pair_features(table, split.train, augment=True),
+                        _pair_features(table, split.test, augment=False))
+                for space, table in spaces.items()}
+    rng = np.random.default_rng(7)
+    U, V = rng.standard_normal((300, 5)), rng.standard_normal((300, 5))
+    y = (np.sum(U * V, axis=1) + 0.5 * U[:, 0] > 0).astype(int)
+    X = np.concatenate([U, V], axis=1)
+    X_aug = np.empty((600, 10))
+    X_aug[::2], X_aug[1::2] = X, np.concatenate([V, U], axis=1)
+    features["random"] = ((X_aug, np.repeat(y, 2)), (X, y))
+    return features
+
+
+@pytest.mark.parametrize("space,config", [
+    ("raw", None), ("new", None), ("concatenated", None), ("random", None),
+    ("raw", {"epochs": 0}), ("new", {"lr": 0.7}), ("concatenated", {"l2": 0.0}),
+    ("random", {"epochs": 40, "lr": 1.5, "l2": 0.0})])
+def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config):
+    (X, y), (X_test, y_test) = pair_spaces[space]
+    model = train_linear(X, y, config)
+    reference = _reference_train_linear(X, y.astype(float), config)
+    d = X.shape[1] // 2
+    assert model.feature_dimension == reference.feature_dimension == 2 * d
+    assert np.array_equal(model.weights[:d], model.weights[d:])
+    got = np.append(model.weights, model.bias)
+    want = np.append(reference.weights, reference.bias)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert (classify_accuracy(model, X_test, y_test)
+            == classify_accuracy(reference, X_test, y_test))
+
+
+def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces):
+    (X, y), _ = pair_spaces["random"]
+    y = y.astype(float)
+    flipped = y.copy()
+    flipped[1] = 1.0 - flipped[1]  # one pair whose two rows disagree
+    for features, labels in [(X[:, :9], y), (X[:-1], y[:-1]), (X, flipped)]:
+        model = train_linear(features, labels)
+        reference = _reference_train_linear(features, labels, None)
+        assert model.weights.tobytes() == reference.weights.tobytes()
+        assert model.bias == reference.bias
 
 
 def test_train_linear_separable():
