@@ -1,14 +1,17 @@
 """Feed-forward network core: init, forward, triplet cosine loss, analytic
 gradients, adaptive-moment optimizer, and JSON model serialization.
 
-Everything is double precision and pure numpy; gradients are derived by
-hand and checked against central finite differences in the test suite.
+Everything is double precision and pure numpy. A net's parameters live in
+one contiguous float64 vector, ``MlpParams.flat``; the per-layer weights and
+biases are views into it. A gradient is a vector with the same layout, so the
+optimizer is a few vector operations. Gradients are derived by hand and
+checked against central finite differences in the test suite.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -18,23 +21,50 @@ MODEL_FORMAT_VERSION = 1
 
 ACTIVATIONS = ("tanh", "relu")
 
+# Adaptive moment estimation constants (Kingma & Ba, ICLR 2015).
+ADAM_DECAY1 = 0.9
+ADAM_DECAY2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 class DivergenceError(RuntimeError):
     """Raised when a non-finite loss or gradient appears during training."""
 
 
-@dataclass
 class MlpParams:
     """Weights of a fully-connected net with a linear output layer.
 
-    ``weights[i]`` has shape (fan_out, fan_in); the hidden activation applies
-    to every layer except the last.
+    ``flat`` holds every weight matrix, then every bias vector, in layer
+    order. ``weights[i]`` (shape (fan_out, fan_in)) and ``biases[i]`` are
+    views into it, built once, so a write through them is a write to
+    ``flat``. The constructor wraps a contiguous float64 ``flat`` without
+    copying it; with ``flat=None`` it allocates zeros. The hidden activation
+    applies to every layer except the last.
     """
 
-    layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    hidden_activation: str = "tanh"
+    def __init__(self, layer_dims: list[int], flat: np.ndarray | None = None,
+                 hidden_activation: str = "tanh"):
+        if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+            raise ValueError("layer_dims must be >= 2 positive integers")
+        if hidden_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {hidden_activation!r}")
+        self.layer_dims = list(layer_dims)
+        self.hidden_activation = hidden_activation
+        shapes = ([(o, i) for i, o in zip(layer_dims[:-1], layer_dims[1:])]
+                  + [(o,) for o in layer_dims[1:]])
+        size = sum(math.prod(s) for s in shapes)
+        self.flat = np.zeros(size) if flat is None else np.ascontiguousarray(flat, np.float64)
+        if self.flat.shape != (size,):
+            raise ValueError(f"parameter vector has shape {self.flat.shape}, "
+                             f"layer_dims {self.layer_dims} need ({size},)")
+        views, pos = [], 0
+        for shape in shapes:
+            n = math.prod(shape)
+            views.append(self.flat[pos:pos + n].reshape(shape))
+            pos += n
+        n_layers = len(layer_dims) - 1
+        self.weights = tuple(views[:n_layers])
+        self.biases = tuple(views[n_layers:])
 
     @property
     def input_dim(self) -> int:
@@ -45,31 +75,7 @@ class MlpParams:
         return self.layer_dims[-1]
 
     def copy(self) -> "MlpParams":
-        return MlpParams(list(self.layer_dims),
-                         [w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases],
-                         self.hidden_activation)
-
-
-@dataclass
-class Gradients:
-    """MlpParams-shaped gradient container."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def scaled(self, c: float) -> "Gradients":
-        return Gradients([c * w for w in self.weights], [c * b for b in self.biases])
-
-    def add_(self, other: "Gradients") -> "Gradients":
-        for a, b in zip(self.weights, other.weights):
-            a += b
-        for a, b in zip(self.biases, other.biases):
-            a += b
-        return self
-
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
+        return MlpParams(self.layer_dims, self.flat.copy(), self.hidden_activation)
 
 
 @dataclass
@@ -89,49 +95,34 @@ class TripletBatch:
         return self.anchors.shape[0]
 
 
+def _glorot(layer_dims: list[int], hidden_activation: str, seed: int) -> MlpParams:
+    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    params = MlpParams(layer_dims, None, hidden_activation)
+    rng = np.random.default_rng(seed)
+    for W in params.weights:
+        fan_out, fan_in = W.shape
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    return params
+
+
 def init_params(layer_dims: list[int], hidden_activation: str = "tanh",
                 seed: int = 0) -> MlpParams:
-    """Glorot-uniform weights, zero biases, deterministic per seed.
-
-    The map must contract: the output dimension must be strictly below the
-    input dimension.
-    """
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ValueError("layer_dims must be >= 2 positive integers")
-    if layer_dims[-1] >= layer_dims[0]:
+    """Glorot-uniform contrasting map; the output dimension must be strictly
+    below the input dimension."""
+    params = _glorot(layer_dims, hidden_activation, seed)
+    if params.output_dim >= params.input_dim:
         raise ValueError("not a contraction")
-    if hidden_activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {hidden_activation!r}")
-    rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(list(layer_dims), weights, biases, hidden_activation)
+    return params
 
 
 def init_head_params(layer_dims: list[int], hidden_activation: str = "tanh",
                      seed: int = 0) -> MlpParams:
-    """Like :func:`init_params` but without the contraction requirement.
-
-    Used for the pair-classification head, whose output is a single logit.
-    """
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ValueError("layer_dims must be >= 2 positive integers")
-    if layer_dims[-1] != 1:
+    """Glorot-uniform pair-classification head, whose output is one logit."""
+    params = _glorot(layer_dims, hidden_activation, seed)
+    if params.output_dim != 1:
         raise ValueError("classification head must output one logit")
-    if hidden_activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {hidden_activation!r}")
-    rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(list(layer_dims), weights, biases, hidden_activation)
+    return params
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -162,20 +153,21 @@ def _forward_cached(params: MlpParams, X: np.ndarray):
 def _backward(params: MlpParams, cache, dout: np.ndarray):
     """Backprop ``dout`` (n, k) through the cached forward pass.
 
-    Returns (Gradients, dX) where dX is the gradient wrt the input rows.
+    Returns (grad, dX): ``grad`` is a new vector in the layout of
+    ``params.flat`` and dX the gradient wrt the input rows.
     """
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
+    grad = MlpParams(params.layer_dims, np.empty_like(params.flat),
+                     params.hidden_activation)
     last = len(params.weights) - 1
     delta = dout
     for i in range(last, -1, -1):
         a_in, z, a_out = cache[i]
         if i != last:
             delta = delta * _activate_grad(z, a_out, params.hidden_activation)
-        grads_w[i] = delta.T @ a_in
-        grads_b[i] = delta.sum(axis=0)
+        grad.weights[i][...] = delta.T @ a_in
+        grad.biases[i][...] = delta.sum(axis=0)
         delta = delta @ params.weights[i]
-    return Gradients(grads_w, grads_b), delta
+    return grad.flat, delta
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -218,11 +210,11 @@ def triplet_loss(params: MlpParams, batch: TripletBatch) -> float:
     return float(np.mean((1.0 - cs) + (1.0 + ca)))
 
 
-def triplet_backward(params: MlpParams, batch: TripletBatch) -> tuple[float, Gradients]:
+def triplet_backward(params: MlpParams, batch: TripletBatch) -> tuple[float, np.ndarray]:
     """Loss and exact analytic gradient of :func:`triplet_loss`.
 
     All three branches share weights, so the three branch gradients
-    accumulate into one parameter-shaped gradient.
+    add into one vector in the layout of ``params.flat``.
     """
     n = len(batch)
     Zw, cw = _forward_cached(params, batch.anchors)
@@ -234,11 +226,10 @@ def triplet_backward(params: MlpParams, batch: TripletBatch) -> tuple[float, Gra
     dZw = (dca_dw - dcs_dw) / n
     dZs = -dcs_ds / n
     dZa = dca_da / n
-    grads, _ = _backward(params, cw, dZw)
-    gs, _ = _backward(params, cs_cache, dZs)
-    ga, _ = _backward(params, ca_cache, dZa)
-    grads.add_(gs).add_(ga)
-    return loss, grads
+    grad = _backward(params, cw, dZw)[0]
+    grad += _backward(params, cs_cache, dZs)[0]
+    grad += _backward(params, ca_cache, dZa)[0]
+    return loss, grad
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -270,8 +261,8 @@ def pair_head_loss_backward(head: MlpParams, U: np.ndarray, V: np.ndarray,
                             labels: np.ndarray):
     """Mean binary cross-entropy through the head, with gradients.
 
-    Returns (loss, head Gradients, dU, dV); dU/dV are the gradients wrt
-    the transformed embeddings, for end-to-end training of the map.
+    Returns (loss, head gradient vector, dU, dV); dU/dV are the gradients
+    wrt the transformed embeddings, for end-to-end training of the map.
     """
     n = U.shape[0]
     X = np.concatenate([U, V], axis=1)
@@ -288,56 +279,33 @@ def pair_head_loss_backward(head: MlpParams, U: np.ndarray, V: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """Adaptive moment estimation state (one slot per parameter array)."""
+    """Adaptive moment estimation state: two moment vectors laid out like
+    ``MlpParams.flat``."""
 
     step_count: int
-    first_moment: Gradients
-    second_moment: Gradients
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     learning_rate: float = 1e-3
-    decay1: float = 0.9
-    decay2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def init_optimizer(params: MlpParams, learning_rate: float = 1e-3,
-                   decay1: float = 0.9, decay2: float = 0.999,
-                   epsilon: float = 1e-8) -> OptimizerState:
-    zeros = lambda arrs: [np.zeros_like(a) for a in arrs]
-    return OptimizerState(
-        step_count=0,
-        first_moment=Gradients(zeros(params.weights), zeros(params.biases)),
-        second_moment=Gradients(zeros(params.weights), zeros(params.biases)),
-        learning_rate=learning_rate, decay1=decay1, decay2=decay2,
-        epsilon=epsilon)
+def init_optimizer(params: MlpParams, learning_rate: float = 1e-3) -> OptimizerState:
+    return OptimizerState(0, np.zeros_like(params.flat), np.zeros_like(params.flat),
+                          learning_rate)
 
 
-def optimizer_step(params: MlpParams, grads: Gradients,
+def optimizer_step(params: MlpParams, grad: np.ndarray,
                    state: OptimizerState) -> tuple[MlpParams, OptimizerState]:
     """One bias-corrected adaptive-moment update; returns new values."""
-    if not grads.is_finite():
+    if not np.all(np.isfinite(grad)):
         raise DivergenceError("diverged")
     t = state.step_count + 1
-    b1, b2 = state.decay1, state.decay2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    new_params = params.copy()
-    new_m = Gradients([m.copy() for m in state.first_moment.weights],
-                      [m.copy() for m in state.first_moment.biases])
-    new_v = Gradients([v.copy() for v in state.second_moment.weights],
-                      [v.copy() for v in state.second_moment.biases])
-    for target, g, m, v in (
-            (new_params.weights, grads.weights, new_m.weights, new_v.weights),
-            (new_params.biases, grads.biases, new_m.biases, new_v.biases)):
-        for i in range(len(target)):
-            m[i] *= b1
-            m[i] += (1.0 - b1) * g[i]
-            v[i] *= b2
-            v[i] += (1.0 - b2) * g[i] * g[i]
-            m_hat = m[i] / c1
-            v_hat = v[i] / c2
-            target[i] = target[i] - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = replace(state, step_count=t, first_moment=new_m, second_moment=new_v)
-    return new_params, new_state
+    m = ADAM_DECAY1 * state.first_moment + (1.0 - ADAM_DECAY1) * grad
+    v = ADAM_DECAY2 * state.second_moment + (1.0 - ADAM_DECAY2) * grad * grad
+    m_hat = m / (1.0 - ADAM_DECAY1 ** t)
+    v_hat = v / (1.0 - ADAM_DECAY2 ** t)
+    flat = params.flat - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return (MlpParams(params.layer_dims, flat, params.hidden_activation),
+            OptimizerState(t, m, v, state.learning_rate))
 
 
 # --- serialization -----------------------------------------------------------
@@ -356,19 +324,19 @@ def params_from_dict(doc: dict) -> MlpParams:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {doc.get('format_version')!r}")
     dims = [int(d) for d in doc["layer_dims"]]
-    act = doc["hidden_activation"]
-    if act not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {act!r}")
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
     if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
         raise ValueError("layer count mismatch")
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
-        if weights[i].shape != (fan_out, fan_in) or biases[i].shape != (fan_out,):
+    params = MlpParams(dims, None, doc["hidden_activation"])
+    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+        if weights[i].shape != W.shape or biases[i].shape != b.shape:
             raise ValueError(f"bad shape at layer {i}")
         if not np.all(np.isfinite(weights[i])) or not np.all(np.isfinite(biases[i])):
             raise ValueError(f"non-finite values at layer {i}")
-    return MlpParams(dims, weights, biases, act)
+        W[...] = weights[i]
+        b[...] = biases[i]
+    return params
 
 
 def save_params(params: MlpParams, stream: IO[str]) -> None:
@@ -378,23 +346,3 @@ def save_params(params: MlpParams, stream: IO[str]) -> None:
 
 def load_params(stream: IO[str]) -> MlpParams:
     return params_from_dict(json.load(stream))
-
-
-# --- flatten helpers (finite-difference checks, tests) -----------------------
-
-def flatten_params(params: MlpParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.weights + params.biases])
-
-
-def unflatten_like(params: MlpParams, flat: np.ndarray) -> MlpParams:
-    out = params.copy()
-    pos = 0
-    for arrs in (out.weights, out.biases):
-        for i, a in enumerate(arrs):
-            arrs[i] = flat[pos:pos + a.size].reshape(a.shape).copy()
-            pos += a.size
-    return out
-
-
-def flatten_grads(grads: Gradients) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in grads.weights + grads.biases])

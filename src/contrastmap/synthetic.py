@@ -27,10 +27,6 @@ class PlantedWorld:
     hidden: dict[str, np.ndarray]
     group_size: int = 5
 
-    def relation_oracle(self, left: str, right: str) -> str:
-        """Ground-truth label function for any two generated words."""
-        return SYNONYM if self.polarity[left] == self.polarity[right] else ANTONYM
-
 
 def planted_world(n_words: int = 5000, dim: int = 50, hidden_dim: int = 6,
                   group_size: int = 5, z_jitter: float = 0.1,

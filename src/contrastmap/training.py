@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .network import (DivergenceError, MlpParams, TripletBatch, Gradients,
-                      _forward_cached, _backward, init_head_params, init_optimizer,
+from .network import (DivergenceError, MlpParams, TripletBatch, _backward,
+                      _forward_cached, init_head_params, init_optimizer,
                       init_params, optimizer_step, pair_head_loss_backward,
                       triplet_backward, triplet_loss, pair_head_logits)
 from .pairs import Triplet
@@ -97,6 +97,55 @@ def _default_dims(m: int, dims: list[int] | None) -> list[int]:
     return list(dims)
 
 
+def _fit(models: list[MlpParams], step, val_loss, n: int, config: TrainConfig,
+         start: float, dropped: int) -> tuple[list[MlpParams], TrainReport]:
+    """The epoch loop both training modes share.
+
+    Holds out a seeded validation fraction of the ``n`` triplets, then per
+    epoch shuffles the rest into mini-batches. ``step(models, idx)`` returns
+    the mean loss on triplet rows ``idx`` and one gradient per model, and
+    each model takes one optimizer step. ``val_loss(models, idx)`` scores the
+    held-out rows (the epoch's training loss stands in when none are held
+    out). Training stops after ``early_stop_patience`` non-improving epochs
+    and returns copies of the models from the best validation epoch.
+    """
+    rng = np.random.default_rng(config.seed)
+    states = [init_optimizer(m, learning_rate=config.learning_rate) for m in models]
+    train_idx, val_idx = _split_validation(n, config.validation_fraction, rng)
+    train_losses: list[float] = []
+    val_losses: list[float] = []
+    best = [m.copy() for m in models]
+    best_val = math.inf
+    bad_epochs = 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(len(train_idx))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            idx = train_idx[order[lo:lo + config.batch_size]]
+            loss, grads = step(models, idx)
+            if not math.isfinite(loss):
+                raise DivergenceError("diverged")
+            for i, grad in enumerate(grads):
+                models[i], states[i] = optimizer_step(models[i], grad, states[i])
+            epoch_loss += loss * len(idx)
+        train_losses.append(epoch_loss / max(len(order), 1))
+        val = val_loss(models, val_idx) if len(val_idx) else train_losses[-1]
+        if not math.isfinite(val):
+            raise DivergenceError("diverged")
+        val_losses.append(val)
+        if val < best_val - 1e-12:
+            best_val = val
+            best = [m.copy() for m in models]
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= config.early_stop_patience:
+                break
+    report = TrainReport(train_losses, val_losses, len(val_losses),
+                         time.perf_counter() - start, n, len(val_idx), dropped)
+    return best, report
+
+
 def train_baseline(table: EmbeddingTable, triplets: list[Triplet],
                    config: TrainConfig) -> tuple[MlpParams, TrainReport]:
     """Train the contrasting map on the triplet cosine loss.
@@ -110,60 +159,24 @@ def train_baseline(table: EmbeddingTable, triplets: list[Triplet],
     start = time.perf_counter()
     (W, S, A), dropped = resolve_triplets(table, triplets)
     dims = _default_dims(table.dimension, config.layer_dims)
-    rng = np.random.default_rng(config.seed)
     params = init_params(dims, config.hidden_activation, seed=config.seed)
-    state = init_optimizer(params, learning_rate=config.learning_rate)
-    train_idx, val_idx = _split_validation(len(W), config.validation_fraction, rng)
-    val_batch = TripletBatch(W[val_idx], S[val_idx], A[val_idx]) if len(val_idx) else None
 
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    best_params = params.copy()
-    best_val = math.inf
-    bad_epochs = 0
-    stopped = 0
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(train_idx))
-        epoch_loss = 0.0
-        seen = 0
-        for lo in range(0, len(order), config.batch_size):
-            idx = train_idx[order[lo:lo + config.batch_size]]
-            batch = TripletBatch(W[idx], S[idx], A[idx])
-            loss, grads = triplet_backward(params, batch)
-            if not math.isfinite(loss):
-                raise DivergenceError("diverged")
-            params, state = optimizer_step(params, grads, state)
-            epoch_loss += loss * len(idx)
-            seen += len(idx)
-        train_losses.append(epoch_loss / max(seen, 1))
-        val = triplet_loss(params, val_batch) if val_batch is not None else train_losses[-1]
-        if not math.isfinite(val):
-            raise DivergenceError("diverged")
-        val_losses.append(val)
-        stopped = epoch + 1
-        if val < best_val - 1e-12:
-            best_val = val
-            best_params = params.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.early_stop_patience:
-                break
-    report = TrainReport(train_losses, val_losses, stopped,
-                         time.perf_counter() - start, len(W),
-                         len(val_idx), dropped)
-    return best_params, report
+    def step(models, idx):
+        loss, grad = triplet_backward(models[0], TripletBatch(W[idx], S[idx], A[idx]))
+        return loss, [grad]
+
+    def val_loss(models, idx):
+        return triplet_loss(models[0], TripletBatch(W[idx], S[idx], A[idx]))
+
+    (best,), report = _fit([params], step, val_loss, len(W), config, start, dropped)
+    return best, report
 
 
-def _classifier_val_loss(params, head, W, S, A, idx) -> float:
-    Zw, _ = _forward_cached(params, W[idx])
-    Zs, _ = _forward_cached(params, S[idx])
-    Za, _ = _forward_cached(params, A[idx])
-    U = np.concatenate([Zw, Zw])
-    V = np.concatenate([Zs, Za])
-    y = np.concatenate([np.ones(len(idx)), np.zeros(len(idx))])
-    z = pair_head_logits(head, U, V)
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+def _head_pairs(Zw: np.ndarray, Zs: np.ndarray, Za: np.ndarray):
+    """Head inputs (U, V, y) for mapped triplet rows: the (anchor, synonym)
+    rows labelled 1, then the (anchor, antonym) rows labelled 0."""
+    y = np.concatenate([np.ones(len(Zw)), np.zeros(len(Zw))])
+    return np.concatenate([Zw, Zw]), np.concatenate([Zs, Za]), y
 
 
 def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
@@ -183,63 +196,29 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
     head_dims = list(config.head_dims) if config.head_dims else [2 * k, 32, 1]
     if head_dims[0] != 2 * k:
         raise ValueError(f"head input dim must be 2k = {2 * k}")
-    rng = np.random.default_rng(config.seed)
     params = init_params(dims, config.hidden_activation, seed=config.seed)
     head = init_head_params(head_dims, config.hidden_activation, seed=config.seed + 1)
-    p_state = init_optimizer(params, learning_rate=config.learning_rate)
-    h_state = init_optimizer(head, learning_rate=config.learning_rate)
-    train_idx, val_idx = _split_validation(len(W), config.validation_fraction, rng)
 
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    best = (params.copy(), head.copy())
-    best_val = math.inf
-    bad_epochs = 0
-    stopped = 0
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(train_idx))
-        epoch_loss = 0.0
-        seen = 0
-        for lo in range(0, len(order), config.batch_size):
-            idx = train_idx[order[lo:lo + config.batch_size]]
-            n = len(idx)
-            Zw, cw = _forward_cached(params, W[idx])
-            Zs, cs = _forward_cached(params, S[idx])
-            Za, ca = _forward_cached(params, A[idx])
-            U = np.concatenate([Zw, Zw])
-            V = np.concatenate([Zs, Za])
-            y = np.concatenate([np.ones(n), np.zeros(n)])
-            loss, h_grads, dU, dV = pair_head_loss_backward(head, U, V, y)
-            if not math.isfinite(loss):
-                raise DivergenceError("diverged")
-            dZw = dU[:n] + dU[n:]
-            g_net, _ = _backward(params, cw, dZw)
-            g_s, _ = _backward(params, cs, dV[:n])
-            g_a, _ = _backward(params, ca, dV[n:])
-            g_net.add_(g_s).add_(g_a)
-            params, p_state = optimizer_step(params, g_net, p_state)
-            head, h_state = optimizer_step(head, h_grads, h_state)
-            epoch_loss += loss * n
-            seen += n
-        train_losses.append(epoch_loss / max(seen, 1))
-        val = (_classifier_val_loss(params, head, W, S, A, val_idx)
-               if len(val_idx) else train_losses[-1])
-        if not math.isfinite(val):
-            raise DivergenceError("diverged")
-        val_losses.append(val)
-        stopped = epoch + 1
-        if val < best_val - 1e-12:
-            best_val = val
-            best = (params.copy(), head.copy())
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= config.early_stop_patience:
-                break
-    report = TrainReport(train_losses, val_losses, stopped,
-                         time.perf_counter() - start, len(W),
-                         len(val_idx), dropped)
-    return best[0], best[1], report
+    def step(models, idx):
+        params, head = models
+        n = len(idx)
+        (Zw, cw), (Zs, cs), (Za, ca) = (_forward_cached(params, X[idx]) for X in (W, S, A))
+        U, V, y = _head_pairs(Zw, Zs, Za)
+        loss, head_grad, dU, dV = pair_head_loss_backward(head, U, V, y)
+        grad = _backward(params, cw, dU[:n] + dU[n:])[0]
+        grad += _backward(params, cs, dV[:n])[0]
+        grad += _backward(params, ca, dV[n:])[0]
+        return loss, [grad, head_grad]
+
+    def val_loss(models, idx):
+        # one branch's forward cache at a time: the held-out rows are many
+        U, V, y = _head_pairs(*(_forward_cached(models[0], X[idx])[0] for X in (W, S, A)))
+        z = pair_head_logits(models[1], U, V)
+        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+    (best_params, best_head), report = _fit([params, head], step, val_loss, len(W),
+                                            config, start, dropped)
+    return best_params, best_head, report
 
 
 def transform_vocabulary(contrast_map: MlpParams,

@@ -20,11 +20,10 @@ from contrastmap.downstream import load_bundled_corpus, run_downstream
 from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
                                     parse_embedding_text, write_embedding_text)
 from contrastmap.evaluation import build_accuracy_table
-from contrastmap.network import (TripletBatch, flatten_grads, flatten_params,
-                                 init_head_params, init_params, load_params,
+from contrastmap.network import (MlpParams, TripletBatch, init_head_params,
+                                 init_params, load_params,
                                  pair_head_loss_backward, save_params,
-                                 triplet_backward, triplet_loss,
-                                 unflatten_like)
+                                 triplet_backward, triplet_loss)
 from contrastmap.pairs import (ANTONYM, SYNONYM, LabeledPair, PairSet,
                                build_triplets, split_pairs, write_pairs)
 from contrastmap.synthetic import planted_world
@@ -42,15 +41,15 @@ def _verdict(num: int, name: str, checks: list[tuple[str, bool]]) -> None:
 
 
 def _fd_gradient(fn, params, h=1e-5):
-    flat = flatten_params(params)
+    flat = params.flat
     grad = np.empty_like(flat)
     for i in range(len(flat)):
         plus = flat.copy()
         plus[i] += h
         minus = flat.copy()
         minus[i] -= h
-        grad[i] = (fn(unflatten_like(params, plus))
-                   - fn(unflatten_like(params, minus))) / (2 * h)
+        grad[i] = (fn(MlpParams(params.layer_dims, plus, params.hidden_activation))
+                   - fn(MlpParams(params.layer_dims, minus, params.hidden_activation))) / (2 * h)
     return grad
 
 
@@ -74,7 +73,7 @@ def test_criterion_1_gradient_correctness():
                              rng.standard_normal((16, 10)))
         _, grads = triplet_backward(params, batch)
         numeric = _fd_gradient(lambda p: triplet_loss(p, batch), params)
-        if not _grads_agree(flatten_grads(grads), numeric):
+        if not _grads_agree(grads, numeric):
             triplet_ok = False
             break
     for draw in range(50):
@@ -85,7 +84,7 @@ def test_criterion_1_gradient_correctness():
         _, grads, _, _ = pair_head_loss_backward(head, U, V, y)
         numeric = _fd_gradient(
             lambda h: pair_head_loss_backward(h, U, V, y)[0], head)
-        if not _grads_agree(flatten_grads(grads), numeric):
+        if not _grads_agree(grads, numeric):
             head_ok = False
             break
     _verdict(1, "gradient correctness", [

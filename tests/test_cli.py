@@ -2,9 +2,14 @@
 and rerun determinism."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import contrastmap
 from contrastmap.cli import run
 from contrastmap.pairs import load_pairs
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
@@ -130,6 +135,28 @@ def test_train_rerun_byte_identical(pipeline, tmp_path):
     assert first == second
     assert (out / "train" / "report.json").read_bytes() == \
         (tmp_path / "train2" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
+def test_train_artifacts_equal_across_blas_thread_counts(pipeline, tmp_path, mode):
+    # at most two threads, so the test never oversubscribes a two-core runner
+    src = str(Path(contrastmap.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        args = list(pipeline["train_args"])
+        args[args.index("--mode") + 1] = mode
+        out = tmp_path / f"threads{threads}"
+        args[args.index("--out") + 1] = str(out)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "contrastmap.cli", *args], env=env,
+                       check=True, timeout=300)
+        outputs = json.loads((out / "run.json").read_text())["outputs"]
+        assert all(_sha256(out / name) == entry["sha256"] for name, entry in outputs.items())
+        digests.append({name: entry["sha256"] for name, entry in outputs.items()})
+    expected = {"model.json", "report.json"} | ({"head.json"} if mode != "baseline" else set())
+    assert set(digests[0]) == expected
+    assert digests[0] == digests[1]
 
 
 def test_eval_distance_and_shift_commands(pipeline, tmp_path):

@@ -6,15 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from contrastmap.network import (DivergenceError, Gradients, MlpParams,
-                                 OptimizerState, TripletBatch, _sigmoid,
-                                 flatten_grads, flatten_params, forward,
-                                 init_head_params,
+from contrastmap.network import (DivergenceError, MlpParams, TripletBatch,
+                                 _sigmoid, forward, init_head_params,
                                  init_optimizer, init_params, load_params,
                                  optimizer_step, pair_head_forward,
                                  pair_head_loss_backward, save_params,
-                                 triplet_backward, triplet_loss,
-                                 unflatten_like)
+                                 triplet_backward, triplet_loss)
 
 
 def _random_batch(rng, n=16, m=10):
@@ -23,17 +20,22 @@ def _random_batch(rng, n=16, m=10):
                         rng.standard_normal((n, m)))
 
 
+def _mlp(layer_dims, weights, biases):
+    """MlpParams from per-layer arrays, laid out as weights then biases."""
+    return MlpParams(layer_dims, np.concatenate([np.ravel(a) for a in weights + biases]))
+
+
 def _fd_gradient(fn, params, h=1e-5):
     """Central finite differences of a scalar function of MlpParams."""
-    flat = flatten_params(params)
+    flat = params.flat
     grad = np.empty_like(flat)
     for i in range(len(flat)):
         plus = flat.copy()
         plus[i] += h
         minus = flat.copy()
         minus[i] -= h
-        grad[i] = (fn(unflatten_like(params, plus))
-                   - fn(unflatten_like(params, minus))) / (2 * h)
+        grad[i] = (fn(MlpParams(params.layer_dims, plus, params.hidden_activation))
+                   - fn(MlpParams(params.layer_dims, minus, params.hidden_activation))) / (2 * h)
     return grad
 
 
@@ -75,21 +77,20 @@ def test_head_init_requires_single_logit():
 # --- forward ------------------------------------------------------------------
 
 def test_forward_single_linear_layer():
-    params = MlpParams([2, 2], [np.array([[2.0, 0.0], [0.0, 3.0]])],
-                       [np.zeros(2)])
+    params = _mlp([2, 2], [np.array([[2.0, 0.0], [0.0, 3.0]])], [np.zeros(2)])
     assert np.allclose(forward(params, np.array([1.0, 1.0])), [2, 3])
 
 
 def test_forward_zero_weights_returns_bias():
-    params = MlpParams([3, 2], [np.zeros((2, 3))], [np.array([0.5, -1.5])])
+    params = _mlp([3, 2], [np.zeros((2, 3))], [np.array([0.5, -1.5])])
     for x in (np.zeros(3), np.ones(3), np.array([3.0, -7.0, 2.0])):
         assert np.allclose(forward(params, x), [0.5, -1.5])
 
 
 def test_forward_tanh_saturation():
     params = init_params([2, 4, 1], seed=0)
-    params.weights[0] = np.full((4, 2), 100.0)  # saturating pre-activations
-    params.weights[1] = np.ones((1, 4))
+    params.weights[0][...] = 100.0  # saturating pre-activations
+    params.weights[1][...] = 1.0
     out = forward(params, np.array([1.0, 1.0]))
     assert abs(out[0]) <= 4.0 + 1e-12  # sum of four tanh values in [-1, 1]
 
@@ -103,8 +104,7 @@ def test_forward_dimension_mismatch():
 # --- triplet loss -------------------------------------------------------------
 
 def _identity_map(m):
-    return MlpParams([m, m - 1],
-                     [np.eye(m - 1, m)], [np.zeros(m - 1)])
+    return _mlp([m, m - 1], [np.eye(m - 1, m)], [np.zeros(m - 1)])
 
 
 def test_loss_zero_at_optimum():
@@ -118,7 +118,7 @@ def test_loss_zero_at_optimum():
 
 def test_loss_constant_map_is_two():
     # zero weights and constant bias: f(x) is the same vector for every input
-    params = MlpParams([3, 2], [np.zeros((2, 3))], [np.array([1.0, 2.0])])
+    params = _mlp([3, 2], [np.zeros((2, 3))], [np.array([1.0, 2.0])])
     rng = np.random.default_rng(0)
     batch = _random_batch(rng, n=5, m=3)
     assert triplet_loss(params, batch) == pytest.approx(2.0, abs=1e-9)
@@ -150,7 +150,7 @@ def test_loss_permutation_invariance():
     l1, g1 = triplet_backward(params, batch)
     l2, g2 = triplet_backward(params, shuffled)
     assert l1 == pytest.approx(l2, abs=1e-12)
-    assert np.allclose(flatten_grads(g1), flatten_grads(g2), atol=1e-12)
+    assert np.allclose(g1, g2, atol=1e-12)
 
 
 # --- gradients ----------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_gradient_matches_finite_differences():
     batch = _random_batch(rng)
     _, grads = triplet_backward(params, batch)
     numeric = _fd_gradient(lambda p: triplet_loss(p, batch), params)
-    assert_gradients_close(flatten_grads(grads), numeric)
+    assert_gradients_close(grads, numeric)
 
 
 def test_gradient_near_zero_at_optimum():
@@ -170,7 +170,7 @@ def test_gradient_near_zero_at_optimum():
                          np.array([[2.0, 0.0, 0.0]]),
                          np.array([[-1.0, 0.0, 0.0]]))
     _, grads = triplet_backward(params, batch)
-    assert np.linalg.norm(flatten_grads(grads)) < 1e-6
+    assert np.linalg.norm(grads) < 1e-6
 
 
 def test_gradient_batch_mean():
@@ -182,7 +182,7 @@ def test_gradient_batch_mean():
                          np.repeat(one.antonyms, 8, axis=0))
     _, g1 = triplet_backward(params, one)
     _, g8 = triplet_backward(params, eight)
-    assert np.allclose(flatten_grads(g1), flatten_grads(g8), atol=1e-12)
+    assert np.allclose(g1, g8, atol=1e-12)
 
 
 def test_one_small_step_decreases_loss():
@@ -200,8 +200,7 @@ def test_one_small_step_decreases_loss():
 
 def test_optimizer_zero_gradient():
     params = init_params([4, 2], seed=0)
-    zero = Gradients([np.zeros_like(w) for w in params.weights],
-                     [np.zeros_like(b) for b in params.biases])
+    zero = np.zeros_like(params.flat)
     state = init_optimizer(params)
     new_params, new_state = optimizer_step(params, zero, state)
     assert new_state.step_count == 1
@@ -211,8 +210,8 @@ def test_optimizer_zero_gradient():
 
 def test_optimizer_scalar_first_step():
     # w=0, g=1, lr=0.1: the bias-corrected first step moves by exactly lr
-    params = MlpParams([2, 1], [np.zeros((1, 2))], [np.zeros(1)])
-    grads = Gradients([np.array([[1.0, 0.0]])], [np.zeros(1)])
+    params = MlpParams([2, 1])
+    grads = np.array([1.0, 0.0, 0.0])  # w00, w01, b0
     state = init_optimizer(params, learning_rate=0.1)
     new_params, _ = optimizer_step(params, grads, state)
     assert new_params.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-9)
@@ -221,8 +220,7 @@ def test_optimizer_scalar_first_step():
 def test_optimizer_deterministic():
     rng = np.random.default_rng(7)
     params = init_params([4, 2], seed=0)
-    grads = Gradients([rng.standard_normal(w.shape) for w in params.weights],
-                      [rng.standard_normal(b.shape) for b in params.biases])
+    grads = rng.standard_normal(params.flat.shape)
     state = init_optimizer(params)
     p1, s1 = optimizer_step(params, grads, state)
     p2, s2 = optimizer_step(params, grads, state)
@@ -232,11 +230,131 @@ def test_optimizer_deterministic():
 
 def test_optimizer_diverged():
     params = init_params([4, 2], seed=0)
-    grads = Gradients([np.full(w.shape, np.nan) for w in params.weights],
-                      [np.zeros_like(b) for b in params.biases])
+    grads = np.zeros_like(params.flat)
+    grads[:params.weights[0].size] = np.nan
     with pytest.raises(DivergenceError, match="diverged"):
         optimizer_step(params, grads, init_optimizer(params))
 
+
+
+def _layer_shapes(dims):
+    """Weight shapes, then bias shapes, in layer order."""
+    return ([(o, i) for i, o in zip(dims[:-1], dims[1:])]
+            + [(o,) for o in dims[1:]])
+
+
+def _split(vec, dims):
+    """Per-array copies of a flat vector, cut independently of MlpParams."""
+    out, pos = [], 0
+    for shape in _layer_shapes(dims):
+        out.append(vec[pos:pos + math.prod(shape)].reshape(shape).copy())
+        pos += math.prod(shape)
+    assert pos == vec.size
+    return out
+
+
+def _per_array_adam(arrays, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The adaptive-moment update as written before the flat layout: one
+    loop over every weight and bias array, on copies of the moments."""
+    t += 1
+    c1 = 1.0 - b1 ** t
+    c2 = 1.0 - b2 ** t
+    arrays = list(arrays)
+    m = [x.copy() for x in m]
+    v = [x.copy() for x in v]
+    for i, g in enumerate(grads):
+        m[i] *= b1
+        m[i] += (1.0 - b1) * g
+        v[i] *= b2
+        v[i] += (1.0 - b2) * g * g
+        m_hat = m[i] / c1
+        v_hat = v[i] / c2
+        arrays[i] = arrays[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return arrays, m, v, t
+
+
+@pytest.mark.parametrize("dims,lr", [([50, 128, 64, 4], 1e-3), ([8, 32, 1], 0.05)])
+def test_flat_optimizer_matches_per_array_reference_bit_for_bit(dims, lr):
+    rng = np.random.default_rng(14)
+    params = init_params(dims, seed=3) if dims[-1] > 1 else init_head_params(dims, seed=3)
+    state = init_optimizer(params, learning_rate=lr)
+    arrays = _split(params.flat, dims)
+    m = [np.zeros_like(a) for a in arrays]
+    v = [np.zeros_like(a) for a in arrays]
+    t = 0
+    flat_bytes = lambda parts: np.concatenate([a.ravel() for a in parts]).tobytes()
+    for k in range(50):
+        grad = rng.standard_normal(params.flat.shape) * 10.0 ** (k % 9 - 6)
+        grad[rng.random(grad.shape) < 0.05] = 0.0
+        params, state = optimizer_step(params, grad, state)
+        arrays, m, v, t = _per_array_adam(arrays, _split(grad, dims), m, v, t, lr)
+        assert state.step_count == t
+        assert params.flat.tobytes() == flat_bytes(arrays)
+        assert state.first_moment.tobytes() == flat_bytes(m)
+        assert state.second_moment.tobytes() == flat_bytes(v)
+
+
+def test_optimizer_step_leaves_its_inputs_unchanged():
+    params = init_params([6, 5, 3], seed=2)
+    state = init_optimizer(params)
+    grad = np.random.default_rng(15).standard_normal(params.flat.shape)
+    before = (params.flat.copy(), grad.copy())
+    new_params, new_state = optimizer_step(params, grad, state)
+    new_params.flat[:] = 7.0
+    new_state.first_moment[:] = 7.0
+    assert np.array_equal(params.flat, before[0]) and np.array_equal(grad, before[1])
+    assert state.step_count == 0 and not state.first_moment.any()
+
+
+# --- flat parameter layout ------------------------------------------------------
+
+def test_flat_layout_views():
+    dims = [5, 4, 2]
+    params = init_params(dims, seed=13)
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    parts = _split(params.flat, dims)
+    for got, want in zip(params.weights + params.biases, parts):
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.shares_memory(got, params.flat)
+    params.weights[1][1, 2] = 42.0
+    params.biases[0][3] = -7.0
+    assert params.flat[4 * 5 + 1 * 4 + 2] == 42.0
+    assert params.flat[4 * 5 + 2 * 4 + 3] == -7.0
+    with pytest.raises(TypeError):
+        params.weights[0] = np.zeros((4, 5))  # the views cannot be replaced
+
+
+def test_flat_layout_wraps_without_copy_and_copy_is_independent():
+    vec = np.arange(23, dtype=np.float64)
+    params = MlpParams([4, 3, 2], vec)
+    assert params.flat is vec
+    twin = params.copy()
+    twin.weights[0][...] = 0.0
+    twin.flat[-1] = 99.0
+    assert np.array_equal(params.flat, np.arange(23.0))
+    assert twin.layer_dims == params.layer_dims and twin.layer_dims is not params.layer_dims
+
+
+def test_flat_layout_survives_save_and_load():
+    rng = np.random.default_rng(16)
+    for dims, act in (([7, 6, 5, 3], "tanh"), ([6, 4, 1], "relu")):
+        params = MlpParams(dims, rng.standard_normal(sum(math.prod(s) for s in _layer_shapes(dims))),
+                           act)
+        params.flat[0] = -0.0
+        params.flat[1] = 5e-324
+        out = io.StringIO()
+        save_params(params, out)
+        again = load_params(io.StringIO(out.getvalue()))
+        assert again.flat.tobytes() == params.flat.tobytes()
+        assert again.hidden_activation == act
+
+
+@pytest.mark.parametrize("length", [0, 22, 24])
+def test_flat_layout_rejects_wrong_length(length):
+    with pytest.raises(ValueError, match="parameter vector"):
+        MlpParams([4, 3, 2], np.zeros(length))
+    with pytest.raises(ValueError, match="parameter vector"):
+        MlpParams([4, 3, 2], np.zeros((1, 23)))
 
 # --- sigmoid ------------------------------------------------------------------
 
@@ -291,7 +409,7 @@ def test_pair_head_gradient_matches_finite_differences():
 
     _, grads, dU, dV = pair_head_loss_backward(head, U, V, y)
     numeric = _fd_gradient(loss_of, head)
-    assert_gradients_close(flatten_grads(grads), numeric)
+    assert_gradients_close(grads, numeric)
 
     # input gradients dU, dV against finite differences
     h = 1e-6

@@ -171,7 +171,8 @@ def test_transform_identity_map():
     table = EmbeddingTable.from_entries([("a", np.array([1.0, 2.0, 3.0])),
                                          ("b", np.array([0.0, 1.0, 0.0]))])
     # single linear layer embedding the first two coordinates
-    params = MlpParams([3, 2], [np.eye(2, 3)], [np.zeros(2)])
+    params = MlpParams([3, 2])
+    params.weights[0][...] = np.eye(2, 3)
     out = transform_vocabulary(params, table)
     assert out.dimension == 2
     assert np.allclose(out.lookup("a"), [1.0, 2.0])
