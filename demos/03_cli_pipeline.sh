@@ -1,7 +1,8 @@
 #!/bin/sh
 # The same pipeline as demo 01, driven through the CLI. Every stage writes
 # its artifacts plus a run.json manifest with content hashes, so reruns can
-# be audited byte for byte.
+# be audited byte for byte. Each stage gets its own --out directory, because a
+# stage's run.json replaces any earlier one in the same directory.
 #
 # Run:  sh demos/03_cli_pipeline.sh
 set -e
@@ -31,13 +32,13 @@ contrastmap train --mode baseline \
 contrastmap transform --model "$WORK/train/model.json" \
     --embeddings "$WORK/embeddings.txt" --out "$WORK/transform"
 contrastmap eval-distances --embeddings "$WORK/embeddings.txt" \
-    --pairs "$WORK/split/test.tsv" --label raw --out "$WORK/eval"
+    --pairs "$WORK/split/test.tsv" --label raw --out "$WORK/distances"
 contrastmap eval-shifts --before "$WORK/embeddings.txt" \
     --after "$WORK/transform/transformed.txt" \
-    --pairs "$WORK/split/test.tsv" --out "$WORK/eval"
+    --pairs "$WORK/split/test.tsv" --out "$WORK/shifts"
 contrastmap eval-extremes --before "$WORK/embeddings.txt" \
     --after "$WORK/transform/transformed.txt" \
-    --pairs "$WORK/split/test.tsv" -n 5 --out "$WORK/eval"
+    --pairs "$WORK/split/test.tsv" -n 5 --out "$WORK/extremes"
 contrastmap eval-classifiers --raw "$WORK/embeddings.txt" \
     --new "$WORK/transform/transformed.txt" \
     --concat "$WORK/transform/concat.txt" \

@@ -218,14 +218,3 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     d = 1.0 - float(np.dot(u, v)) / (nu * nv)
     return min(max(d, 0.0), 2.0)
 
-
-def pairwise_cosine_distances(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-wise cosine distances between two aligned (n, d) matrices."""
-    U = np.asarray(U, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    nu = np.linalg.norm(U, axis=1)
-    nv = np.linalg.norm(V, axis=1)
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise ValueError("degenerate vector")
-    d = 1.0 - np.sum(U * V, axis=1) / (nu * nv)
-    return np.clip(d, 0.0, 2.0)

@@ -153,8 +153,10 @@ def _forward_cached(params: MlpParams, X: np.ndarray):
 def _backward(params: MlpParams, cache, dout: np.ndarray):
     """Backprop ``dout`` (n, k) through the cached forward pass.
 
-    Returns (grad, dX): ``grad`` is a new vector in the layout of
-    ``params.flat`` and dX the gradient wrt the input rows.
+    Returns (grad, dZ0): ``grad`` is a new vector in the layout of
+    ``params.flat`` and dZ0 the gradient wrt the first layer's pre-activation.
+    The input gradient is ``dZ0 @ params.weights[0]``; a map branch never
+    needs it, so it is left to the caller that does.
     """
     grad = MlpParams(params.layer_dims, np.empty_like(params.flat),
                      params.hidden_activation)
@@ -163,10 +165,10 @@ def _backward(params: MlpParams, cache, dout: np.ndarray):
     for i in range(last, -1, -1):
         a_in, z, a_out = cache[i]
         if i != last:
-            delta = delta * _activate_grad(z, a_out, params.hidden_activation)
+            delta = (delta @ params.weights[i + 1]) * _activate_grad(
+                z, a_out, params.hidden_activation)
         grad.weights[i][...] = delta.T @ a_in
         grad.biases[i][...] = delta.sum(axis=0)
-        delta = delta @ params.weights[i]
     return grad.flat, delta
 
 
@@ -202,9 +204,10 @@ def _row_cosines(U: np.ndarray, V: np.ndarray):
 
 def triplet_loss(params: MlpParams, batch: TripletBatch) -> float:
     """Mean over triplets of (1 - cos(f(w), f(s))) + (1 + cos(f(w), f(a)))."""
-    Zw, _ = _forward_cached(params, batch.anchors)
-    Zs, _ = _forward_cached(params, batch.synonyms)
-    Za, _ = _forward_cached(params, batch.antonyms)
+    # [0]: no branch's forward cache outlives its own pass
+    Zw = _forward_cached(params, batch.anchors)[0]
+    Zs = _forward_cached(params, batch.synonyms)[0]
+    Za = _forward_cached(params, batch.antonyms)[0]
     cs, _, _ = _row_cosines(Zw, Zs)
     ca, _, _ = _row_cosines(Zw, Za)
     return float(np.mean((1.0 - cs) + (1.0 + ca)))
@@ -272,7 +275,8 @@ def pair_head_loss_backward(head: MlpParams, U: np.ndarray, V: np.ndarray,
     # stable BCE with logits: softplus(z) - y*z
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
     dz = (_sigmoid(z) - y) / n
-    grads, dX = _backward(head, cache, dz[:, None])
+    grads, dZ0 = _backward(head, cache, dz[:, None])
+    dX = dZ0 @ head.weights[0]
     k = U.shape[1]
     return loss, grads, dX[:, :k], dX[:, k:]
 

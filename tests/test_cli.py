@@ -21,6 +21,18 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _assert_manifest(out, command, config, inputs):
+    """``out``/run.json names ``command``, records exactly ``config`` and the
+    input names ``inputs``, and every hash in it matches its file."""
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["config"] == config
+    assert sorted(manifest["inputs"]) == sorted(inputs)
+    for entry in (*manifest["inputs"].values(), *manifest["outputs"].values()):
+        assert _sha256(Path(entry["path"])) == entry["sha256"]
+    return manifest
+
+
 @pytest.fixture(scope="module")
 def fixtures(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli-fixtures")
@@ -57,7 +69,9 @@ def test_eval_classifiers_rounds_checked_at_parsing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--dims", "3,abc"), ("--dims", "20,,4"),
-                                        ("--dims", "20,0"), ("--head-dims", "8,x")])
+                                        ("--dims", "20,0"), ("--head-dims", "8,x"),
+                                        ("--epochs", "0"), ("--batch-size", "0"),
+                                        ("--cap-per-anchor", "0")])
 def test_train_dims_checked_at_parsing(tmp_path, capsys, flag, value):
     # the inputs do not exist: a usage error must come before any input is read
     args = ["train", "--embeddings", str(tmp_path / "missing"),
@@ -66,6 +80,26 @@ def test_train_dims_checked_at_parsing(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert "usage-error:" in err and flag in err
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_extremes_n_checked_at_parsing(tmp_path, capsys):
+    # the inputs do not exist: a usage error must come before any input is read
+    missing = str(tmp_path / "missing")
+    assert run(["eval-extremes", "--before", missing, "--after", missing,
+                "--pairs", missing, "-n", "0", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage-error:" in err and "-n" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_divergence_exit_3(fixtures, tmp_path, capsys):
+    assert run(["train", "--embeddings", str(fixtures["embeddings"]),
+                "--pairs", str(fixtures["pairs"]), "--dims", "20,8,4", "--epochs", "2",
+                "--lr", "1e300", "--out", str(tmp_path / "out")]) == 3
+    assert "numeric-error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.json").exists()
 
 
 def test_train_dims_must_start_with_embedding_dimension(fixtures, tmp_path, capsys):
@@ -105,6 +139,8 @@ def test_split_command(fixtures, tmp_path):
     manifest = json.loads((out / "run.json").read_text())
     for entry in manifest["outputs"].values():
         assert _sha256(out / entry["path"].split("/")[-1]) == entry["sha256"]
+    _assert_manifest(out, "split", {"pairs": str(fixtures["pairs"]), "test_every": 4,
+                                    "seed": 0}, ["pairs"])
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +171,24 @@ def test_train_rerun_byte_identical(pipeline, tmp_path):
     assert first == second
     assert (out / "train" / "report.json").read_bytes() == \
         (tmp_path / "train2" / "report.json").read_bytes()
+    config = {"mode": "baseline", "embeddings": str(pipeline["fixtures"]["embeddings"]),
+              "pairs": str(out / "split" / "train.tsv"), "dims": "20,32,4",
+              "head_dims": None, "activation": "tanh", "lr": 1e-3, "batch_size": 256,
+              "epochs": 8, "patience": 5, "val_fraction": 0.1, "cap_per_anchor": 20,
+              "seed": 7}
+    for train_out in (out / "train", tmp_path / "train2"):
+        manifest = _assert_manifest(train_out, "train", config, ["embeddings", "pairs"])
+        assert set(manifest["outputs"]) == {"model.json", "report.json"}
+
+
+def test_transform_command(pipeline):
+    out = pipeline["out"]
+    manifest = _assert_manifest(
+        out / "transform", "transform",
+        {"model": str(out / "train" / "model.json"),
+         "embeddings": str(pipeline["fixtures"]["embeddings"]), "seed": 0},
+        ["model", "embeddings"])
+    assert set(manifest["outputs"]) == {"transformed.txt", "concat.txt"}
 
 
 @pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
@@ -167,18 +221,28 @@ def test_eval_distance_and_shift_commands(pipeline, tmp_path):
                 "--pairs", test_pairs, "--label", "raw",
                 "--out", str(tmp_path / "dist"), "--quiet"]) == 0
     assert (tmp_path / "dist" / "distances_raw.csv").exists()
+    _assert_manifest(tmp_path / "dist", "eval-distances",
+                     {"embeddings": str(fixtures["embeddings"]), "pairs": test_pairs,
+                      "label": "raw", "seed": 0}, ["embeddings", "pairs"])
+    shift_config = {"before": str(fixtures["embeddings"]),
+                    "after": str(out / "transform" / "transformed.txt"),
+                    "pairs": test_pairs, "seed": 0}
     assert run(["eval-shifts", "--before", str(fixtures["embeddings"]),
                 "--after", str(out / "transform" / "transformed.txt"),
                 "--pairs", test_pairs,
                 "--out", str(tmp_path / "shift"), "--quiet"]) == 0
     summary = json.loads((tmp_path / "shift" / "shifts.json").read_text())
     assert "syn_mean_shift" in summary and "ant_mean_shift" in summary
+    _assert_manifest(tmp_path / "shift", "eval-shifts", shift_config,
+                     ["before", "after", "pairs"])
     assert run(["eval-extremes", "--before", str(fixtures["embeddings"]),
                 "--after", str(out / "transform" / "transformed.txt"),
                 "--pairs", test_pairs, "-n", "3",
                 "--out", str(tmp_path / "ext"), "--quiet"]) == 0
     extremes = json.loads((tmp_path / "ext" / "extremes.json").read_text())
     assert len(extremes["closest_antonyms"]) <= 3
+    _assert_manifest(tmp_path / "ext", "eval-extremes", {**shift_config, "n": 3},
+                     ["before", "after", "pairs"])
 
 
 def test_eval_classifiers_command(pipeline, tmp_path):
@@ -193,6 +257,14 @@ def test_eval_classifiers_command(pipeline, tmp_path):
                 "--out", str(tmp_path / "acc"), "--quiet"]) == 0
     table = json.loads((tmp_path / "acc" / "accuracy.json").read_text())
     assert set(table["accuracies"]) == {"raw", "new", "concatenated"}
+    _assert_manifest(tmp_path / "acc", "eval-classifiers",
+                     {"raw": str(fixtures["embeddings"]),
+                      "new": str(out / "transform" / "transformed.txt"),
+                      "concat": str(out / "transform" / "concat.txt"),
+                      "train_pairs": str(out / "split" / "train.tsv"),
+                      "test_pairs": str(out / "split" / "test.tsv"),
+                      "rounds": 5, "seed": 0},
+                     ["raw", "new", "concat", "train_pairs", "test_pairs"])
 
 
 def test_downstream_command(pipeline, tmp_path):
@@ -205,6 +277,11 @@ def test_downstream_command(pipeline, tmp_path):
     result = json.loads((tmp_path / "ds" / "downstream.json").read_text())
     assert 0.0 <= result["accuracy_raw"] <= 1.0
     assert 0.0 <= result["accuracy_concat"] <= 1.0
+    _assert_manifest(tmp_path / "ds", "downstream",
+                     {"raw": str(fixtures["embeddings"]),
+                      "concat": str(out / "transform" / "concat.txt"),
+                      "data": str(fixtures["corpus"]), "test_fraction": 0.25, "seed": 0},
+                     ["raw", "concat", "data"])
 
 
 def test_stats_command(fixtures, tmp_path):
@@ -213,6 +290,8 @@ def test_stats_command(fixtures, tmp_path):
     summary = json.loads((tmp_path / "stats" / "stats.json").read_text())
     assert summary["component_count"] >= 1
     assert 0.0 <= summary["giant_share_of_pairs"] <= 1.0
+    _assert_manifest(tmp_path / "stats", "stats",
+                     {"pairs": str(fixtures["pairs"]), "seed": 0}, ["pairs"])
 
 
 def test_outputs_confined_to_out(fixtures, tmp_path):

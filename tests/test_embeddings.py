@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
                                     cosine_distance, parse_embedding_text,
-                                    pairwise_cosine_distances,
                                     write_embedding_text)
 
 
@@ -154,15 +153,6 @@ def test_parser_fuzz_never_violates_invariants(blob):
     assert table.matrix.shape == (len(table.words), table.dimension)
     assert np.all(np.isfinite(table.matrix))
     assert np.all(np.linalg.norm(table.matrix, axis=1) > 0.0)
-
-
-def test_pairwise_cosine_distances_matches_scalar():
-    rng = np.random.default_rng(1)
-    U = rng.standard_normal((8, 4))
-    V = rng.standard_normal((8, 4))
-    d = pairwise_cosine_distances(U, V)
-    for i in range(8):
-        assert d[i] == pytest.approx(cosine_distance(U[i], V[i]), abs=1e-12)
 
 
 def test_indices():
