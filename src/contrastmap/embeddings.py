@@ -201,6 +201,14 @@ def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:
     return written
 
 
+def _unit_max(u: np.ndarray) -> np.ndarray:
+    """``u`` divided by its largest magnitude; raises for a zero vector."""
+    scale = float(np.max(np.abs(u))) if u.size else 0.0
+    if scale == 0.0:
+        raise ValueError("degenerate vector")
+    return u / scale
+
+
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine distance 1 - cos(u, v), in [0, 2].
 
@@ -213,8 +221,15 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("degenerate vector")
+    # Outside this range the squares inside norm() go subnormal (a vector
+    # near 1e-160 loses precision or reads as zero) or overflow: divide by
+    # the largest magnitude and measure again.
+    if not 1e-150 < nu < 1e150:
+        u = _unit_max(u)
+        nu = np.linalg.norm(u)
+    if not 1e-150 < nv < 1e150:
+        v = _unit_max(v)
+        nv = np.linalg.norm(v)
     d = 1.0 - float(np.dot(u, v)) / (nu * nv)
     return min(max(d, 0.0), 2.0)
 

@@ -86,6 +86,15 @@ def test_cosine_distance_errors():
         cosine_distance([1, 0], [1, 0, 0])
 
 
+def test_cosine_distance_extreme_magnitudes():
+    tiny = np.array([1.2775512486188477e-160])
+    assert cosine_distance(tiny, [3.0]) == 0.0
+    assert cosine_distance(tiny / 128, [3.0]) == 0.0
+    assert cosine_distance([5e-324, 0.0], [0.0, 1e300]) == pytest.approx(1.0, abs=1e-12)
+    assert cosine_distance([1e200, 1e200], [1.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+    assert cosine_distance([1e-170, -1e-170], [-2.0, 2.0]) == pytest.approx(2.0, abs=1e-12)
+
+
 def test_write_basic():
     table = EmbeddingTable.from_entries([("a", np.array([1.0, 0.0]))])
     out = io.StringIO()
