@@ -37,7 +37,7 @@ concat = concat_embeddings(world.table, new)
 
 # 5. Distance distributions before/after: the mass separates.
 for label, table in (("raw", world.table), ("new", new)):
-    rep = distance_report(table, split.test, space_label=label)
+    rep = distance_report(table, split.test)
     print(f"distances[{label}]: syn mean {rep.syn_mean:.3f}, "
           f"ant mean {rep.ant_mean:.3f}")
 

@@ -5,12 +5,11 @@ __version__ = "0.1.0"
 
 from .embeddings import (EmbeddingTable, cosine_distance, parse_embedding_text,
                          write_embedding_text)
-from .pairs import (LabeledPair, PairSet, RelationGraph, SplitResult, Triplet,
-                    build_graph, build_triplets, component_stats, load_pairs,
-                    split_pairs, write_pairs)
+from .pairs import (LabeledPair, PairSet, SplitResult, Triplet, build_triplets,
+                    component_stats, load_pairs, split_pairs, write_pairs)
 from .network import (MlpParams, OptimizerState, TripletBatch, forward,
-                      init_params, optimizer_step, pair_head_forward,
-                      triplet_backward, triplet_loss)
+                      init_params, optimizer_step, triplet_backward,
+                      triplet_loss)
 from .training import (TrainConfig, TrainReport, concat_embeddings,
                        train_baseline, train_classifier_system,
                        transform_vocabulary)
@@ -27,11 +26,10 @@ from .synthetic import (PlantedWorld, planted_world, sentiment_corpus,
 __all__ = [
     "EmbeddingTable", "cosine_distance", "parse_embedding_text",
     "write_embedding_text",
-    "LabeledPair", "PairSet", "RelationGraph", "SplitResult", "Triplet",
-    "build_graph", "build_triplets", "component_stats", "load_pairs",
-    "split_pairs", "write_pairs",
+    "LabeledPair", "PairSet", "SplitResult", "Triplet", "build_triplets",
+    "component_stats", "load_pairs", "split_pairs", "write_pairs",
     "MlpParams", "OptimizerState", "TripletBatch", "forward", "init_params",
-    "optimizer_step", "pair_head_forward", "triplet_backward", "triplet_loss",
+    "optimizer_step", "triplet_backward", "triplet_loss",
     "TrainConfig", "TrainReport", "concat_embeddings", "train_baseline",
     "train_classifier_system", "transform_vocabulary",
     "AccuracyTable", "DistanceReport", "PairClassifierModel", "ShiftReport",

@@ -16,9 +16,9 @@ from . import __version__
 from .embeddings import parse_embedding_text, write_embedding_text
 from .network import (MODEL_FORMAT_VERSION, DivergenceError, load_params,
                       save_params)
-from .pairs import (build_graph, build_triplets, component_stats, load_pairs,
-                    split_pairs, write_pairs)
-from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig,
+from .pairs import (build_triplets, component_stats, load_pairs, split_pairs,
+                    write_pairs)
+from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig, _default_dims,
                        concat_embeddings, train_baseline,
                        train_classifier_system, transform_vocabulary)
 from .evaluation import (build_accuracy_table, distance_report, extreme_pairs,
@@ -151,13 +151,9 @@ def _cmd_split(args, run: _Run) -> None:
 
 def _cmd_stats(args, run: _Run) -> None:
     pairs = run.pairs("pairs")
-    graph = build_graph(pairs)
-    stats = component_stats(graph)
     summary = {
         "pairs": len(pairs),
-        "words": len(graph.vertices),
-        "component_count": stats["component_count"],
-        "giant_share_of_pairs": stats["giant_share_of_pairs"],
+        **component_stats(pairs),
         "synonym_pairs": len(pairs.by_relation("synonym")),
         "antonym_pairs": len(pairs.by_relation("antonym")),
     }
@@ -189,10 +185,10 @@ def _cmd_train(args, run: _Run) -> None:
     mode = BASELINE if args.mode == "baseline" else CLASSIFIER_SYSTEM
     pairs = run.pairs("pairs")
     table = run.table("embeddings", pairs.vocabulary())
-    layer_dims = _parse_dims(args.dims)
-    if layer_dims and layer_dims[0] != table.dimension:
-        raise UsageError(f"--dims starts with {layer_dims[0]} but the embedding "
-                         f"dimension is {table.dimension}")
+    try:
+        layer_dims = _default_dims(table.dimension, _parse_dims(args.dims))
+    except ValueError as exc:  # its messages start with "layer_dims"
+        raise UsageError("--dims" + str(exc).removeprefix("layer_dims")) from None
     triplets = build_triplets(pairs, cap_per_anchor=args.cap_per_anchor,
                               seed=args.seed)
     train_config = TrainConfig(
@@ -227,8 +223,7 @@ def _cmd_transform(args, run: _Run) -> None:
 
 def _cmd_eval_distances(args, run: _Run) -> None:
     pairs = run.pairs("pairs")
-    report = distance_report(run.table("embeddings", pairs.vocabulary()), pairs,
-                             space_label=args.label)
+    report = distance_report(run.table("embeddings", pairs.vocabulary()), pairs)
     run.write(f"distances_{args.label}.csv", report.write_csv)
     run.write(f"distances_{args.label}.json", _json,
               {"space": args.label, "pair_count": report.pair_count,

@@ -86,13 +86,13 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
 
 
-def embed_document(table: EmbeddingTable, tokens: Iterable[str]) -> tuple[np.ndarray, bool]:
-    """Mean of in-vocabulary token vectors; (zero vector, True) when all OOV."""
+def embed_document(table: EmbeddingTable, tokens: Iterable[str]) -> np.ndarray:
+    """Mean of in-vocabulary token vectors; the zero vector when all are OOV."""
     idx = table.indices(tokens)
     idx = idx[idx >= 0]
     if idx.size == 0:
-        return np.zeros(table.dimension), True
-    return np.mean(table.matrix[idx], axis=0), False
+        return np.zeros(table.dimension)
+    return np.mean(table.matrix[idx], axis=0)
 
 
 def _stratified_split(labels: np.ndarray, test_fraction: float,
@@ -111,8 +111,7 @@ def _stratified_split(labels: np.ndarray, test_fraction: float,
 
 def run_downstream(raw: EmbeddingTable, concat: EmbeddingTable,
                    data: TextDataset, test_fraction: float = 0.25,
-                   seed: int = 0,
-                   linear_config: dict | None = None) -> DownstreamResult:
+                   seed: int = 0) -> DownstreamResult:
     """Train one linear classifier per arm on the same stratified split."""
     if not (0.0 < test_fraction < 0.5):
         raise ValueError("test_fraction must be in (0, 0.5)")
@@ -132,8 +131,8 @@ def run_downstream(raw: EmbeddingTable, concat: EmbeddingTable,
 
     accuracies = {}
     for arm, table in (("raw", raw), ("concat", concat)):
-        X = np.array([embed_document(table, toks)[0] for toks in token_lists])
-        model = train_linear(X[train_idx], labels[train_idx], linear_config)
+        X = np.array([embed_document(table, toks) for toks in token_lists])
+        model = train_linear(X[train_idx], labels[train_idx])
         p = predict_proba(model, X[test_idx])
         pred = (p >= 0.5).astype(int)
         accuracies[arm] = float(np.mean(pred == labels[test_idx]))

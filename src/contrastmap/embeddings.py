@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import IO, Container, Iterable, Iterator
+from typing import IO, Container, Iterable
 
 import numpy as np
 
@@ -48,28 +48,11 @@ class EmbeddingTable:
         if not self._index:
             self._index = {w: i for i, w in enumerate(self.words)}
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[tuple[str, np.ndarray]],
-                     source_label: str = "") -> "EmbeddingTable":
-        words = []
-        rows = []
-        for word, vec in entries:
-            words.append(word)
-            rows.append(np.asarray(vec, dtype=np.float64))
-        if not rows:
-            raise EmbeddingParseError("no vectors")
-        matrix = np.vstack(rows)
-        return cls(dimension=matrix.shape[1], words=words, matrix=matrix,
-                   source_label=source_label)
-
     def __len__(self) -> int:
         return len(self.words)
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.words)
 
     def indices(self, words: Iterable[str]) -> np.ndarray:
         """Row index of each word, -1 where the word is absent."""
@@ -219,8 +202,9 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf
+        nu = np.linalg.norm(u)
+        nv = np.linalg.norm(v)
     # Outside this range the squares inside norm() go subnormal (a vector
     # near 1e-160 loses precision or reads as zero) or overflow: divide by
     # the largest magnitude and measure again.
@@ -230,6 +214,6 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     if not 1e-150 < nv < 1e150:
         v = _unit_max(v)
         nv = np.linalg.norm(v)
-    d = 1.0 - float(np.dot(u, v)) / (nu * nv)
+    d = 1.0 - float(np.dot(u, v)) / float(nu * nv)
     return min(max(d, 0.0), 2.0)
 

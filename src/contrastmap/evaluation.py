@@ -3,7 +3,7 @@ examples, and the raw/new/concatenated pair-classifier comparison."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
@@ -22,7 +22,6 @@ BOOSTED_DEFAULTS = {"rounds": 200, "shrinkage": 0.1, "max_depth": 2}
 
 @dataclass
 class DistanceReport:
-    space_label: str
     syn_counts: np.ndarray          # 100 bins over [0, 2]
     ant_counts: np.ndarray
     syn_mean: float
@@ -31,7 +30,6 @@ class DistanceReport:
     ant_std: float
     pair_count: int
     unresolved: int
-    records: list[tuple[str, str, str, float]] = field(default_factory=list)
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("bin_lo,bin_hi,syn_count,ant_count\n")
@@ -75,91 +73,67 @@ class AccuracyTable:
     def format_text(self) -> str:
         lines = [f"{'space':<14}{'linear':>10}{'boosted':>10}"]
         for space in ("raw", "new", "concatenated"):
-            if space not in self.accuracies:
-                continue
             row = self.accuracies[space]
             lines.append(f"{space:<14}{row['linear']:>10.4f}{row['boosted']:>10.4f}")
         return "\n".join(lines) + "\n"
 
 
-def _bin_index(d: float) -> int:
-    return min(int(d / BIN_WIDTH), N_BINS - 1)
+def _pair_distances(tables: list[EmbeddingTable], pairs: PairSet):
+    """Resolve ``pairs`` in every table once.
 
-
-def distance_report(table: EmbeddingTable, pairs: PairSet,
-                    space_label: str = "") -> DistanceReport:
-    """Histogram + summary stats of cosine distances per relation."""
-    syn_counts = np.zeros(N_BINS, dtype=np.int64)
-    ant_counts = np.zeros(N_BINS, dtype=np.int64)
-    syn_d: list[float] = []
-    ant_d: list[float] = []
-    records = []
-    unresolved = 0
-    left = table.indices([p.left for p in pairs])
-    right = table.indices([p.right for p in pairs])
-    for p, i, j in zip(pairs, left, right):
-        if i < 0 or j < 0:
-            unresolved += 1
-            continue
-        d = cosine_distance(table.matrix[i], table.matrix[j])
-        records.append((p.left, p.right, p.relation, d))
-        if p.relation == SYNONYM:
-            syn_counts[_bin_index(d)] += 1
-            syn_d.append(d)
-        else:
-            ant_counts[_bin_index(d)] += 1
-            ant_d.append(d)
-    if not records:
+    Returns the mask of the pairs that every table resolves and, per table,
+    the float64 cosine distances of those pairs in pair order.
+    """
+    lefts, rights = [p.left for p in pairs], [p.right for p in pairs]
+    rows = [(t, t.indices(lefts), t.indices(rights)) for t in tables]
+    found = np.logical_and.reduce([(i >= 0) & (j >= 0) for _, i, j in rows])
+    if not found.any():
         raise ValueError("no resolvable pairs")
+    return found, [np.array([cosine_distance(t.matrix[a], t.matrix[b])
+                             for a, b in zip(i[found], j[found])])
+                   for t, i, j in rows]
+
+
+def _summary(fn, x: np.ndarray) -> float:
+    """``fn`` (np.mean or np.std) of ``x`` as a float; nan when ``x`` is empty."""
+    return float(fn(x)) if len(x) else math.nan
+
+
+def distance_report(table: EmbeddingTable, pairs: PairSet) -> DistanceReport:
+    """Histogram + summary stats of cosine distances per relation."""
+    found, (d,) = _pair_distances([table], pairs)
+    syn = np.array([p.relation == SYNONYM for p in pairs])[found]
+    bins = np.minimum((d / BIN_WIDTH).astype(np.intp), N_BINS - 1)
     return DistanceReport(
-        space_label=space_label,
-        syn_counts=syn_counts, ant_counts=ant_counts,
-        syn_mean=float(np.mean(syn_d)) if syn_d else math.nan,
-        syn_std=float(np.std(syn_d)) if syn_d else math.nan,
-        ant_mean=float(np.mean(ant_d)) if ant_d else math.nan,
-        ant_std=float(np.std(ant_d)) if ant_d else math.nan,
-        pair_count=len(records), unresolved=unresolved, records=records)
+        syn_counts=np.bincount(bins[syn], minlength=N_BINS),
+        ant_counts=np.bincount(bins[~syn], minlength=N_BINS),
+        syn_mean=_summary(np.mean, d[syn]), syn_std=_summary(np.std, d[syn]),
+        ant_mean=_summary(np.mean, d[~syn]), ant_std=_summary(np.std, d[~syn]),
+        pair_count=len(d), unresolved=len(pairs) - len(d))
 
 
 def shift_report(before: EmbeddingTable, after: EmbeddingTable,
                  pairs: PairSet) -> ShiftReport:
     """Per-pair distance shifts between two spaces (after minus before)."""
-    records = []
-    syn_shifts: list[float] = []
-    ant_shifts: list[float] = []
-    unresolved = 0
-    lefts, rights = [p.left for p in pairs], [p.right for p in pairs]
-    rows = zip(before.indices(lefts), before.indices(rights),
-               after.indices(lefts), after.indices(rights))
-    for p, (bl, br, al, ar) in zip(pairs, rows):
-        if min(bl, br, al, ar) < 0:
-            unresolved += 1
-            continue
-        db = cosine_distance(before.matrix[bl], before.matrix[br])
-        da = cosine_distance(after.matrix[al], after.matrix[ar])
-        records.append((p.left, p.right, p.relation, db, da, da - db))
-        (syn_shifts if p.relation == SYNONYM else ant_shifts).append(da - db)
-    if not records:
-        raise ValueError("no resolvable pairs")
-    return ShiftReport(
-        records=records,
-        syn_mean_shift=float(np.mean(syn_shifts)) if syn_shifts else math.nan,
-        ant_mean_shift=float(np.mean(ant_shifts)) if ant_shifts else math.nan,
-        unresolved=unresolved)
+    found, (db, da) = _pair_distances([before, after], pairs)
+    syn = np.array([p.relation == SYNONYM for p in pairs])[found]
+    shift = da - db
+    kept = (p for p, f in zip(pairs, found) if f)
+    records = [(p.left, p.right, p.relation, b, a, sh)
+               for p, b, a, sh in zip(kept, db.tolist(), da.tolist(), shift.tolist())]
+    return ShiftReport(records=records, syn_mean_shift=_summary(np.mean, shift[syn]),
+                       ant_mean_shift=_summary(np.mean, shift[~syn]),
+                       unresolved=len(pairs) - len(records))
 
 
-def extreme_pairs(report: ShiftReport | DistanceReport, n: int) -> dict:
+def extreme_pairs(report: ShiftReport, n: int) -> dict:
     """The n antonym pairs mapped closest and n synonym pairs mapped farthest.
 
-    For a ShiftReport the transformed distance (d_after) is ranked; for a
-    DistanceReport its per-pair distances. Ties break lexicographically.
+    The transformed distance (d_after) is ranked; ties break lexicographically.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(report, ShiftReport):
-        entries = [(left, right, rel, da) for left, right, rel, _, da, _ in report.records]
-    else:
-        entries = list(report.records)
+    entries = [(left, right, rel, da) for left, right, rel, _, da, _ in report.records]
     ants = sorted([e for e in entries if e[2] == ANTONYM],
                   key=lambda e: (e[3], e[0], e[1]))
     syns = sorted([e for e in entries if e[2] == SYNONYM],
@@ -289,7 +263,6 @@ def _pair_features(table: EmbeddingTable, pairs: PairSet, augment: bool):
 def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
                          concat: EmbeddingTable, train_pairs: PairSet,
                          test_pairs: PairSet,
-                         linear_config: dict | None = None,
                          boosted_config: dict | None = None) -> AccuracyTable:
     """3 spaces x 2 classifiers on the leakage-free split.
 
@@ -308,13 +281,13 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
     for space, table in (("raw", raw), ("new", new), ("concatenated", concat)):
         Xtr, ytr = _pair_features(table, train_pairs, augment=True)
         Xte, yte = _pair_features(table, test_pairs, augment=False)
-        linear = train_linear(Xtr, ytr, linear_config)
+        linear = train_linear(Xtr, ytr)
         boosted = train_boosted(Xtr, ytr, boosted_config)
         accuracies[space] = {
             "linear": classify_accuracy(linear, Xte, yte),
             "boosted": classify_accuracy(boosted, Xte, yte),
         }
         counts[space] = {"train_examples": len(ytr), "test_pairs": len(yte)}
-    config = {"linear": {**LINEAR_DEFAULTS, **(linear_config or {})},
+    config = {"linear": dict(LINEAR_DEFAULTS),
               "boosted": {**BOOSTED_DEFAULTS, **(boosted_config or {})}}
     return AccuracyTable(accuracies=accuracies, counts=counts, config=config)

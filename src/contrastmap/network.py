@@ -240,19 +240,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def pair_head_forward(head: MlpParams, u: np.ndarray, v: np.ndarray) -> float:
-    """Probability that (u, v) is a synonym pair, from the classifier head."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be equal-length vectors")
-    x = np.concatenate([u, v])
-    if x.shape[0] != head.input_dim:
-        raise ValueError(f"head expects input dim {head.input_dim}, got {x.shape[0]}")
-    logit = forward(head, x)[0]
-    return float(_sigmoid(np.array([logit]))[0])
-
-
 def pair_head_logits(head: MlpParams, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Batched logits for row-aligned (n, k) inputs."""
     X = np.concatenate([U, V], axis=1)

@@ -1,7 +1,7 @@
-"""Labeled synonym/antonym pairs: loading, relation graph, leakage-free split, triplets."""
+"""Labeled synonym/antonym pairs: loading, component statistics, leakage-free split, triplets."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable
 
 import numpy as np
@@ -53,22 +53,10 @@ class PairSet:
 
 
 @dataclass
-class RelationGraph:
-    vertices: set[str]
-    edges: list[LabeledPair]
-    component_assignment: dict[str, int]
-
-    @property
-    def component_count(self) -> int:
-        return len(set(self.component_assignment.values())) if self.component_assignment else 0
-
-
-@dataclass
 class SplitResult:
     train: PairSet
     test: PairSet
     dropped_spanning: int
-    trace: list[tuple[str, str, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -160,42 +148,20 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def build_graph(pairs: PairSet) -> RelationGraph:
-    """Build the word graph whose edges are the labeled pairs.
-
-    Component ids are stable: components are numbered by their
-    lexicographically smallest word.
-    """
-    uf = _UnionFind()
-    vertices: set[str] = set()
-    for p in pairs:
-        vertices.add(p.left)
-        vertices.add(p.right)
-        uf.union(p.left, p.right)
-    roots: dict[str, list[str]] = {}
-    for w in vertices:
-        roots.setdefault(uf.find(w), []).append(w)
-    components = sorted(roots.values(), key=min)
-    assignment = {}
-    for cid, members in enumerate(components):
-        for w in members:
-            assignment[w] = cid
-    return RelationGraph(vertices=vertices, edges=list(pairs),
-                         component_assignment=assignment)
-
-
-def component_stats(graph: RelationGraph) -> dict:
-    """Component count and the share of pairs (edges) in the giant component."""
-    if not graph.vertices:
+def component_stats(pairs: PairSet) -> dict:
+    """Statistics of the word graph whose edges are the pairs: its word count,
+    its component count and the share of pairs in the largest component."""
+    if not pairs:
         raise ValueError("empty graph")
-    edge_counts: dict[int, int] = {}
-    for e in graph.edges:
-        cid = graph.component_assignment[e.left]
-        edge_counts[cid] = edge_counts.get(cid, 0) + 1
-    total = len(graph.edges)
-    giant = max(edge_counts.values()) if edge_counts else 0
-    return {"component_count": graph.component_count,
-            "giant_share_of_pairs": giant / total if total else 0.0}
+    uf = _UnionFind()
+    for p in pairs:
+        uf.union(p.left, p.right)
+    edge_counts: dict[str, int] = {}
+    for p in pairs:
+        root = uf.find(p.left)
+        edge_counts[root] = edge_counts.get(root, 0) + 1
+    return {"words": len(uf.parent), "component_count": len(edge_counts),
+            "giant_share_of_pairs": max(edge_counts.values()) / len(pairs)}
 
 
 def split_pairs(pairs: PairSet, test_every: int = 4) -> SplitResult:
@@ -212,7 +178,6 @@ def split_pairs(pairs: PairSet, test_every: int = 4) -> SplitResult:
     side: dict[str, str] = {}
     train: list[LabeledPair] = []
     test: list[LabeledPair] = []
-    trace: list[tuple[str, str, str]] = []
     dropped = 0
     cycle = 0
     for p in pairs:
@@ -220,7 +185,6 @@ def split_pairs(pairs: PairSet, test_every: int = 4) -> SplitResult:
         sr = side.get(p.right)
         if sl is not None and sr is not None and sl != sr:
             dropped += 1
-            trace.append((p.left, p.right, "dropped"))
             continue
         chosen = sl or sr
         if chosen is None:
@@ -229,9 +193,8 @@ def split_pairs(pairs: PairSet, test_every: int = 4) -> SplitResult:
         (train if chosen == "train" else test).append(p)
         side[p.left] = chosen
         side[p.right] = chosen
-        trace.append((p.left, p.right, chosen))
     return SplitResult(train=PairSet(pairs=train), test=PairSet(pairs=test),
-                       dropped_spanning=dropped, trace=trace)
+                       dropped_spanning=dropped)
 
 
 def build_triplets(train: PairSet, cap_per_anchor: int = 20,

@@ -18,13 +18,15 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .pairs import ANTONYM, SYNONYM, LabeledPair, PairSet
 
+SENTIMENT_WORDS = 2    # words of the label's polarity per document
+FILLER_WORDS = 13      # words drawn from the whole vocabulary per document
+
 
 @dataclass
 class PlantedWorld:
     table: EmbeddingTable
     pairs: PairSet
     polarity: dict[str, int]
-    hidden: dict[str, np.ndarray]
     group_size: int = 5
 
 
@@ -39,7 +41,6 @@ def planted_world(n_words: int = 5000, dim: int = 50, hidden_dim: int = 6,
 
     words = [f"w{i:05d}" for i in range(n_words)]
     polarity: dict[str, int] = {}
-    hidden: dict[str, np.ndarray] = {}
     rows = np.empty((n_words, dim))
     for g_start in range(0, n_words, group_size):
         z_base = rng.normal(size=hidden_dim)
@@ -51,7 +52,6 @@ def planted_world(n_words: int = 5000, dim: int = 50, hidden_dim: int = 6,
             x = A @ z + polarity_gain * s * (B @ carrier) \
                 + noise * rng.normal(size=dim)
             polarity[words[i]] = s
-            hidden[words[i]] = z
             rows[i] = x
     table = EmbeddingTable(dimension=dim, words=words, matrix=rows,
                            source_label=f"planted-{dim}d")
@@ -64,11 +64,10 @@ def planted_world(n_words: int = 5000, dim: int = 50, hidden_dim: int = 6,
                 rel = SYNONYM if polarity[members[i]] == polarity[members[j]] else ANTONYM
                 pair_list.append(LabeledPair(members[i], members[j], rel))
     return PlantedWorld(table=table, pairs=PairSet(pairs=pair_list),
-                        polarity=polarity, hidden=hidden, group_size=group_size)
+                        polarity=polarity, group_size=group_size)
 
 
 def sentiment_corpus(world: PlantedWorld, n_documents: int = 200,
-                     sentiment_words: int = 2, filler_words: int = 13,
                      sentiment_groups: int = 1,
                      seed: int = 6) -> list[tuple[str, int]]:
     """Documents whose label is carried by planted polarity-word choices.
@@ -92,8 +91,8 @@ def sentiment_corpus(world: PlantedWorld, n_documents: int = 200,
     for i in range(n_documents):
         label = i % 2
         pool = pos if label == 1 else neg
-        chosen = list(rng.choice(pool, size=sentiment_words, replace=True))
-        chosen += list(rng.choice(all_words, size=filler_words, replace=True))
+        chosen = list(rng.choice(pool, size=SENTIMENT_WORDS, replace=True))
+        chosen += list(rng.choice(all_words, size=FILLER_WORDS, replace=True))
         rng.shuffle(chosen)
         docs.append((" ".join(chosen), label))
     return docs

@@ -10,7 +10,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .network import (DivergenceError, MlpParams, TripletBatch, _backward,
-                      _forward_cached, init_head_params, init_optimizer,
+                      _forward_cached, forward, init_head_params, init_optimizer,
                       init_params, optimizer_step, pair_head_loss_backward,
                       triplet_backward, triplet_loss, pair_head_logits)
 from .pairs import Triplet
@@ -89,14 +89,20 @@ def _split_validation(n: int, fraction: float, rng: np.random.Generator):
 
 
 def _default_dims(m: int, dims: list[int] | None) -> list[int]:
-    if dims is None:
-        return [m, 128, 40]
+    """The map's layer dims, ``[m, 128, 40]`` when ``dims`` is None. They must
+    start at the embedding dimension ``m`` and end below it."""
+    dims = [m, 128, 40] if dims is None else list(dims)
     if dims[0] != m:
         raise ValueError(f"layer_dims starts with {dims[0]} but the embedding "
                          f"dimension is {m}")
-    return list(dims)
+    if dims[-1] >= m:
+        raise ValueError(f"layer_dims {dims} must end below the embedding "
+                         f"dimension {m}")
+    return dims
 
 
+# no RuntimeWarnings: a non-finite loss or gradient raises DivergenceError
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(models: list[MlpParams], step, val_loss, n: int, config: TrainConfig,
          start: float, dropped: int) -> tuple[list[MlpParams], TrainReport]:
     """The epoch loop both training modes share.
@@ -224,10 +230,7 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
 def transform_vocabulary(contrast_map: MlpParams,
                          table: EmbeddingTable) -> EmbeddingTable:
     """Apply the map to every vector; near-zero outputs are dropped."""
-    if table.dimension != contrast_map.input_dim:
-        raise ValueError(f"table dimension {table.dimension} != map input "
-                         f"{contrast_map.input_dim}")
-    out, _ = _forward_cached(contrast_map, table.matrix)
+    out = forward(contrast_map, table.matrix)
     norms = np.linalg.norm(out, axis=1)
     keep = norms >= 1e-12
     words = [w for w, k in zip(table.words, keep) if k]

@@ -115,21 +115,24 @@ def _reference_split(pairs):
     return train, test, dropped, unconstrained
 
 
+def _random_pairs(ij, vocab):
+    """Pairs (w{i}, w{j}) of the rows of ``ij``, skipping i == j and keeping
+    the first row of each unordered pair, in row order."""
+    i, j = ij[:, 0], ij[:, 1]
+    _, first = np.unique(np.minimum(i, j) * vocab + np.maximum(i, j), return_index=True)
+    rows = np.sort(first)
+    rows = rows[i[rows] != j[rows]]
+    return [LabeledPair(f"w{a}", f"w{b}", SYNONYM if (a + b) % 2 else ANTONYM)
+            for a, b in ij[rows].tolist()]
+
+
 def test_criterion_2_split_soundness():
     rng = np.random.default_rng(200)
     disjoint_ok = conserved_ok = ratio_ok = matches_ok = True
     for trial in range(100):
         n = int(10 ** rng.uniform(3, 5))
         vocab = int(n * rng.uniform(0.5, 4.0))
-        seen = set()
-        pairs = []
-        for i, j in rng.integers(0, vocab, size=(n, 2)):
-            if i == j or (min(i, j), max(i, j)) in seen:
-                continue
-            seen.add((min(i, j), max(i, j)))
-            rel = SYNONYM if (i + j) % 2 else ANTONYM
-            pairs.append(LabeledPair(f"w{i}", f"w{j}", rel))
-        ps = PairSet(pairs=pairs)
+        ps = PairSet(pairs=_random_pairs(rng.integers(0, vocab, size=(n, 2)), vocab))
         result = split_pairs(ps)
         if result.train.vocabulary() & result.test.vocabulary():
             disjoint_ok = False

@@ -13,7 +13,8 @@ import contrastmap
 from contrastmap.cli import run
 from contrastmap.pairs import load_pairs
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
-from contrastmap.embeddings import write_embedding_text
+from contrastmap.embeddings import parse_embedding_text, write_embedding_text
+from contrastmap.evaluation import shift_report
 from contrastmap.pairs import write_pairs
 
 
@@ -92,13 +93,13 @@ def test_eval_extremes_n_checked_at_parsing(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_divergence_exit_3(fixtures, tmp_path, capsys):
     assert run(["train", "--embeddings", str(fixtures["embeddings"]),
                 "--pairs", str(fixtures["pairs"]), "--dims", "20,8,4", "--epochs", "2",
                 "--lr", "1e300", "--out", str(tmp_path / "out")]) == 3
-    assert "numeric-error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "numeric-error: diverged\n" and "RuntimeWarning" not in err
     assert not (tmp_path / "out" / "run.json").exists()
 
 
@@ -110,6 +111,18 @@ def test_train_dims_must_start_with_embedding_dimension(fixtures, tmp_path, caps
     assert "usage-error:" in err and "--dims" in err
     assert "5" in err and "20" in err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
+def test_train_default_dims_must_contract(fixtures, tmp_path, capsys, mode):
+    # the default map [m, 128, 40] does not contract 20-d vectors
+    assert run(["train", "--mode", mode, "--embeddings", str(fixtures["embeddings"]),
+                "--pairs", str(fixtures["pairs"]), "--epochs", "1",
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("usage-error: --dims [20, 128, 40] must end below the embedding "
+                   "dimension 20\n")
+    assert not (tmp_path / "out" / "run.json").exists()
 
 
 def test_missing_input_exit_2(tmp_path, capsys):
@@ -233,6 +246,8 @@ def test_eval_distance_and_shift_commands(pipeline, tmp_path):
                 "--out", str(tmp_path / "shift"), "--quiet"]) == 0
     summary = json.loads((tmp_path / "shift" / "shifts.json").read_text())
     assert "syn_mean_shift" in summary and "ant_mean_shift" in summary
+    _assert_shifts_csv(tmp_path / "shift" / "shifts.csv", fixtures["embeddings"],
+                       out / "transform" / "transformed.txt", out / "split" / "test.tsv")
     _assert_manifest(tmp_path / "shift", "eval-shifts", shift_config,
                      ["before", "after", "pairs"])
     assert run(["eval-extremes", "--before", str(fixtures["embeddings"]),
@@ -243,6 +258,19 @@ def test_eval_distance_and_shift_commands(pipeline, tmp_path):
     assert len(extremes["closest_antonyms"]) <= 3
     _assert_manifest(tmp_path / "ext", "eval-extremes", {**shift_config, "n": 3},
                      ["before", "after", "pairs"])
+
+
+def _assert_shifts_csv(csv_path, before, after, pairs):
+    """Each row of ``csv_path`` holds plain numbers equal to the shift report's."""
+    with open(before) as b, open(after) as a, open(pairs) as p:
+        report = shift_report(parse_embedding_text(b), parse_embedding_text(a), load_pairs(p))
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "left,right,relation,d_before,d_after,shift"
+    assert len(rows) == len(report.records) + 1
+    for row, record in zip(rows[1:], report.records):
+        fields = row.split(",")
+        assert fields[:3] == list(record[:3])
+        assert [float(x) for x in fields[3:]] == list(record[3:])
 
 
 def test_eval_classifiers_command(pipeline, tmp_path):

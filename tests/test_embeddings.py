@@ -74,6 +74,7 @@ def test_lookup():
 
 
 def test_cosine_distance_canonical_values():
+    assert type(cosine_distance(np.array([1.0, 2.0]), np.array([3.0, 1.0]))) is float
     assert cosine_distance([1, 0], [2, 0]) == pytest.approx(0.0, abs=1e-12)
     assert cosine_distance([1, 0], [0, 1]) == pytest.approx(1.0, abs=1e-12)
     assert cosine_distance([1, 0], [-1, 0]) == pytest.approx(2.0, abs=1e-12)
@@ -86,6 +87,7 @@ def test_cosine_distance_errors():
         cosine_distance([1, 0], [1, 0, 0])
 
 
+@pytest.mark.filterwarnings("error")
 def test_cosine_distance_extreme_magnitudes():
     tiny = np.array([1.2775512486188477e-160])
     assert cosine_distance(tiny, [3.0]) == 0.0
@@ -96,7 +98,7 @@ def test_cosine_distance_extreme_magnitudes():
 
 
 def test_write_basic():
-    table = EmbeddingTable.from_entries([("a", np.array([1.0, 0.0]))])
+    table = EmbeddingTable(dimension=2, words=["a"], matrix=np.array([[1.0, 0.0]]))
     out = io.StringIO()
     n = write_embedding_text(table, out)
     assert out.getvalue() == "1 2\na 1 0\n"

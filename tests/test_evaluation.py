@@ -19,8 +19,9 @@ from contrastmap.training import concat_embeddings, transform_vocabulary
 
 
 def _table(entries):
-    return EmbeddingTable.from_entries(
-        [(w, np.asarray(v, dtype=float)) for w, v in entries])
+    """A table with one row per (word, values) entry."""
+    return EmbeddingTable(dimension=len(entries[0][1]), words=[w for w, _ in entries],
+                          matrix=np.array([v for _, v in entries], dtype=float))
 
 
 def _pairs(*specs):
@@ -71,16 +72,23 @@ def test_distance_report_csv_shape():
     assert len(lines) == 101
 
 
-def _reference_distance_records(table, pairs):
-    # the per-word lookups that distance_report replaced
-    records, unresolved = [], 0
+def _reference_distance_report(table, pairs):
+    # the per-word lookups and per-pair binning that distance_report replaced
+    syn_counts, ant_counts = np.zeros(100, dtype=np.int64), np.zeros(100, dtype=np.int64)
+    syn_d, ant_d, unresolved = [], [], 0
     for p in pairs:
         u, v = table.lookup(p.left), table.lookup(p.right)
         if u is None or v is None:
             unresolved += 1
             continue
-        records.append((p.left, p.right, p.relation, cosine_distance(u, v)))
-    return records, unresolved
+        d = cosine_distance(u, v)
+        counts, dists = (syn_counts, syn_d) if p.relation == SYNONYM else (ant_counts, ant_d)
+        counts[min(int(d / 0.02), 99)] += 1
+        dists.append(d)
+    return {"syn_counts": syn_counts.tolist(), "ant_counts": ant_counts.tolist(),
+            "syn_mean": float(np.mean(syn_d)), "syn_std": float(np.std(syn_d)),
+            "ant_mean": float(np.mean(ant_d)), "ant_std": float(np.std(ant_d)),
+            "pair_count": len(syn_d) + len(ant_d), "unresolved": unresolved}
 
 
 def _reference_shift_records(before, after, pairs):
@@ -108,11 +116,12 @@ def test_reports_match_per_word_lookups():
     world = planted_world(n_words=400, dim=12, seed=9)
     new = transform_vocabulary(init_params([12, 10, 3], seed=2), world.table)
     before, after = _without_every(world.table, 7, 0), _without_every(new, 11, 3)
-    records, unresolved = _reference_distance_records(before, world.pairs)
+    expected = _reference_distance_report(before, world.pairs)
     report = distance_report(before, world.pairs)
-    assert unresolved > 0
-    assert report.records == records and report.unresolved == unresolved
-    assert report.syn_counts.sum() + report.ant_counts.sum() == len(records)
+    assert expected["unresolved"] > 0
+    assert {**vars(report), "syn_counts": report.syn_counts.tolist(),
+            "ant_counts": report.ant_counts.tolist()} == expected
+    assert report.syn_counts.sum() + report.ant_counts.sum() == report.pair_count
     records, unresolved = _reference_shift_records(before, after, world.pairs)
     shifts = shift_report(before, after, world.pairs)
     assert unresolved > report.unresolved

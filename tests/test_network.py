@@ -9,7 +9,7 @@ import pytest
 from contrastmap.network import (DivergenceError, MlpParams, TripletBatch,
                                  _sigmoid, forward, init_head_params,
                                  init_optimizer, init_params, load_params,
-                                 optimizer_step, pair_head_forward,
+                                 optimizer_step, pair_head_logits,
                                  pair_head_loss_backward, save_params,
                                  triplet_backward, triplet_loss)
 
@@ -383,17 +383,16 @@ def test_pair_head_zero_weights():
     head = init_head_params([4, 3, 1], seed=0)
     for w in head.weights:
         w[:] = 0.0
-    assert pair_head_forward(head, np.array([1.0, 2.0]),
-                             np.array([3.0, 4.0])) == pytest.approx(0.5)
+    logits = pair_head_logits(head, np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
+    assert _sigmoid(logits) == pytest.approx([0.5])
 
 
 def test_pair_head_probability_range():
     head = init_head_params([4, 3, 1], seed=1)
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        p = pair_head_forward(head, rng.standard_normal(2) * 100,
-                              rng.standard_normal(2) * 100)
-        assert 0.0 < p < 1.0
+    U, V = rng.standard_normal((20, 2)) * 100, rng.standard_normal((20, 2)) * 100
+    p = _sigmoid(pair_head_logits(head, U, V))
+    assert p.shape == (20,) and np.all((0.0 < p) & (p < 1.0))
 
 
 def test_pair_head_gradient_matches_finite_differences():

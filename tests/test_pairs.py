@@ -1,4 +1,4 @@
-"""Tests for pair loading, the relation graph, the leakage-free split,
+"""Tests for pair loading, component statistics, the leakage-free split,
 and triplet assembly."""
 import io
 
@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastmap.pairs import (ANTONYM, SYNONYM, LabeledPair, PairParseError,
-                               PairSet, build_graph, build_triplets,
-                               component_stats, load_pairs, split_pairs,
-                               write_pairs)
+                               PairSet, build_triplets, component_stats,
+                               load_pairs, split_pairs, write_pairs)
 
 
 def _syn(a, b):
@@ -53,34 +52,32 @@ def test_write_round_trip():
     assert list(again) == list(ps)
 
 
-def test_build_graph_components():
-    ps = PairSet(pairs=[_syn("a", "b"), _syn("b", "c"), _syn("d", "e")])
-    graph = build_graph(ps)
-    assign = graph.component_assignment
-    assert graph.component_count == 2
-    assert assign["a"] == assign["b"] == assign["c"]
-    assert assign["d"] == assign["e"] != assign["a"]
-
-
-def test_build_graph_disjoint_edges():
-    graph = build_graph(PairSet(pairs=[_syn("a", "b"), _syn("c", "d")]))
-    assert graph.component_count == 2
-    sizes = {}
-    for cid in graph.component_assignment.values():
-        sizes[cid] = sizes.get(cid, 0) + 1
-    assert sorted(sizes.values()) == [2, 2]
-
-
 def test_component_stats():
-    graph = build_graph(PairSet(pairs=[_syn("a", "b"), _syn("b", "c"), _syn("d", "e")]))
-    stats = component_stats(graph)
-    assert stats["component_count"] == 2
-    assert stats["giant_share_of_pairs"] == pytest.approx(2 / 3)
+    stats = component_stats(PairSet(pairs=[_syn("a", "b"), _syn("b", "c"), _syn("d", "e")]))
+    assert stats == {"words": 5, "component_count": 2, "giant_share_of_pairs": 2 / 3}
+
+
+def test_component_stats_disjoint_edges():
+    stats = component_stats(PairSet(pairs=[_syn("a", "b"), _syn("c", "d")]))
+    assert stats == {"words": 4, "component_count": 2, "giant_share_of_pairs": 0.5}
+
+
+def test_component_stats_merges_components():
+    # the last pair joins the two components found so far
+    pairs = [_syn("a", "b"), _ant("c", "d"), _syn("e", "c"), _ant("b", "e"), _syn("x", "y")]
+    stats = component_stats(PairSet(pairs=pairs))
+    assert stats == {"words": 7, "component_count": 2, "giant_share_of_pairs": 4 / 5}
 
 
 def test_component_stats_single_edge():
-    stats = component_stats(build_graph(PairSet(pairs=[_syn("a", "b")])))
-    assert stats == {"component_count": 1, "giant_share_of_pairs": 1.0}
+    stats = component_stats(PairSet(pairs=[_syn("a", "b")]))
+    assert stats == {"words": 2, "component_count": 1, "giant_share_of_pairs": 1.0}
+
+
+def test_component_stats_empty_errors():
+    # a pair file whose every record conflicts loads as an empty set
+    with pytest.raises(ValueError, match="empty graph"):
+        component_stats(load_pairs("a\tb\tsynonym\na\tb\tantonym\n"))
 
 
 def test_split_hand_fixture_cycle():
@@ -98,7 +95,8 @@ def test_split_hand_fixture_spanning_drop():
                         _syn("g", "h"), _syn("a", "g")])
     result = split_pairs(ps)
     assert result.dropped_spanning == 1
-    assert ("a", "g", "dropped") in result.trace
+    spanning = LabeledPair("a", "g", SYNONYM)
+    assert spanning not in result.train.pairs and spanning not in result.test.pairs
     assert "a" in result.train.vocabulary()
     assert "g" in result.test.vocabulary()
 
@@ -107,8 +105,9 @@ def test_split_determinism():
     ps = PairSet(pairs=[_syn(f"w{i}", f"w{i + 100}") for i in range(50)])
     r1 = split_pairs(ps)
     r2 = split_pairs(ps)
-    assert r1.trace == r2.trace
     assert list(r1.train) == list(r2.train)
+    assert list(r1.test) == list(r2.test)
+    assert r1.dropped_spanning == r2.dropped_spanning
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from contrastmap.embeddings import EmbeddingTable
-from contrastmap.network import (TripletBatch, init_head_params,
-                                 pair_head_forward, pair_head_loss_backward)
+from contrastmap.network import (TripletBatch, _sigmoid, init_head_params,
+                                 pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
 from contrastmap.training import (CLASSIFIER_SYSTEM, TrainConfig,
                                   concat_embeddings, resolve_triplets,
                                   train_baseline, train_classifier_system,
                                   transform_vocabulary)
+
+
+def _table(entries):
+    """A table with one row per (word, values) entry."""
+    return EmbeddingTable(dimension=len(entries[0][1]), words=[w for w, _ in entries],
+                          matrix=np.array([v for _, v in entries], dtype=float))
 
 
 @pytest.fixture(scope="module")
@@ -143,17 +149,11 @@ def test_classifier_system_learns():
     params, head, report = train_classifier_system(world.table, triplets, cfg)
     # held-out pairs, scored by the trained head on transformed vectors
     from contrastmap.network import forward
-    correct = 0
-    total = 0
-    for p in split.test:
-        u = world.table.lookup(p.left)
-        v = world.table.lookup(p.right)
-        prob = pair_head_forward(head, forward(params, u), forward(params, v))
-        predicted = "synonym" if prob >= 0.5 else "antonym"
-        correct += predicted == p.relation
-        total += 1
-    assert total > 50
-    assert correct / total > 0.9
+    U = forward(params, world.table.matrix[world.table.indices([p.left for p in split.test])])
+    V = forward(params, world.table.matrix[world.table.indices([p.right for p in split.test])])
+    predicted = np.where(_sigmoid(pair_head_logits(head, U, V)) >= 0.5, "synonym", "antonym")
+    assert len(split.test) > 50
+    assert np.mean(predicted == [p.relation for p in split.test]) > 0.9
 
 
 def test_classifier_system_determinism(small_world):
@@ -168,8 +168,7 @@ def test_classifier_system_determinism(small_world):
 
 def test_transform_identity_map():
     from contrastmap.network import MlpParams
-    table = EmbeddingTable.from_entries([("a", np.array([1.0, 2.0, 3.0])),
-                                         ("b", np.array([0.0, 1.0, 0.0]))])
+    table = _table([("a", [1.0, 2.0, 3.0]), ("b", [0.0, 1.0, 0.0])])
     # single linear layer embedding the first two coordinates
     params = MlpParams([3, 2])
     params.weights[0][...] = np.eye(2, 3)
@@ -181,14 +180,14 @@ def test_transform_identity_map():
 
 def test_transform_dimension_mismatch():
     from contrastmap.network import init_params
-    table = EmbeddingTable.from_entries([("a", np.array([1.0, 2.0]))])
-    with pytest.raises(ValueError, match="dimension"):
+    table = _table([("a", [1.0, 2.0])])
+    with pytest.raises(ValueError, match="input dimension 2 != 3"):
         transform_vocabulary(init_params([3, 2], seed=0), table)
 
 
 def test_concat_basic():
-    raw = EmbeddingTable.from_entries([("a", np.array([1.0, 0.0]))])
-    new = EmbeddingTable.from_entries([("a", np.array([5.0]))])
+    raw = _table([("a", [1.0, 0.0])])
+    new = _table([("a", [5.0])])
     out = concat_embeddings(raw, new)
     assert out.dimension == 3
     assert np.allclose(out.lookup("a"), [1.0, 0.0, 5.0])
@@ -217,19 +216,23 @@ def test_layer_dims_must_start_with_embedding_dimension(small_world):
                                **({"mode": mode} if mode else {}))
         with pytest.raises(ValueError, match="starts with 49 but the embedding dimension is 50"):
             train(world.table, triplets, config)
+        config.layer_dims = [50, 8, 50]
+        with pytest.raises(ValueError, match=r"\[50, 8, 50\] must end below the embedding "
+                                             "dimension 50"):
+            train(world.table, triplets, config)
 
 
 def test_concat_disjoint_errors():
-    raw = EmbeddingTable.from_entries([("a", np.array([1.0, 0.0]))])
-    new = EmbeddingTable.from_entries([("b", np.array([5.0]))])
+    raw = _table([("a", [1.0, 0.0])])
+    new = _table([("b", [5.0])])
     with pytest.raises(ValueError, match="no common vocabulary"):
         concat_embeddings(raw, new)
 
 
 def test_concat_identical_word_distance_zero():
     from contrastmap.embeddings import cosine_distance
-    raw = EmbeddingTable.from_entries([("a", np.array([1.0, 0.0]))])
-    new = EmbeddingTable.from_entries([("a", np.array([5.0]))])
+    raw = _table([("a", [1.0, 0.0])])
+    new = _table([("a", [5.0])])
     out = concat_embeddings(raw, new)
     assert cosine_distance(out.lookup("a"), out.lookup("a")) == 0.0
 
