@@ -13,10 +13,10 @@ from .network import (MlpParams, OptimizerState, TripletBatch, forward,
 from .training import (TrainConfig, TrainReport, concat_embeddings,
                        train_baseline, train_classifier_system,
                        transform_vocabulary)
-from .evaluation import (AccuracyTable, DistanceReport, PairClassifierModel,
-                         ShiftReport, build_accuracy_table, classify_accuracy,
+from .evaluation import (AccuracyTable, DistanceReport, ShiftReport,
+                         build_accuracy_table, classify_accuracy,
                          distance_report, extreme_pairs, featurize_pair,
-                         shift_report, train_boosted, train_linear)
+                         shift_report, train_linear)
 from .downstream import (DownstreamResult, TextDataset, embed_document,
                          load_bundled_corpus, load_text_csv, run_downstream,
                          tokenize)
@@ -32,10 +32,9 @@ __all__ = [
     "optimizer_step", "triplet_backward", "triplet_loss",
     "TrainConfig", "TrainReport", "concat_embeddings", "train_baseline",
     "train_classifier_system", "transform_vocabulary",
-    "AccuracyTable", "DistanceReport", "PairClassifierModel", "ShiftReport",
-    "build_accuracy_table", "classify_accuracy", "distance_report",
-    "extreme_pairs", "featurize_pair", "shift_report", "train_boosted",
-    "train_linear",
+    "AccuracyTable", "DistanceReport", "ShiftReport", "build_accuracy_table",
+    "classify_accuracy", "distance_report", "extreme_pairs", "featurize_pair",
+    "shift_report", "train_linear",
     "DownstreamResult", "TextDataset", "embed_document", "load_bundled_corpus",
     "load_text_csv", "run_downstream", "tokenize",
     "PlantedWorld", "planted_world", "sentiment_corpus", "write_sentiment_csv",

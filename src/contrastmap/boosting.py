@@ -56,7 +56,6 @@ class BoostedTrees:
     base_score: float
     trees: list[TreeNode]
     shrinkage: float
-    feature_dimension: int
 
 
 def _blocks(S: np.ndarray) -> list[slice]:
@@ -189,8 +188,7 @@ def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = 200,
         tree = _build_tree(X, g, h, S, R, max_depth)
         trees.append(tree)
         scores = scores + shrinkage * _tree_predict(tree, X)
-    return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage,
-                        feature_dimension=X.shape[1])
+    return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage)
 
 
 def boosted_scores(model: BoostedTrees, X: np.ndarray) -> np.ndarray:

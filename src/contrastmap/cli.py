@@ -19,7 +19,7 @@ from .network import (MODEL_FORMAT_VERSION, DivergenceError, load_params,
 from .pairs import (build_triplets, component_stats, load_pairs, split_pairs,
                     write_pairs)
 from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig, _default_dims,
-                       concat_embeddings, train_baseline,
+                       _head_dims, concat_embeddings, train_baseline,
                        train_classifier_system, transform_vocabulary)
 from .evaluation import (build_accuracy_table, distance_report, extreme_pairs,
                          shift_report)
@@ -96,8 +96,7 @@ class _Run:
 
     def table(self, name: str, vocabulary=None):
         with self.open(name) as f:
-            return parse_embedding_text(f, source_label=self.paths[name].name,
-                                        vocabulary=vocabulary)
+            return parse_embedding_text(f, vocabulary=vocabulary)
 
     def pairs(self, name: str):
         with self.open(name) as f:
@@ -189,6 +188,12 @@ def _cmd_train(args, run: _Run) -> None:
         layer_dims = _default_dims(table.dimension, _parse_dims(args.dims))
     except ValueError as exc:  # its messages start with "layer_dims"
         raise UsageError("--dims" + str(exc).removeprefix("layer_dims")) from None
+    head_dims = _parse_dims(args.head_dims)
+    if mode == CLASSIFIER_SYSTEM:
+        try:
+            head_dims = _head_dims(layer_dims[-1], head_dims)
+        except ValueError as exc:  # its messages start with "head_dims"
+            raise UsageError("--head-dims" + str(exc).removeprefix("head_dims")) from None
     triplets = build_triplets(pairs, cap_per_anchor=args.cap_per_anchor,
                               seed=args.seed)
     train_config = TrainConfig(
@@ -196,7 +201,7 @@ def _cmd_train(args, run: _Run) -> None:
         learning_rate=args.lr, batch_size=args.batch_size,
         max_epochs=args.epochs, early_stop_patience=args.patience,
         validation_fraction=args.val_fraction, seed=args.seed, mode=mode,
-        head_dims=_parse_dims(args.head_dims))
+        head_dims=head_dims)
     if mode == BASELINE:
         params, report = train_baseline(table, triplets, train_config)
     else:

@@ -13,7 +13,8 @@ from typing import IO, Iterable
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .evaluation import predict_proba, train_linear
+from .evaluation import train_linear
+from .network import _sigmoid
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -132,8 +133,8 @@ def run_downstream(raw: EmbeddingTable, concat: EmbeddingTable,
     accuracies = {}
     for arm, table in (("raw", raw), ("concat", concat)):
         X = np.array([embed_document(table, toks) for toks in token_lists])
-        model = train_linear(X[train_idx], labels[train_idx])
-        p = predict_proba(model, X[test_idx])
+        w, b = train_linear(X[train_idx], labels[train_idx])
+        p = _sigmoid(X[test_idx] @ w + b)
         pred = (p >= 0.5).astype(int)
         accuracies[arm] = float(np.mean(pred == labels[test_idx]))
 

@@ -39,7 +39,6 @@ class EmbeddingTable:
     dimension: int
     words: list[str]
     matrix: np.ndarray
-    source_label: str = ""
     duplicate_warnings: int = 0
     skipped_rows: int = 0
     _index: dict[str, int] = field(default_factory=dict, repr=False)
@@ -85,7 +84,6 @@ def _unusable(vec: np.ndarray) -> bool:
 
 
 def parse_embedding_text(stream: str | IO[str] | Iterable[str],
-                         source_label: str = "",
                          vocabulary: Container[str] | None = None) -> EmbeddingTable:
     """Parse a text vector stream into an :class:`EmbeddingTable`.
 
@@ -105,49 +103,29 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     duplicates = 0
     skipped = 0
     dim: int | None = None
-    first_line = True
 
-    for raw_line in _as_lines(stream):
+    for n, raw_line in enumerate(_as_lines(stream)):
         line = raw_line.rstrip("\r\n")
         if dim is not None and vocabulary is not None:
             head = line.split(None, 1)
             if head and head[0] not in vocabulary:
                 continue
         tokens = line.split()
-        if first_line and _is_header(tokens):
-            first_line = False
-            continue
-        first_line = False
-        if not tokens:
-            continue
-        if dim is None:
-            if len(tokens) < 2:
-                raise EmbeddingParseError("bad format")
-            try:
-                vec = np.array(tokens[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingParseError("bad format") from exc
-            dim = len(tokens) - 1
-            if _unusable(vec):
-                skipped += 1
-                dim = None  # first row rejected; keep inferring on next row
-                continue
-            word = tokens[0]
-            index[word] = len(words)
-            words.append(word)
-            rows.append(vec)
-            continue
-        if len(tokens) != dim + 1:
-            skipped += 1
+        if not tokens or (n == 0 and _is_header(tokens)):
             continue
         try:
+            if len(tokens) < 2 or dim not in (None, len(tokens) - 1):
+                raise ValueError("wrong arity")
             vec = np.array(tokens[1:], dtype=np.float64)
-        except ValueError:
+        except ValueError as exc:
+            if dim is None:  # no row has fixed the dimension yet
+                raise EmbeddingParseError("bad format") from exc
             skipped += 1
             continue
         if _unusable(vec):
-            skipped += 1
+            skipped += 1  # a rejected first row leaves the dimension open
             continue
+        dim = len(vec)
         word = tokens[0]
         if word in index:
             duplicates += 1
@@ -158,10 +136,8 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
 
     if not rows:
         raise EmbeddingParseError("no vectors")
-    table = EmbeddingTable(dimension=dim, words=words, matrix=np.vstack(rows),
-                           source_label=source_label,
-                           duplicate_warnings=duplicates, skipped_rows=skipped)
-    return table
+    return EmbeddingTable(dimension=dim, words=words, matrix=np.vstack(rows),
+                          duplicate_warnings=duplicates, skipped_rows=skipped)
 
 
 def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
-from .boosting import BoostedTrees, boosted_proba, train_boosted_trees
+from .boosting import boosted_proba, train_boosted_trees
 from .embeddings import EmbeddingTable, cosine_distance
 from .network import _sigmoid
 from .pairs import ANTONYM, SYNONYM, PairSet
@@ -49,15 +49,6 @@ class ShiftReport:
         stream.write("left,right,relation,d_before,d_after,shift\n")
         for left, right, rel, db, da, sh in self.records:
             stream.write(f"{left},{right},{rel},{db!r},{da!r},{sh!r}\n")
-
-
-@dataclass
-class PairClassifierModel:
-    kind: str                                  # "linear" | "boosted_trees"
-    feature_dimension: int
-    weights: np.ndarray | None = None          # linear
-    bias: float = 0.0
-    trees: BoostedTrees | None = None          # boosted
 
 
 @dataclass
@@ -178,8 +169,9 @@ def _gradient_descent(X: np.ndarray, y: np.ndarray, cfg: dict, copies: int):
 
 
 def train_linear(features: np.ndarray, labels: np.ndarray,
-                 config: dict | None = None) -> PairClassifierModel:
-    """Logistic regression by full-batch gradient descent with L2 penalty.
+                 config: dict | None = None) -> tuple[np.ndarray, float]:
+    """Logistic regression by full-batch gradient descent with L2 penalty;
+    returns ``(weights, bias)``, scored as ``_sigmoid(X @ weights + bias)``.
 
     On order-augmented pair features (rows 2i and 2i + 1 are [u; v] and
     [v; u] with one label) the two weight halves start at zero and, as both
@@ -200,32 +192,7 @@ def train_linear(features: np.ndarray, labels: np.ndarray,
         w = np.concatenate([w, w])
     else:
         w, b = _gradient_descent(X, y, cfg, copies=1)
-    return PairClassifierModel(kind="linear", feature_dimension=X.shape[1],
-                               weights=w, bias=b)
-
-
-def train_boosted(features: np.ndarray, labels: np.ndarray,
-                  config: dict | None = None) -> PairClassifierModel:
-    """Gradient-boosted depth-limited trees on the logistic loss."""
-    cfg = dict(BOOSTED_DEFAULTS)
-    if config:
-        cfg.update(config)
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if len(set(y.tolist())) < 2:
-        raise ValueError("single-class input")
-    trees = train_boosted_trees(X, y, rounds=int(cfg["rounds"]),
-                                shrinkage=float(cfg["shrinkage"]),
-                                max_depth=int(cfg["max_depth"]))
-    return PairClassifierModel(kind="boosted_trees",
-                               feature_dimension=X.shape[1], trees=trees)
-
-
-def predict_proba(model: PairClassifierModel, features: np.ndarray) -> np.ndarray:
-    X = np.asarray(features, dtype=np.float64)
-    if model.kind == "linear":
-        return _sigmoid(X @ model.weights + model.bias)
-    return boosted_proba(model.trees, X)
+    return w, b
 
 
 def _swap_halves(X: np.ndarray) -> np.ndarray:
@@ -233,12 +200,13 @@ def _swap_halves(X: np.ndarray) -> np.ndarray:
     return np.concatenate([X[:, d:], X[:, :d]], axis=1)
 
 
-def classify_accuracy(model: PairClassifierModel, features: np.ndarray,
-                      labels: np.ndarray) -> float:
-    """Accuracy at threshold 0.5, order-averaged over both pair orders."""
+def classify_accuracy(proba: Callable[[np.ndarray], np.ndarray],
+                      features: np.ndarray, labels: np.ndarray) -> float:
+    """Accuracy at threshold 0.5 of ``proba`` (feature matrix -> probabilities),
+    order-averaged over both pair orders."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
-    p = 0.5 * (predict_proba(model, X) + predict_proba(model, _swap_halves(X)))
+    p = 0.5 * (proba(X) + proba(_swap_halves(X)))
     pred = (p >= 0.5).astype(int)
     return float(np.mean(pred == y))
 
@@ -276,18 +244,20 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
     """
     if train_pairs.vocabulary() & test_pairs.vocabulary():
         raise ValueError("leakage")
+    boosted = {**BOOSTED_DEFAULTS, **(boosted_config or {})}
     accuracies: dict[str, dict[str, float]] = {}
     counts: dict[str, dict[str, int]] = {}
     for space, table in (("raw", raw), ("new", new), ("concatenated", concat)):
         Xtr, ytr = _pair_features(table, train_pairs, augment=True)
         Xte, yte = _pair_features(table, test_pairs, augment=False)
-        linear = train_linear(Xtr, ytr)
-        boosted = train_boosted(Xtr, ytr, boosted_config)
+        w, b = train_linear(Xtr, ytr)
+        trees = train_boosted_trees(Xtr, ytr, rounds=int(boosted["rounds"]),
+                                    shrinkage=float(boosted["shrinkage"]),
+                                    max_depth=int(boosted["max_depth"]))
         accuracies[space] = {
-            "linear": classify_accuracy(linear, Xte, yte),
-            "boosted": classify_accuracy(boosted, Xte, yte),
+            "linear": classify_accuracy(lambda X: _sigmoid(X @ w + b), Xte, yte),
+            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X), Xte, yte),
         }
         counts[space] = {"train_examples": len(ytr), "test_pairs": len(yte)}
-    config = {"linear": dict(LINEAR_DEFAULTS),
-              "boosted": {**BOOSTED_DEFAULTS, **(boosted_config or {})}}
+    config = {"linear": dict(LINEAR_DEFAULTS), "boosted": boosted}
     return AccuracyTable(accuracies=accuracies, counts=counts, config=config)

@@ -95,33 +95,19 @@ class TripletBatch:
         return self.anchors.shape[0]
 
 
-def _glorot(layer_dims: list[int], hidden_activation: str, seed: int) -> MlpParams:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+def init_params(layer_dims: list[int], hidden_activation: str = "tanh",
+                seed: int = 0) -> MlpParams:
+    """Glorot-uniform weights and zero biases, deterministic per seed, for a
+    contrasting map or a pair head; the output dimension must be strictly
+    below the input dimension."""
     params = MlpParams(layer_dims, None, hidden_activation)
+    if params.output_dim >= params.input_dim:
+        raise ValueError("not a contraction")
     rng = np.random.default_rng(seed)
     for W in params.weights:
         fan_out, fan_in = W.shape
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         W[...] = rng.uniform(-limit, limit, size=W.shape)
-    return params
-
-
-def init_params(layer_dims: list[int], hidden_activation: str = "tanh",
-                seed: int = 0) -> MlpParams:
-    """Glorot-uniform contrasting map; the output dimension must be strictly
-    below the input dimension."""
-    params = _glorot(layer_dims, hidden_activation, seed)
-    if params.output_dim >= params.input_dim:
-        raise ValueError("not a contraction")
-    return params
-
-
-def init_head_params(layer_dims: list[int], hidden_activation: str = "tanh",
-                     seed: int = 0) -> MlpParams:
-    """Glorot-uniform pair-classification head, whose output is one logit."""
-    params = _glorot(layer_dims, hidden_activation, seed)
-    if params.output_dim != 1:
-        raise ValueError("classification head must output one logit")
     return params
 
 

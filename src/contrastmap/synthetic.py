@@ -53,8 +53,7 @@ def planted_world(n_words: int = 5000, dim: int = 50, hidden_dim: int = 6,
                 + noise * rng.normal(size=dim)
             polarity[words[i]] = s
             rows[i] = x
-    table = EmbeddingTable(dimension=dim, words=words, matrix=rows,
-                           source_label=f"planted-{dim}d")
+    table = EmbeddingTable(dimension=dim, words=words, matrix=rows)
 
     pair_list: list[LabeledPair] = []
     for g_start in range(0, n_words, group_size):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .network import (DivergenceError, MlpParams, TripletBatch, _backward,
-                      _forward_cached, forward, init_head_params, init_optimizer,
+                      _forward_cached, forward, init_optimizer,
                       init_params, optimizer_step, pair_head_loss_backward,
                       triplet_backward, triplet_loss, pair_head_logits)
 from .pairs import Triplet
@@ -98,6 +98,16 @@ def _default_dims(m: int, dims: list[int] | None) -> list[int]:
     if dims[-1] >= m:
         raise ValueError(f"layer_dims {dims} must end below the embedding "
                          f"dimension {m}")
+    return dims
+
+
+def _head_dims(k: int, head_dims: list[int] | None) -> list[int]:
+    """The pair head's layer dims, ``[2k, 32, 1]`` when ``head_dims`` is
+    empty. They must start at ``2k``, a pair of mapped vectors, and end at
+    one logit."""
+    dims = list(head_dims) if head_dims else [2 * k, 32, 1]
+    if dims[0] != 2 * k or dims[-1] != 1:
+        raise ValueError(f"head_dims {dims} must start at 2k = {2 * k} and end at 1")
     return dims
 
 
@@ -198,12 +208,9 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
     start = time.perf_counter()
     (W, S, A), dropped = resolve_triplets(table, triplets)
     dims = _default_dims(table.dimension, config.layer_dims)
-    k = dims[-1]
-    head_dims = list(config.head_dims) if config.head_dims else [2 * k, 32, 1]
-    if head_dims[0] != 2 * k:
-        raise ValueError(f"head input dim must be 2k = {2 * k}")
+    head_dims = _head_dims(dims[-1], config.head_dims)
     params = init_params(dims, config.hidden_activation, seed=config.seed)
-    head = init_head_params(head_dims, config.hidden_activation, seed=config.seed + 1)
+    head = init_params(head_dims, config.hidden_activation, seed=config.seed + 1)
 
     def step(models, idx):
         params, head = models
@@ -237,8 +244,7 @@ def transform_vocabulary(contrast_map: MlpParams,
     if not words:
         raise ValueError("all transformed vectors degenerate")
     result = EmbeddingTable(dimension=contrast_map.output_dim, words=words,
-                            matrix=out[keep],
-                            source_label=f"{table.source_label}:transformed")
+                            matrix=out[keep])
     result.skipped_rows = int(np.sum(~keep))
     return result
 
@@ -253,7 +259,6 @@ def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTabl
     table = EmbeddingTable(dimension=raw.dimension + new.dimension,
                            words=common,
                            matrix=np.concatenate([raw.matrix[found],
-                                                  new.matrix[rows[found]]], axis=1),
-                           source_label=f"{raw.source_label}+{new.source_label}")
+                                                  new.matrix[rows[found]]], axis=1))
     table.skipped_rows = (len(raw) - len(common)) + (len(new) - len(common))
     return table

@@ -20,8 +20,8 @@ from contrastmap.downstream import load_bundled_corpus, run_downstream
 from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
                                     parse_embedding_text, write_embedding_text)
 from contrastmap.evaluation import build_accuracy_table
-from contrastmap.network import (MlpParams, TripletBatch, init_head_params,
-                                 init_params, load_params,
+from contrastmap.network import (MlpParams, TripletBatch, init_params,
+                                 load_params,
                                  pair_head_loss_backward, save_params,
                                  triplet_backward, triplet_loss)
 from contrastmap.pairs import (ANTONYM, SYNONYM, LabeledPair, PairSet,
@@ -77,7 +77,7 @@ def test_criterion_1_gradient_correctness():
             triplet_ok = False
             break
     for draw in range(50):
-        head = init_head_params([8, 8, 1], seed=2000 + draw)
+        head = init_params([8, 8, 1], seed=2000 + draw)
         U = rng.standard_normal((16, 4))
         V = rng.standard_normal((16, 4))
         y = rng.integers(0, 2, size=16).astype(float)
@@ -213,7 +213,7 @@ def test_criterion_4_real_data_reproduction():
         pytest.skip("real pretrained vectors and pair data not provided")
     from contrastmap.pairs import load_pairs
     with open(emb, encoding="utf-8") as f:
-        table = parse_embedding_text(f, source_label=os.path.basename(emb))
+        table = parse_embedding_text(f)
     with open(pairs, encoding="utf-8") as f:
         pair_set = load_pairs(f)
     split = split_pairs(pair_set)
@@ -283,8 +283,7 @@ def test_criterion_6_downstream_harness():
 
     duplicate = EmbeddingTable(dimension=world.table.dimension,
                                words=list(world.table.words),
-                               matrix=world.table.matrix.copy(),
-                               source_label="dup")
+                               matrix=world.table.matrix.copy())
     rawraw = concat_embeddings(world.table, duplicate)
     control = run_downstream(world.table, rawraw, data, seed=9)
 

@@ -1,13 +1,18 @@
 """Tests for the command-line pipeline: exit codes, artifacts, manifests,
 and rerun determinism."""
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import contrastmap
 from contrastmap.cli import run
@@ -113,6 +118,71 @@ def test_train_dims_must_start_with_embedding_dimension(fixtures, tmp_path, caps
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+@pytest.mark.parametrize("head_dims", ["10,1", "8,2"])
+def test_train_head_dims_must_start_at_2k_and_end_at_1(fixtures, tmp_path, capsys,
+                                                        head_dims):
+    assert run(["train", "--mode", "classifier-system",
+                "--embeddings", str(fixtures["embeddings"]),
+                "--pairs", str(fixtures["pairs"]), "--dims", "20,8,4",
+                "--head-dims", head_dims, "--epochs", "1",
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"usage-error: --head-dims [{head_dims.replace(',', ', ')}] must "
+                   "start at 2k = 8 and end at 1\n")
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def _ints(text):
+    """``text`` as a list of ints, [] when empty, None when not a list of ints."""
+    try:
+        return [int(t) for t in text.split(",")] if text else []
+    except ValueError:
+        return None
+
+
+def _rejected_flag(dims_text, head_text, m=20):
+    """The flag a classifier-system ``train`` on m-d vectors must reject, or
+    None when both texts are valid; checked in the order the CLI checks."""
+    dims, head = _ints(dims_text), _ints(head_text)
+    for flag, parsed in (("--dims", dims), ("--head-dims", head)):
+        if parsed is None or any(d < 1 for d in parsed):
+            return flag
+    dims = dims or [m, 128, 40]
+    if dims[0] != m or dims[-1] >= m:
+        return "--dims"
+    if head and (head[0] != 2 * dims[-1] or head[-1] != 1):
+        return "--head-dims"
+    return None
+
+
+_dims_text = st.lists(
+    st.one_of(st.integers(0, 64).map(str),
+              st.sampled_from(["20", "10", "5", "1", "", "x", "1.5", "-3", " 7"])),
+    max_size=4).map(",".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dims_text, _dims_text)
+@example("20,5", "8,1")
+@example("20,5", "10,1")
+@example("20,64,5", "10,64,1")
+def test_train_dims_flags_fuzz(fixtures, dims_text, head_text):
+    expected = _rejected_flag(dims_text, head_text)
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(stderr):
+        code = run(["train", "--mode", "classifier-system",
+                    "--embeddings", str(fixtures["embeddings"]),
+                    "--pairs", str(fixtures["pairs"]),
+                    f"--dims={dims_text}", f"--head-dims={head_text}",
+                    "--epochs", "1", "--out", out, "--quiet"])
+    err = stderr.getvalue()
+    assert code == (0 if expected is None else 1), err
+    if expected is not None:
+        assert err.startswith("usage-error:") and expected in err
+        other = "--head-dims" if expected == "--dims" else "--dims"
+        assert other not in err
+
+
 @pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
 def test_train_default_dims_must_contract(fixtures, tmp_path, capsys, mode):
     # the default map [m, 128, 40] does not contract 20-d vectors
@@ -143,8 +213,8 @@ def test_split_command(fixtures, tmp_path):
     out = tmp_path / "split"
     assert run(["split", "--pairs", str(fixtures["pairs"]),
                 "--out", str(out), "--quiet"]) == 0
-    train = load_pairs(open(out / "train.tsv").read())
-    test = load_pairs(open(out / "test.tsv").read())
+    train = load_pairs((out / "train.tsv").read_text())
+    test = load_pairs((out / "test.tsv").read_text())
     assert not (train.vocabulary() & test.vocabulary())
     summary = json.loads((out / "split.json").read_text())
     assert summary["train_pairs"] == len(train)

@@ -135,7 +135,7 @@ def corpus_setup():
     data = TextDataset(records=docs, name="toy")
     dup = EmbeddingTable(dimension=world.table.dimension,
                          words=list(world.table.words),
-                         matrix=world.table.matrix.copy(), source_label="dup")
+                         matrix=world.table.matrix.copy())
     rawraw = concat_embeddings(world.table, dup)
     return world.table, rawraw, data
 

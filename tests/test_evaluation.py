@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from contrastmap.embeddings import EmbeddingTable, cosine_distance
-from contrastmap.evaluation import (LINEAR_DEFAULTS, PairClassifierModel,
-                                    _pair_features, build_accuracy_table,
-                                    classify_accuracy, distance_report,
-                                    extreme_pairs,
-                                    featurize_pair, predict_proba,
-                                    shift_report, train_boosted, train_linear)
+from contrastmap.boosting import boosted_proba, train_boosted_trees
+from contrastmap.evaluation import (LINEAR_DEFAULTS, _pair_features,
+                                    build_accuracy_table, classify_accuracy,
+                                    distance_report, extreme_pairs,
+                                    featurize_pair, shift_report, train_linear)
 from contrastmap.network import _sigmoid, init_params
 from contrastmap.pairs import ANTONYM, SYNONYM, LabeledPair, PairSet, split_pairs
 from contrastmap.synthetic import planted_world
@@ -22,6 +21,12 @@ def _table(entries):
     """A table with one row per (word, values) entry."""
     return EmbeddingTable(dimension=len(entries[0][1]), words=[w for w, _ in entries],
                           matrix=np.array([v for _, v in entries], dtype=float))
+
+
+def _linear(model):
+    """The probability function of a linear model ``(w, b)``."""
+    w, b = model
+    return lambda X: _sigmoid(X @ w + b)
 
 
 def _pairs(*specs):
@@ -224,7 +229,7 @@ def _reference_train_linear(X, y, config):
         gb = err.sum()
         w -= cfg["lr"] * gw
         b -= cfg["lr"] * gb
-    return PairClassifierModel(kind="linear", feature_dimension=d, weights=w, bias=b)
+    return w, b
 
 
 @pytest.fixture(scope="module")
@@ -256,14 +261,15 @@ def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config):
     (X, y), (X_test, y_test) = pair_spaces[space]
     model = train_linear(X, y, config)
     reference = _reference_train_linear(X, y.astype(float), config)
+    (w, b), (w_ref, b_ref) = model, reference
     d = X.shape[1] // 2
-    assert model.feature_dimension == reference.feature_dimension == 2 * d
-    assert np.array_equal(model.weights[:d], model.weights[d:])
-    got = np.append(model.weights, model.bias)
-    want = np.append(reference.weights, reference.bias)
+    assert len(w) == len(w_ref) == 2 * d
+    assert np.array_equal(w[:d], w[d:])
+    got = np.append(w, b)
+    want = np.append(w_ref, b_ref)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert (classify_accuracy(model, X_test, y_test)
-            == classify_accuracy(reference, X_test, y_test))
+    assert (classify_accuracy(_linear(model), X_test, y_test)
+            == classify_accuracy(_linear(reference), X_test, y_test))
 
 
 def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces):
@@ -272,10 +278,10 @@ def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces):
     flipped = y.copy()
     flipped[1] = 1.0 - flipped[1]  # one pair whose two rows disagree
     for features, labels in [(X[:, :9], y), (X[:-1], y[:-1]), (X, flipped)]:
-        model = train_linear(features, labels)
-        reference = _reference_train_linear(features, labels, None)
-        assert model.weights.tobytes() == reference.weights.tobytes()
-        assert model.bias == reference.bias
+        w, b = train_linear(features, labels)
+        w_ref, b_ref = _reference_train_linear(features, labels, None)
+        assert w.tobytes() == w_ref.tobytes()
+        assert b == b_ref
 
 
 def test_train_linear_separable():
@@ -284,7 +290,7 @@ def test_train_linear_separable():
     y = (X[:, 0] > 0).astype(float)
     X[:, 0] += np.where(y == 1, 1.0, -1.0)  # widen the margin
     model = train_linear(X, y)
-    pred = (predict_proba(model, X) >= 0.5).astype(float)
+    pred = (_linear(model)(X) >= 0.5).astype(float)
     assert np.mean(pred == y) == 1.0
 
 
@@ -292,8 +298,9 @@ def test_train_linear_zero_epochs():
     X = np.array([[1.0], [-1.0]])
     y = np.array([1.0, 0.0])
     model = train_linear(X, y, {"epochs": 0})
-    assert np.all(model.weights == 0.0) and model.bias == 0.0
-    assert np.all(predict_proba(model, X) == 0.5)
+    w, b = model
+    assert np.all(w == 0.0) and b == 0.0
+    assert np.all(_linear(model)(X) == 0.5)
 
 
 def test_train_linear_single_class():
@@ -307,8 +314,8 @@ def test_linear_threshold_invariant_to_positive_rescaling():
     y = (X @ np.array([1.0, -2.0, 0.5]) > 0).astype(float)
     m1 = train_linear(X, y, {"l2": 0.0})
     m2 = train_linear(10.0 * X, y, {"l2": 0.0, "lr": 0.001})
-    p1 = (predict_proba(m1, X) >= 0.5)
-    p2 = (predict_proba(m2, 10.0 * X) >= 0.5)
+    p1 = (_linear(m1)(X) >= 0.5)
+    p2 = (_linear(m2)(10.0 * X) >= 0.5)
     assert np.mean(p1 == p2) > 0.95  # decision agreement, not value equality
 
 
@@ -318,10 +325,10 @@ def test_classify_accuracy_perfect_and_constant():
     X = np.concatenate([X, X], axis=1)  # symmetric pair features
     y = (X[:, 0] > 0).astype(int)
     model = train_linear(X, y.astype(float))
-    assert classify_accuracy(model, X, y) > 0.9
+    assert classify_accuracy(_linear(model), X, y) > 0.9
     constant = train_linear(X, y.astype(float), {"epochs": 0})
     # all probabilities 0.5 -> every prediction is "positive"
-    assert classify_accuracy(constant, X, y) == pytest.approx(np.mean(y == 1))
+    assert classify_accuracy(_linear(constant), X, y) == pytest.approx(np.mean(y == 1))
 
 
 def test_classify_accuracy_order_invariance():
@@ -331,8 +338,9 @@ def test_classify_accuracy_order_invariance():
     X = np.concatenate([U, V], axis=1)
     X_swapped = np.concatenate([V, U], axis=1)
     y = rng.integers(0, 2, size=30)
-    model = train_boosted(X, y.astype(float), {"rounds": 10})
-    assert classify_accuracy(model, X, y) == classify_accuracy(model, X_swapped, y)
+    trees = train_boosted_trees(X, y.astype(float), rounds=10)
+    proba = lambda X: boosted_proba(trees, X)
+    assert classify_accuracy(proba, X, y) == classify_accuracy(proba, X_swapped, y)
 
 
 def test_build_accuracy_table_leakage():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from contrastmap.network import (DivergenceError, MlpParams, TripletBatch,
-                                 _sigmoid, forward, init_head_params,
-                                 init_optimizer, init_params, load_params,
+                                 _sigmoid, forward, init_optimizer,
+                                 init_params, load_params,
                                  optimizer_step, pair_head_logits,
                                  pair_head_loss_backward, save_params,
                                  triplet_backward, triplet_loss)
@@ -66,12 +66,6 @@ def test_init_deterministic():
 def test_init_not_a_contraction():
     with pytest.raises(ValueError, match="not a contraction"):
         init_params([4, 8])
-
-
-def test_head_init_requires_single_logit():
-    init_head_params([8, 32, 1])  # expansion allowed for the head
-    with pytest.raises(ValueError, match="one logit"):
-        init_head_params([8, 32, 2])
 
 
 # --- forward ------------------------------------------------------------------
@@ -276,7 +270,7 @@ def _per_array_adam(arrays, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
 @pytest.mark.parametrize("dims,lr", [([50, 128, 64, 4], 1e-3), ([8, 32, 1], 0.05)])
 def test_flat_optimizer_matches_per_array_reference_bit_for_bit(dims, lr):
     rng = np.random.default_rng(14)
-    params = init_params(dims, seed=3) if dims[-1] > 1 else init_head_params(dims, seed=3)
+    params = init_params(dims, seed=3)
     state = init_optimizer(params, learning_rate=lr)
     arrays = _split(params.flat, dims)
     m = [np.zeros_like(a) for a in arrays]
@@ -380,7 +374,7 @@ def test_sigmoid_matches_masked_version_bit_for_bit():
 # --- pair head ----------------------------------------------------------------
 
 def test_pair_head_zero_weights():
-    head = init_head_params([4, 3, 1], seed=0)
+    head = init_params([4, 3, 1], seed=0)
     for w in head.weights:
         w[:] = 0.0
     logits = pair_head_logits(head, np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
@@ -388,7 +382,7 @@ def test_pair_head_zero_weights():
 
 
 def test_pair_head_probability_range():
-    head = init_head_params([4, 3, 1], seed=1)
+    head = init_params([4, 3, 1], seed=1)
     rng = np.random.default_rng(8)
     U, V = rng.standard_normal((20, 2)) * 100, rng.standard_normal((20, 2)) * 100
     p = _sigmoid(pair_head_logits(head, U, V))
@@ -397,7 +391,7 @@ def test_pair_head_probability_range():
 
 def test_pair_head_gradient_matches_finite_differences():
     rng = np.random.default_rng(9)
-    head = init_head_params([8, 5, 1], seed=2)
+    head = init_params([8, 5, 1], seed=2)
     U = rng.standard_normal((6, 4))
     V = rng.standard_normal((6, 4))
     y = rng.integers(0, 2, size=6).astype(float)

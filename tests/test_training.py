@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from contrastmap.embeddings import EmbeddingTable
-from contrastmap.network import (TripletBatch, _sigmoid, init_head_params,
+from contrastmap.network import (TripletBatch, _sigmoid, init_params,
                                  pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
-from contrastmap.training import (CLASSIFIER_SYSTEM, TrainConfig,
+from contrastmap.training import (CLASSIFIER_SYSTEM, TrainConfig, _head_dims,
                                   concat_embeddings, resolve_triplets,
                                   train_baseline, train_classifier_system,
                                   transform_vocabulary)
@@ -126,7 +126,7 @@ def test_all_unresolvable_errors(small_world):
 
 
 def test_zero_frozen_head_gives_no_map_signal():
-    head = init_head_params([8, 4, 1], seed=0)
+    head = init_params([8, 4, 1], seed=0)
     for w in head.weights:
         w[:] = 0.0
     rng = np.random.default_rng(0)
@@ -179,7 +179,6 @@ def test_transform_identity_map():
 
 
 def test_transform_dimension_mismatch():
-    from contrastmap.network import init_params
     table = _table([("a", [1.0, 2.0])])
     with pytest.raises(ValueError, match="input dimension 2 != 3"):
         transform_vocabulary(init_params([3, 2], seed=0), table)
@@ -220,6 +219,15 @@ def test_layer_dims_must_start_with_embedding_dimension(small_world):
         with pytest.raises(ValueError, match=r"\[50, 8, 50\] must end below the embedding "
                                              "dimension 50"):
             train(world.table, triplets, config)
+
+
+def test_head_dims_start_at_2k_and_end_at_one_logit():
+    assert _head_dims(4, None) == [8, 32, 1]
+    assert _head_dims(4, [8, 64, 1]) == [8, 64, 1]  # expansion allowed for the head
+    for dims in ([8, 32, 2], [10, 1], [8]):
+        with pytest.raises(ValueError, match=rf"head_dims \[{dims[0]}.* must start at "
+                                             r"2k = 8 and end at 1"):
+            _head_dims(4, dims)
 
 
 def test_concat_disjoint_errors():
