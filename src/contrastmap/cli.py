@@ -216,7 +216,10 @@ def _cmd_train(args, run: _Run) -> None:
 
 def _cmd_transform(args, run: _Run) -> None:
     with run.open("model") as f:
-        params = load_params(f)
+        try:
+            params = load_params(f)
+        except (ValueError, TypeError) as exc:  # bad JSON or a malformed document
+            raise ValueError(f"--model {args.model}: {exc}") from None
     table = run.table("embeddings")
     new = transform_vocabulary(params, table)
     concat = concat_embeddings(table, new)

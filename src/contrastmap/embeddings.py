@@ -6,7 +6,9 @@ optional ``count dim`` header line. Only this text format is supported; the
 binary Word2Vec format must be converted externally.
 
 The reader converts each row's values with one ``np.array(tokens,
-dtype=float64)`` call, which parses every token by Python's ``float`` rules.
+dtype=float64)`` call, which parses every token by Python's ``float`` rules,
+and writes each accepted row straight into one growing matrix, so a parse
+peaks near 1.5 times its matrix rather than holding every row twice.
 Given a ``vocabulary``, it converts only the rows a caller will look up:
 after the first accepted row (which fixes the dimension and is always kept),
 a row whose word is outside the vocabulary is passed over unsplit,
@@ -18,6 +20,7 @@ integral values without their trailing ``.0``.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 from typing import IO, Container, Iterable
 
@@ -80,7 +83,10 @@ def _is_header(tokens: list[str]) -> bool:
 
 def _unusable(vec: np.ndarray) -> bool:
     """A non-finite value, or a norm of zero (also when tiny values underflow)."""
-    return not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0
+    with np.errstate(over="ignore"):  # huge finite values square to inf
+        if 0.0 < vec @ vec < np.inf:  # the dot np.linalg.norm takes: a usual row
+            return False
+        return not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0
 
 
 def parse_embedding_text(stream: str | IO[str] | Iterable[str],
@@ -98,46 +104,53 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     for words in it; the others are neither converted nor counted.
     """
     words: list[str] = []
-    rows: list[np.ndarray] = []
     index: dict[str, int] = {}
     duplicates = 0
     skipped = 0
     dim: int | None = None
 
-    for n, raw_line in enumerate(_as_lines(stream)):
-        line = raw_line.rstrip("\r\n")
-        if dim is not None and vocabulary is not None:
-            head = line.split(None, 1)
-            if head and head[0] not in vocabulary:
+    def accepted_rows():
+        nonlocal duplicates, skipped, dim
+        for n, raw_line in enumerate(_as_lines(stream)):
+            line = raw_line.rstrip("\r\n")
+            if dim is not None and vocabulary is not None:
+                head = line.split(None, 1)
+                if head and head[0] not in vocabulary:
+                    continue
+            tokens = line.split()
+            if not tokens or (n == 0 and _is_header(tokens)):
                 continue
-        tokens = line.split()
-        if not tokens or (n == 0 and _is_header(tokens)):
-            continue
-        try:
-            if len(tokens) < 2 or dim not in (None, len(tokens) - 1):
-                raise ValueError("wrong arity")
-            vec = np.array(tokens[1:], dtype=np.float64)
-        except ValueError as exc:
-            if dim is None:  # no row has fixed the dimension yet
-                raise EmbeddingParseError("bad format") from exc
-            skipped += 1
-            continue
-        if _unusable(vec):
-            skipped += 1  # a rejected first row leaves the dimension open
-            continue
-        dim = len(vec)
-        word = tokens[0]
-        if word in index:
-            duplicates += 1
-            continue
-        index[word] = len(words)
-        words.append(word)
-        rows.append(vec)
+            try:
+                if len(tokens) < 2 or dim not in (None, len(tokens) - 1):
+                    raise ValueError("wrong arity")
+                vec = np.array(tokens[1:], dtype=np.float64)
+            except ValueError as exc:
+                if dim is None:  # no row has fixed the dimension yet
+                    raise EmbeddingParseError("bad format") from exc
+                skipped += 1
+                continue
+            if _unusable(vec):
+                skipped += 1  # a rejected first row leaves the dimension open
+                continue
+            dim = len(vec)
+            word = tokens[0]
+            if word in index:
+                duplicates += 1
+                continue
+            index[word] = len(words)
+            words.append(word)
+            yield vec
 
-    if not rows:
+    rows = accepted_rows()
+    first = next(rows, None)  # fixes the dimension
+    if first is None:
         raise EmbeddingParseError("no vectors")
-    return EmbeddingTable(dimension=dim, words=words, matrix=np.vstack(rows),
-                          duplicate_warnings=duplicates, skipped_rows=skipped)
+    # each row goes straight into one growing buffer: no row is held twice
+    matrix = np.fromiter(itertools.chain([first], rows),
+                         dtype=np.dtype((np.float64, (dim,))))
+    return EmbeddingTable(dimension=dim, words=words, matrix=matrix,
+                          duplicate_warnings=duplicates, skipped_rows=skipped,
+                          _index=index)
 
 
 def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:

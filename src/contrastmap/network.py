@@ -298,8 +298,14 @@ def params_to_dict(params: MlpParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> MlpParams:
+    if not isinstance(doc, dict):
+        raise ValueError(f"model is a JSON {type(doc).__name__}, not an object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {doc.get('format_version')!r}")
+    missing = [k for k in ("layer_dims", "hidden_activation", "weights", "biases")
+               if k not in doc]
+    if missing:
+        raise ValueError(f"model lacks {', '.join(missing)}")
     dims = [int(d) for d in doc["layer_dims"]]
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]

@@ -17,6 +17,7 @@ from .pairs import Triplet
 
 BASELINE = "baseline"
 CLASSIFIER_SYSTEM = "classifier_system"
+CONCAT_BLOCK_BYTES = 1 << 22  # rows gathered per copy by concat_embeddings
 
 
 @dataclass
@@ -250,15 +251,23 @@ def transform_vocabulary(contrast_map: MlpParams,
 
 
 def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTable:
-    """Per-word concatenation [raw; new] over the common vocabulary."""
+    """Per-word concatenation [raw; new] over the common vocabulary.
+
+    The result is allocated once and filled in row blocks of about
+    ``CONCAT_BLOCK_BYTES``, so the copies it gathers stay that small.
+    """
     rows = new.indices(raw.words)
-    found = rows >= 0
-    common = [w for w, f in zip(raw.words, found) if f]
+    found = np.flatnonzero(rows >= 0)
+    common = [raw.words[i] for i in found]
     if not common:
         raise ValueError("no common vocabulary")
-    table = EmbeddingTable(dimension=raw.dimension + new.dimension,
-                           words=common,
-                           matrix=np.concatenate([raw.matrix[found],
-                                                  new.matrix[rows[found]]], axis=1))
+    d, width = raw.dimension, raw.dimension + new.dimension
+    matrix = np.empty((len(common), width))
+    step = max(1, CONCAT_BLOCK_BYTES // matrix[0].nbytes)
+    for start in range(0, len(common), step):
+        block = found[start:start + step]
+        matrix[start:start + step, :d] = raw.matrix[block]
+        matrix[start:start + step, d:] = new.matrix[rows[block]]
+    table = EmbeddingTable(dimension=width, words=common, matrix=matrix)
     table.skipped_rows = (len(raw) - len(common)) + (len(new) - len(common))
     return table

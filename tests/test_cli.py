@@ -209,6 +209,23 @@ def test_bad_pairs_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("model", [
+    "word\t1 2\n",
+    "[1, 2]\n",
+    '{"format_version": 1, "layer_dims": [3, 2]}\n',
+    '{"format_version": 1, "layer_dims": 3, "hidden_activation": "tanh", '
+    '"weights": [], "biases": []}\n',
+], ids=["not-json", "json-list", "missing-keys", "dims-not-a-list"])
+def test_bad_model_file_exit_2(fixtures, tmp_path, capsys, model):
+    path = tmp_path / "model.json"
+    path.write_text(model)
+    code = run(["transform", "--model", str(path), "--embeddings", str(fixtures["embeddings"]),
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"input-error: --model {path}: ")
+    assert not (tmp_path / "out" / "transformed.txt").exists()
+
+
 def test_split_command(fixtures, tmp_path):
     out = tmp_path / "split"
     assert run(["split", "--pairs", str(fixtures["pairs"]),

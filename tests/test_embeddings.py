@@ -1,5 +1,6 @@
 """Tests for the embedding table: parsing, serialization, cosine distance."""
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,9 +55,10 @@ def test_parse_bad_first_line():
 
 
 def test_parse_skips_malformed_rows():
-    stream = "cat 1 0\ndog 1\nfish 0 0\nbird nan 1\nfox 2 2\n"
+    # "big" squares to inf but is finite: kept, without an overflow warning
+    stream = "cat 1 0\ndog 1\nfish 0 0\nbird nan 1\nfox 2 2\nbig 1e200 1e200\n"
     table = parse_embedding_text(stream)
-    assert list(table.words) == ["cat", "fox"]
+    assert list(table.words) == ["cat", "fox", "big"]
     assert table.skipped_rows == 3  # wrong arity, zero norm, non-finite
 
 
@@ -164,6 +166,24 @@ def test_parser_fuzz_never_violates_invariants(blob):
     assert table.matrix.shape == (len(table.words), table.dimension)
     assert np.all(np.isfinite(table.matrix))
     assert np.all(np.linalg.norm(table.matrix, axis=1) > 0.0)
+
+
+def test_parse_peak_memory_stays_under_1_75_times_the_matrix(tmp_path):
+    rng = np.random.default_rng(0)
+    table = EmbeddingTable(dimension=100, words=[f"w{i}" for i in range(3000)],
+                           matrix=rng.standard_normal((3000, 100)))
+    path = tmp_path / "vectors.txt"
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        write_embedding_text(table, f)
+    with open(path, encoding="utf-8") as f:
+        tracemalloc.start()
+        try:
+            parsed = parse_embedding_text(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert parsed.matrix.tobytes() == table.matrix.tobytes()
+    assert peak < 1.75 * parsed.matrix.nbytes
 
 
 def test_indices():
@@ -280,7 +300,6 @@ def test_parse_matches_per_token_reference(text):
     assert _outcome(parse_embedding_text, text) == _outcome(_reference_parse, text)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300)
 @given(vector_streams, st.sets(st.sampled_from(WORDS)))
 def test_parse_with_vocabulary_is_restricted_full_parse(text, vocabulary):

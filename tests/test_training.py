@@ -1,5 +1,7 @@
 """Tests for end-to-end training, the classifier-head ablation, and the
 transformed / concatenated table plumbing."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from contrastmap.network import (TripletBatch, _sigmoid, init_params,
                                  pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
-from contrastmap.training import (CLASSIFIER_SYSTEM, TrainConfig, _head_dims,
-                                  concat_embeddings, resolve_triplets,
+from contrastmap.training import (CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTES, TrainConfig,
+                                  _head_dims, concat_embeddings, resolve_triplets,
                                   train_baseline, train_classifier_system,
                                   transform_vocabulary)
 
@@ -206,6 +208,43 @@ def test_concat_matches_per_word_loop():
     assert out.words == common
     assert out.matrix.tobytes() == ref.tobytes()
     assert out.skipped_rows == (30 - len(common)) + (len(picked) - len(common))
+
+
+def _raw_and_reordered_subset(rows, d_raw, d_new, seed):
+    """A raw table and a ``new`` table over a shuffled strict subset of its words."""
+    rng = np.random.default_rng(seed)
+    raw = EmbeddingTable(dimension=d_raw, words=[f"w{i}" for i in range(rows)],
+                         matrix=rng.standard_normal((rows, d_raw)))
+    subset = rng.permutation(rows)[:rows - rows // 7]
+    new = EmbeddingTable(dimension=d_new, words=[raw.words[i] for i in subset],
+                         matrix=rng.standard_normal((len(subset), d_new)))
+    return raw, new
+
+
+def test_concat_matches_whole_table_gather_across_row_blocks():
+    block_rows = CONCAT_BLOCK_BYTES // (8 * (60 + 4))
+    raw, new = _raw_and_reordered_subset(4 * block_rows, 60, 4, seed=5)
+    out = concat_embeddings(raw, new)
+    assert 3 * block_rows < len(out) < 4 * block_rows  # the last block is partial
+    # the formula concat_embeddings used before it filled row blocks
+    index = new.indices(raw.words)
+    found = index >= 0
+    ref = np.concatenate([raw.matrix[found], new.matrix[index[found]]], axis=1)
+    assert out.words == [w for w, f in zip(raw.words, found) if f]
+    assert out.matrix.tobytes() == ref.tobytes()
+    assert out.skipped_rows == (len(raw) - len(out)) + (len(new) - len(out))
+
+
+def test_concat_peak_memory_stays_under_1_5_times_the_result():
+    raw, new = _raw_and_reordered_subset(20000, 100, 10, seed=6)
+    tracemalloc.start()
+    try:
+        out = concat_embeddings(raw, new)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(new)
+    assert peak < 1.5 * out.matrix.nbytes
 
 
 def test_layer_dims_must_start_with_embedding_dimension(small_world):
