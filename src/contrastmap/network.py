@@ -111,51 +111,50 @@ def init_params(layer_dims: list[int], hidden_activation: str = "tanh",
     return params
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
-
-
-def _activate_grad(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return 1.0 - a * a
-    return (z > 0.0).astype(np.float64)
-
-
 def _forward_cached(params: MlpParams, X: np.ndarray):
-    """Batched forward pass; returns (output, per-layer cache)."""
+    """Batched forward pass; returns (output, per-layer cache of (input, output))."""
     a = X
     cache = []
     last = len(params.weights) - 1
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ W.T + b
-        out = z if i == last else _activate(z, params.hidden_activation)
-        cache.append((a, z, out))
-        a = out
+        z = a @ W.T
+        z += b
+        if i != last:
+            if params.hidden_activation == "tanh":
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
+        cache.append((a, z))
+        a = z
     return a, cache
 
 
-def _backward(params: MlpParams, cache, dout: np.ndarray):
+def _backward(params: MlpParams, cache, dout: np.ndarray, grad: np.ndarray | None = None):
     """Backprop ``dout`` (n, k) through the cached forward pass.
 
-    Returns (grad, dZ0): ``grad`` is a new vector in the layout of
-    ``params.flat`` and dZ0 the gradient wrt the first layer's pre-activation.
+    Returns (grad, dZ0): the parameter gradient, in the layout of
+    ``params.flat``, is added into ``grad`` (a new zero vector when None), and
+    dZ0 is the gradient wrt the first layer's pre-activation.
     The input gradient is ``dZ0 @ params.weights[0]``; a map branch never
     needs it, so it is left to the caller that does.
     """
-    grad = MlpParams(params.layer_dims, np.empty_like(params.flat),
-                     params.hidden_activation)
+    grad = np.zeros_like(params.flat) if grad is None else grad
+    g = MlpParams(params.layer_dims, grad, params.hidden_activation)
     last = len(params.weights) - 1
     delta = dout
     for i in range(last, -1, -1):
-        a_in, z, a_out = cache[i]
+        a_in, a_out = cache[i]
         if i != last:
-            delta = (delta @ params.weights[i + 1]) * _activate_grad(
-                z, a_out, params.hidden_activation)
-        grad.weights[i][...] = delta.T @ a_in
-        grad.biases[i][...] = delta.sum(axis=0)
-    return grad.flat, delta
+            delta = delta @ params.weights[i + 1]
+            if params.hidden_activation == "tanh":
+                slope = a_out * a_out
+                delta *= np.subtract(1.0, slope, out=slope)
+            else:
+                delta *= a_out > 0.0  # equals z > 0, NaN included
+        gw, gb = g.weights[i], g.biases[i]
+        gw += delta.T @ a_in
+        gb += delta.sum(axis=0)
+    return grad, delta
 
 
 def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
@@ -206,18 +205,14 @@ def triplet_backward(params: MlpParams, batch: TripletBatch) -> tuple[float, np.
     add into one vector in the layout of ``params.flat``.
     """
     n = len(batch)
-    Zw, cw = _forward_cached(params, batch.anchors)
-    Zs, cs_cache = _forward_cached(params, batch.synonyms)
-    Za, ca_cache = _forward_cached(params, batch.antonyms)
+    (Zw, cw), (Zs, cs_cache), (Za, ca_cache) = (
+        _forward_cached(params, X) for X in (batch.anchors, batch.synonyms, batch.antonyms))
     cs, dcs_dw, dcs_ds = _row_cosines(Zw, Zs)
     ca, dca_dw, dca_da = _row_cosines(Zw, Za)
     loss = float(np.mean((1.0 - cs) + (1.0 + ca)))
-    dZw = (dca_dw - dcs_dw) / n
-    dZs = -dcs_ds / n
-    dZa = dca_da / n
-    grad = _backward(params, cw, dZw)[0]
-    grad += _backward(params, cs_cache, dZs)[0]
-    grad += _backward(params, ca_cache, dZa)[0]
+    grad = _backward(params, cw, (dca_dw - dcs_dw) / n)[0]
+    _backward(params, cs_cache, -dcs_ds / n, grad)
+    _backward(params, ca_cache, dca_da / n, grad)
     return loss, grad
 
 

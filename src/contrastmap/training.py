@@ -69,18 +69,23 @@ class TrainReport:
 
 
 def resolve_triplets(table: EmbeddingTable, triplets: list[Triplet]):
-    """Resolve triplet words to vector rows; unresolvable triplets are dropped.
-
-    Returns (anchors, synonyms, antonyms) as (n, m) arrays plus the drop count.
+    """Resolve triplet words to rows of ``table.matrix``, dropping unresolvable
+    triplets. Returns (anchors, synonyms, antonyms) as aligned int row-index
+    arrays plus the drop count. Training gathers each batch's vectors through
+    them, so its memory follows the table and the batch, not the triplet count.
     """
-    columns = [table.indices([t.anchor for t in triplets]),
-               table.indices([t.synonym for t in triplets]),
-               table.indices([t.antonym for t in triplets])]
-    resolved = (columns[0] >= 0) & (columns[1] >= 0) & (columns[2] >= 0)
+    rows = np.array([table.indices([t.anchor for t in triplets]),
+                     table.indices([t.synonym for t in triplets]),
+                     table.indices([t.antonym for t in triplets])])
+    resolved = (rows >= 0).all(axis=0)
     if not resolved.any():
         raise ValueError("no resolvable triplets")
-    rows = tuple(table.matrix[c[resolved]] for c in columns)
-    return rows, len(triplets) - int(np.count_nonzero(resolved))
+    return tuple(rows[:, resolved]), len(triplets) - int(np.count_nonzero(resolved))
+
+
+def _gather(table: EmbeddingTable, rows, idx: np.ndarray):
+    """The vectors of triplets ``idx``, per column, one (len(idx), m) array at a time."""
+    return (table.matrix[r[idx]] for r in rows)
 
 
 def _split_validation(n: int, fraction: float, rng: np.random.Generator):
@@ -174,18 +179,18 @@ def train_baseline(table: EmbeddingTable, triplets: list[Triplet],
     if config.mode != BASELINE:
         raise ValueError("config.mode must be 'baseline'")
     start = time.perf_counter()
-    (W, S, A), dropped = resolve_triplets(table, triplets)
+    rows, dropped = resolve_triplets(table, triplets)
     dims = _default_dims(table.dimension, config.layer_dims)
     params = init_params(dims, config.hidden_activation, seed=config.seed)
 
     def step(models, idx):
-        loss, grad = triplet_backward(models[0], TripletBatch(W[idx], S[idx], A[idx]))
+        loss, grad = triplet_backward(models[0], TripletBatch(*_gather(table, rows, idx)))
         return loss, [grad]
 
     def val_loss(models, idx):
-        return triplet_loss(models[0], TripletBatch(W[idx], S[idx], A[idx]))
+        return triplet_loss(models[0], TripletBatch(*_gather(table, rows, idx)))
 
-    (best,), report = _fit([params], step, val_loss, len(W), config, start, dropped)
+    (best,), report = _fit([params], step, val_loss, len(rows[0]), config, start, dropped)
     return best, report
 
 
@@ -207,7 +212,7 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
     if config.mode != CLASSIFIER_SYSTEM:
         raise ValueError("config.mode must be 'classifier_system'")
     start = time.perf_counter()
-    (W, S, A), dropped = resolve_triplets(table, triplets)
+    rows, dropped = resolve_triplets(table, triplets)
     dims = _default_dims(table.dimension, config.layer_dims)
     head_dims = _head_dims(dims[-1], config.head_dims)
     params = init_params(dims, config.hidden_activation, seed=config.seed)
@@ -216,21 +221,23 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
     def step(models, idx):
         params, head = models
         n = len(idx)
-        (Zw, cw), (Zs, cs), (Za, ca) = (_forward_cached(params, X[idx]) for X in (W, S, A))
+        (Zw, cw), (Zs, cs), (Za, ca) = (_forward_cached(params, X)
+                                        for X in _gather(table, rows, idx))
         U, V, y = _head_pairs(Zw, Zs, Za)
         loss, head_grad, dU, dV = pair_head_loss_backward(head, U, V, y)
         grad = _backward(params, cw, dU[:n] + dU[n:])[0]
-        grad += _backward(params, cs, dV[:n])[0]
-        grad += _backward(params, ca, dV[n:])[0]
+        _backward(params, cs, dV[:n], grad)
+        _backward(params, ca, dV[n:], grad)
         return loss, [grad, head_grad]
 
     def val_loss(models, idx):
-        # one branch's forward cache at a time: the held-out rows are many
-        U, V, y = _head_pairs(*(_forward_cached(models[0], X[idx])[0] for X in (W, S, A)))
+        # one branch's gather and forward cache at a time: the held-out rows are many
+        U, V, y = _head_pairs(*(_forward_cached(models[0], X)[0]
+                                for X in _gather(table, rows, idx)))
         z = pair_head_logits(models[1], U, V)
         return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
-    (best_params, best_head), report = _fit([params, head], step, val_loss, len(W),
+    (best_params, best_head), report = _fit([params, head], step, val_loss, len(rows[0]),
                                             config, start, dropped)
     return best_params, best_head, report
 

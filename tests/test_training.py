@@ -5,12 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from contrastmap import training
 from contrastmap.embeddings import EmbeddingTable
-from contrastmap.network import (TripletBatch, _sigmoid, init_params,
-                                 pair_head_logits, pair_head_loss_backward)
+from contrastmap.network import (MlpParams, TripletBatch, _row_cosines, _sigmoid,
+                                 init_params, pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
-from contrastmap.training import (CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTES, TrainConfig,
+from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTES, TrainConfig,
                                   _head_dims, concat_embeddings, resolve_triplets,
                                   train_baseline, train_classifier_system,
                                   transform_vocabulary)
@@ -78,7 +79,8 @@ def test_baseline_training_progress(small_world):
         or min(report.val_losses) < 0.5 * report.val_losses[0]
     # held-out triplets separate with margin in the new space
     test_triplets = build_triplets(split.test, seed=1)
-    (W, S, A), _ = resolve_triplets(world.table, test_triplets)
+    rows, _ = resolve_triplets(world.table, test_triplets)
+    W, S, A = (world.table.matrix[r] for r in rows)
     from contrastmap.network import forward
     Zw, Zs, Za = forward(params, W), forward(params, S), forward(params, A)
 
@@ -105,19 +107,24 @@ def test_resolve_triplets_matches_per_triplet_loop(small_world):
     mixed = ([Triplet("missing", anchor, anchor)] + triplets[:50]
              + [Triplet(anchor, "gone", anchor), Triplet(anchor, anchor, "absent")]
              + triplets[50:])
-    rows, dropped = [], 0
+    indices, vectors, dropped = [], [], 0
     for t in mixed:  # the per-triplet lookups resolve_triplets used to do
-        vecs = [world.table.lookup(w) for w in (t.anchor, t.synonym, t.antonym)]
+        words = (t.anchor, t.synonym, t.antonym)
+        vecs = [world.table.lookup(w) for w in words]
         if any(v is None for v in vecs):
             dropped += 1
         else:
-            rows.append(vecs)
-    expected = tuple(np.array([r[i] for r in rows]) for i in range(3))
+            indices.append([world.table.words.index(w) for w in words])
+            vectors.append(vecs)
     got, got_dropped = resolve_triplets(world.table, mixed)
     assert got_dropped == dropped == 3
-    for a, b in zip(got, expected):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    assert len(got) == 3
+    for i, rows in enumerate(got):
+        assert rows.dtype.kind == "i"
+        assert rows.tolist() == [r[i] for r in indices]
+        gathered, expected = world.table.matrix[rows], np.array([v[i] for v in vectors])
+        assert gathered.dtype == expected.dtype and gathered.shape == expected.shape
+        assert gathered.tobytes() == expected.tobytes()
 
 
 def test_all_unresolvable_errors(small_world):
@@ -291,3 +298,162 @@ def test_wall_time_excluded_on_request(small_world):
     doc = report.to_dict(include_wall_time=False)
     assert "wall_time" not in doc
     assert "wall_time" in report.to_dict()
+
+
+def test_training_peak_memory_follows_the_batch_not_the_triplet_count():
+    world = planted_world(2000, 50, seed=1)
+    triplets = build_triplets(split_pairs(world.pairs).train, seed=2)
+    m, n, dims, batch = world.table.dimension, len(triplets), [50, 32, 4], 64
+    assert n > 2 * len(world.table)  # many more triplets than words
+    params_bytes = MlpParams(dims).flat.nbytes + MlpParams([8, 32, 1]).flat.nbytes
+    bound = (3 * round(0.1 * n) * m * 8  # the validation gather
+             + 3 * batch * m * 8  # one batch
+             + 16 * params_bytes  # parameters, gradients, best copies, optimizer moments
+             + 4 * 3 * n * 8  # the row indices, the permutations and their transients
+             + (256 << 10))  # slack for small temporaries
+    assert bound < 3 * n * m * 8  # three copied (n, m) triplet matrices alone exceed it
+    for mode, train in ((BASELINE, train_baseline),
+                        (CLASSIFIER_SYSTEM, train_classifier_system)):
+        config = TrainConfig(layer_dims=dims, batch_size=batch, max_epochs=1, seed=3, mode=mode)
+        tracemalloc.start()
+        try:
+            train(world.table, triplets, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (mode, peak, bound)
+
+
+# --- differential tests: the copied triplet matrices and the allocating step
+# that training used before, kept here as references ---------------------------
+
+def _reference_resolve(table, triplets):
+    columns = [table.indices([t.anchor for t in triplets]),
+               table.indices([t.synonym for t in triplets]),
+               table.indices([t.antonym for t in triplets])]
+    resolved = (columns[0] >= 0) & (columns[1] >= 0) & (columns[2] >= 0)
+    return tuple(table.matrix[c[resolved]] for c in columns)
+
+
+def _reference_forward_cached(params, X):
+    a = X
+    cache = []
+    last = len(params.weights) - 1
+    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ W.T + b
+        if i == last:
+            out = z
+        elif params.hidden_activation == "tanh":
+            out = np.tanh(z)
+        else:
+            out = np.maximum(z, 0.0)
+        cache.append((a, z, out))
+        a = out
+    return a, cache
+
+
+def _reference_backward(params, cache, dout):
+    grad = MlpParams(params.layer_dims, np.empty_like(params.flat),
+                     params.hidden_activation)
+    last = len(params.weights) - 1
+    delta = dout
+    for i in range(last, -1, -1):
+        a_in, z, a_out = cache[i]
+        if i != last:
+            slope = (1.0 - a_out * a_out if params.hidden_activation == "tanh"
+                     else (z > 0.0).astype(np.float64))
+            delta = (delta @ params.weights[i + 1]) * slope
+        grad.weights[i][...] = delta.T @ a_in
+        grad.biases[i][...] = delta.sum(axis=0)
+    return grad.flat, delta
+
+
+def _reference_baseline_step(params, W, S, A):
+    n = len(W)
+    Zw, cw = _reference_forward_cached(params, W)
+    Zs, cs_cache = _reference_forward_cached(params, S)
+    Za, ca_cache = _reference_forward_cached(params, A)
+    cs, dcs_dw, dcs_ds = _row_cosines(Zw, Zs)
+    ca, dca_dw, dca_da = _row_cosines(Zw, Za)
+    loss = float(np.mean((1.0 - cs) + (1.0 + ca)))
+    grad = _reference_backward(params, cw, (dca_dw - dcs_dw) / n)[0]
+    grad += _reference_backward(params, cs_cache, -dcs_ds / n)[0]
+    grad += _reference_backward(params, ca_cache, dca_da / n)[0]
+    return loss, [grad]
+
+
+def _reference_classifier_step(params, head, W, S, A):
+    n = len(W)
+    (Zw, cw), (Zs, cs), (Za, ca) = (_reference_forward_cached(params, X) for X in (W, S, A))
+    U, V = np.concatenate([Zw, Zw]), np.concatenate([Zs, Za])
+    y = np.concatenate([np.ones(n), np.zeros(n)])
+    out, cache = _reference_forward_cached(head, np.concatenate([U, V], axis=1))
+    z = out[:, 0]
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    head_grad, dZ0 = _reference_backward(head, cache, ((_sigmoid(z) - y) / (2 * n))[:, None])
+    dX = dZ0 @ head.weights[0]
+    dU, dV = dX[:, :U.shape[1]], dX[:, U.shape[1]:]
+    grad = _reference_backward(params, cw, dU[:n] + dU[n:])[0]
+    grad += _reference_backward(params, cs, dV[:n])[0]
+    grad += _reference_backward(params, ca, dV[n:])[0]
+    return loss, [grad, head_grad]
+
+
+def _training_closures(monkeypatch, table, triplets, mode, activation):
+    """The models, step and val_loss that a training call hands to ``_fit``,
+    with every parameter perturbed so that the biases are nonzero."""
+    seen = {}
+
+    def capture(models, step, val_loss, *_):
+        seen.update(models=models, step=step, val_loss=val_loss)
+        return models, None
+
+    monkeypatch.setattr(training, "_fit", capture)
+    config = _small_config(mode=mode, hidden_activation=activation)
+    (train_baseline if mode == BASELINE else train_classifier_system)(table, triplets, config)
+    rng = np.random.default_rng(7)
+    for model in seen["models"]:
+        model.flat += rng.normal(0.0, 0.1, model.flat.shape)
+    return seen["models"], seen["step"], seen["val_loss"]
+
+
+def _assert_step_matches_reference(models, step, val_loss, mode, triplet_rows, idx):
+    reference = _reference_baseline_step if mode == BASELINE else _reference_classifier_step
+    # as in training: a non-finite loss is an outcome to compare, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grads = step(models, idx)
+        held_out = val_loss(models, idx)
+        ref_loss, ref_grads = reference(*models, *(X[idx] for X in triplet_rows))
+    assert len(grads) == len(ref_grads) == len(models)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert np.float64(held_out).tobytes() == np.float64(ref_loss).tobytes()
+    for g, ref in zip(grads, ref_grads):
+        assert g.dtype == ref.dtype and g.shape == ref.shape
+        assert g.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("mode", [BASELINE, CLASSIFIER_SYSTEM])
+def test_step_matches_allocating_reference_bit_for_bit(small_world, monkeypatch, mode,
+                                                       activation):
+    world, _, triplets = small_world
+    models, step, val_loss = _training_closures(monkeypatch, world.table, triplets, mode,
+                                                activation)
+    triplet_rows = _reference_resolve(world.table, triplets)
+    order = np.random.default_rng(8).permutation(len(triplet_rows[0]))
+    for size in (1, 7, 251, 256):
+        _assert_step_matches_reference(models, step, val_loss, mode, triplet_rows,
+                                       order[:size])
+
+
+@pytest.mark.parametrize("mode", [BASELINE, CLASSIFIER_SYSTEM])
+def test_relu_step_with_a_nan_input_row_matches_reference(small_world, monkeypatch, mode):
+    world, _, triplets = small_world
+    table = EmbeddingTable(dimension=world.table.dimension, words=world.table.words,
+                           matrix=world.table.matrix.copy())
+    table.matrix[table.indices([triplets[3].anchor])[0]] = np.nan
+    models, step, val_loss = _training_closures(monkeypatch, table, triplets, mode, "relu")
+    idx = np.arange(7)
+    triplet_rows = _reference_resolve(table, triplets)
+    assert np.isnan(triplet_rows[0][idx]).any()
+    _assert_step_matches_reference(models, step, val_loss, mode, triplet_rows, idx)
