@@ -1,28 +1,27 @@
 """Gradient-boosted shallow regression trees with logistic loss.
 
 Additive depth-limited trees fit to the negative gradient of the logistic
-loss, exact greedy split search over every feature (XGBoost's exact greedy
-algorithm), Newton leaf values and shrinkage.
+loss, histogram split search, Newton leaf values and shrinkage.
 
-Each node carries its rows in sorted order per feature, as two int32 (d, m)
-arrays: row f of ``S`` lists the node's m rows in ascending order of feature
-f, and row f of ``R`` their dense ranks in it (equal values share a rank).
-The root's come from one stable argsort per feature per ensemble; a child's
-are a stable compaction of its parent's, so no node sorts and no node touches
-rows outside it. A split may fall only where the rank rises, that is between
-neighbours with different values; its threshold, read back from ``X``, is
-their midpoint, halved before the sum so that it cannot overflow.
-Prefix sums of the gradients along each row give every candidate's gain.
+Each fit bins every feature once, as LightGBM does (Ke et al., NeurIPS 2017):
+one argsort per feature gives each row a uint8 code that ascends with its
+value. A feature with at most ``MAX_BINS`` distinct values gets one bin per
+value, so its candidate splits and thresholds are exactly those of XGBoost's
+exact greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at
+most ``MAX_BINS`` bins of about equal row count, cut only where the value
+changes. NaN takes code ``MAX_BINS``, a last bin that is never a candidate,
+so NaN rows always go right.
 
-The split search and the compaction walk blocks of feature rows of about
-``BLOCK_CELLS`` entries each, the cache-sized column blocks of XGBoost (Chen
-and Guestrin, KDD 2016, section 4), so no node allocates a temporary the size
-of its orders. A fit holds the orders of one root-to-node path at a time,
-8 bytes per row and feature each, plus one block's scratch: at depth 2 that
-is at most about twice the float64 input plus 5 MB.
+Each node sums its rows' gradients and hessians per bin with ``np.bincount``,
+in row order, and prefix-sums the bins for every candidate's gain. A split
+after bin b has as its threshold the midpoint of the largest value of bin b
+and the smallest value of the node's next non-empty bin, halved before the
+sum so that it cannot overflow. An inner node keeps its rows' codes, taken
+from its parent's, so a fit holds the (d, n) codes and one root-to-node path
+of them, a byte per row and feature each.
 
 Everything is deterministic: split-gain ties break on the lowest feature
-index, then the lowest threshold, across blocks as within one.
+index, then the lowest bin.
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from .network import _sigmoid
 
 H_EPS = 1e-16
 GAIN_TOL = 1e-12
-BLOCK_CELLS = 1 << 16  # entries of S per feature block
+MAX_BINS = 255  # value bins per feature; code MAX_BINS holds NaN
 
 
 @dataclass
@@ -58,88 +57,87 @@ class BoostedTrees:
     shrinkage: float
 
 
-def _blocks(S: np.ndarray) -> list[slice]:
-    """Slices of the feature rows of ``S``, each of about BLOCK_CELLS entries."""
-    d, m = S.shape
-    step = max(1, BLOCK_CELLS // max(m, 1))
-    return [slice(lo, min(lo + step, d)) for lo in range(0, d, step)]
-
-
-def _best_split(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                S: np.ndarray, R: np.ndarray):
-    """Best (gain, feature, threshold) over all features for one node.
-
-    Row f of ``S`` lists the node's rows in ascending order of feature f and
-    row f of ``R`` their ranks. A split may fall only between neighbours
-    with different values. Returns None when no valid split exists.
-    """
-    m = S.shape[1]
-    best = None
-    for b in _blocks(S):
-        between = R[b, 1:] > R[b, :-1]  # [r, i]: in block row r, a threshold fits between i, i + 1
-        at = np.flatnonzero(between)
-        if at.size == 0:
+def _bin(X: np.ndarray):
+    """Codes (d, n) uint8 of every feature, and each bin's smallest and
+    largest value, (d, MAX_BINS) each."""
+    n, d = X.shape
+    codes = np.full((d, n), MAX_BINS, dtype=np.uint8)
+    lower, upper = np.zeros((d, MAX_BINS)), np.zeros((d, MAX_BINS))
+    for f in range(d):
+        order = np.argsort(X[:, f])  # equal values share a code: any tie order will do
+        v = X[order, f]
+        m = n - np.count_nonzero(np.isnan(v))  # NaN sorts last
+        if m == 0:
             continue
-        at += at // (m - 1)  # the same positions, r * m + i, in the (rows, m) sums
-        GL, HL = g.take(S[b]), h.take(S[b])
-        np.cumsum(GL, axis=1, out=GL)
-        np.cumsum(HL, axis=1, out=HL)
-        per_row = between.sum(axis=1)
-        G, H = np.repeat(GL[:, -1], per_row), np.repeat(HL[:, -1], per_row)
-        gl, hl = GL.take(at), HL.take(at)
-        # gain = gl*gl/(hl+H_EPS) + gr*gr/(hr+H_EPS) - G*G/(H+H_EPS), operation
-        # for operation; gl and hl are overwritten with gr and hr once used
-        gain = gl * gl / (hl + H_EPS)
-        np.subtract(G, gl, out=gl)
-        np.subtract(H, hl, out=hl)
-        gain += gl * gl / (hl + H_EPS)
-        gain -= G * G / (H + H_EPS)
-        # candidates come by feature, then by position, so the first maximum
-        # in a block, and a strictly greater one in a later block, give the
-        # deterministic tie-break: lowest feature index, then lowest threshold
-        i = int(np.argmax(gain))
-        if best is None or gain[i] > best[0]:
-            r, p = divmod(int(at[i]), m)
-            f = b.start + r
-            lo, hi = float(X[S[f, p], f]), float(X[S[f, p + 1], f])
-            t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
-            best = (float(gain[i]), f, t if t < hi else lo)
-    return best
+        begins = np.zeros(m, dtype=np.intp)  # 1 where a bin begins: at each new value
+        begins[1:] = v[1:m] > v[:m - 1]
+        starts = np.flatnonzero(begins)
+        if len(starts) >= MAX_BINS:  # too many: at the first new value after each m / MAX_BINS rows
+            at = np.searchsorted(starts, np.arange(1, MAX_BINS) * m // MAX_BINS)
+            begins[:] = 0
+            begins[starts[at[at < len(starts)]]] = 1
+            starts = np.flatnonzero(begins)
+        codes[f, order[:m]] = np.cumsum(begins, out=begins)
+        lower[f, :len(starts) + 1] = v[np.r_[0, starts]]
+        upper[f, :len(starts) + 1] = v[np.r_[starts - 1, m - 1]]
+    return codes, lower, upper
 
 
-def _compact(S: np.ndarray, R: np.ndarray, keep: np.ndarray):
-    """The node's orders and ranks restricted to its rows r with ``keep[r]``."""
-    k = np.count_nonzero(keep[S[0]])
-    S_kept, R_kept = np.empty((len(S), k), np.int32), np.empty((len(S), k), np.int32)
-    for b in _blocks(S):
-        kept = keep.take(S[b]).ravel()
-        shape = (b.stop - b.start, k)  # explicit: a reshape cannot infer it when k is 0
-        S_kept[b] = S[b].ravel().compress(kept).reshape(shape)
-        R_kept[b] = R[b].ravel().compress(kept).reshape(shape)
-    return S_kept, R_kept
+def _best_split(codes: np.ndarray, gn: np.ndarray, hn: np.ndarray):
+    """Best (gain, feature, bin) for one node, or None when no valid split
+    exists. ``codes`` (d, m) are the node's rows' codes and ``gn``, ``hn``
+    their gradients and hessians, all in row order, which fixes each bin's sum."""
+    GL, HL = np.empty((2, len(codes), MAX_BINS + 1))
+    nonempty = np.empty((len(codes), MAX_BINS), dtype=bool)
+    counted = hn.min() > 0.0  # then a bin is non-empty where its hessian sum is
+    for f, c in enumerate(codes):
+        c = c.astype(np.intp)
+        GL[f] = np.bincount(c, gn, MAX_BINS + 1)
+        HL[f] = np.bincount(c, hn, MAX_BINS + 1)
+        nonempty[f] = (HL[f] if counted else np.bincount(c, minlength=MAX_BINS + 1))[:MAX_BINS] > 0
+    np.cumsum(GL, axis=1, out=GL)
+    np.cumsum(HL, axis=1, out=HL)
+    # a split may follow a non-empty value bin that a later one follows
+    seen = np.cumsum(nonempty, axis=1)
+    valid = nonempty & (seen < seen[:, -1:])
+    if not valid.any():
+        return None
+    G, H = GL[:, -1:], HL[:, -1:]
+    gl, hl = GL[:, :MAX_BINS], HL[:, :MAX_BINS]
+    # gain = gl*gl/(hl+H_EPS) + gr*gr/(hr+H_EPS) - G*G/(H+H_EPS), in this order
+    gain = gl * gl / (hl + H_EPS)
+    gr, hr = G - gl, H - hl
+    gain += gr * gr / (hr + H_EPS)
+    gain -= G * G / (H + H_EPS)
+    gain[~valid] = -np.inf
+    # row-major argmax: the first maximum has the lowest feature, then bin
+    f, b = divmod(int(np.argmax(gain)), MAX_BINS)
+    return float(gain[f, b]), f, b
 
 
-def _build_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                S: np.ndarray, R: np.ndarray, depth: int) -> TreeNode:
-    split = _best_split(X, g, h, S, R) if depth > 0 else None
+def _build_tree(codes: np.ndarray | None, rows: np.ndarray, lower: np.ndarray,
+                upper: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int) -> TreeNode:
+    """The subtree of the node of ``rows``, in row order, whose codes are
+    the (d, len(rows)) ``codes``."""
+    gn, hn = g[rows], h[rows]
+    split = _best_split(codes, gn, hn) if depth > 0 else None
     if split is not None and split[0] <= GAIN_TOL:
         # a zero-gain split is worth taking only when a child split can still
         # realize the gain (XOR-style interactions): needs remaining depth and
         # mixed gradient signs in the node
-        gm = g[S[0]]
-        if depth < 2 or gm.min() >= 0.0 or gm.max() <= 0.0:
+        if depth < 2 or gn.min() >= 0.0 or gn.max() <= 0.0:
             split = None
-    if split is None:
-        rows = np.sort(S[0])  # in row order: a float sum's rounding depends on order
-        return TreeNode(value=-g[rows].sum() / (h[rows].sum() + H_EPS))
-    _, feature, threshold = split
-    if depth == 1:  # both children are leaves and need only their rows
-        S, R = S[:1], R[:1]
-    left = X[:, feature] <= threshold
-    # each child's orders exist only while its subtree is built
-    return TreeNode(feature=feature, threshold=threshold,
-                    left=_build_tree(X, g, h, *_compact(S, R, left), depth - 1),
-                    right=_build_tree(X, g, h, *_compact(S, R, ~left), depth - 1))
+    if split is None:  # rows are in row order: a float sum's rounding depends on order
+        return TreeNode(value=-gn.sum() / (hn.sum() + H_EPS))
+    _, feature, b = split
+    goes_left = codes[feature] <= b
+    # a valid split's next non-empty bin in the node is a value bin, not NaN's
+    lo, hi = upper[feature, b], lower[feature, codes[feature, ~goes_left].min()]
+    t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
+    # a leaf searches nothing and needs no codes
+    left, right = (_build_tree(codes.compress(keep, axis=1) if depth > 1 else None, rows[keep],
+                               lower, upper, g, h, depth - 1) for keep in (goes_left, ~goes_left))
+    return TreeNode(feature=feature, threshold=float(t if t < hi else lo), left=left, right=right)
 
 
 def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -163,29 +161,29 @@ def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = 200,
     y = np.asarray(y, dtype=np.float64)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ValueError("X must be a matrix with at least one feature column")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if not (math.isfinite(shrinkage) and shrinkage > 0.0):
+        raise ValueError(f"shrinkage must be finite and > 0, got {shrinkage}")
+    if X.ndim != 2 or 0 in X.shape:
+        raise ValueError("X must be a matrix with at least one row and one feature column")
+    if y.shape != (len(X),):
+        raise ValueError(f"y must hold one label per row of X: {y.shape} for {len(X)} rows")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("y must hold labels in {0, 1}")
     p_base = y.mean()
     if p_base in (0.0, 1.0):
         raise ValueError("single-class input")
     base = math.log(p_base / (1.0 - p_base))
-    n, d = X.shape
-    if n > np.iinfo(np.int32).max:
-        raise ValueError("X has more rows than int32 row orders can index")
-    S, R = np.empty((d, n), dtype=np.int32), np.empty((d, n), dtype=np.int32)
-    for f in range(d):  # the root's orders and dense ranks
-        S[f] = np.argsort(X[:, f], kind="stable")
-        v = X[S[f], f]
-        R[f, :1] = 0
-        np.cumsum(v[1:] > v[:-1], out=R[f, 1:])
-        R[f, np.isnan(v)] = -1  # as for values: a NaN (sorted last) is never above its neighbour
+    codes, lower, upper = _bin(X)
+    rows = np.arange(len(y))
     scores = np.full(len(y), base)
     trees: list[TreeNode] = []
     for _ in range(rounds):
         p = _sigmoid(scores)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(X, g, h, S, R, max_depth)
+        tree = _build_tree(codes, rows, lower, upper, g, h, max_depth)
         trees.append(tree)
         scores = scores + shrinkage * _tree_predict(tree, X)
     return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,14 +41,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(convert, ok, requirement: str):
+    """argparse type: ``convert(text)``, which must satisfy ``ok``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 def _sha256(path: Path) -> str:
@@ -314,7 +323,7 @@ def build_parser() -> _Parser:
         p.add_argument("--quiet", action="store_true")
 
     p = command("split", "leakage-free train/test pair split", _cmd_split, ("pairs",))
-    p.add_argument("--test-every", type=int, default=4)
+    p.add_argument("--test-every", type=_checked(int, lambda v: v >= 2, ">= 2"), default=4)
     common(p)
 
     common(command("stats", "relation-graph component statistics", _cmd_stats, ("pairs",)))
@@ -328,11 +337,12 @@ def build_parser() -> _Parser:
     p.add_argument("--head-dims", type=_dims_arg,
                    help="classifier head dims (classifier-system)")
     p.add_argument("--activation", choices=["tanh", "relu"], default="tanh")
-    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--lr", type=_positive_float, default=1e-3)
     p.add_argument("--batch-size", type=_positive_int, default=256)
     p.add_argument("--epochs", type=_positive_int, default=50)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--val-fraction", type=float, default=0.1)
+    p.add_argument("--patience", type=_positive_int, default=5)
+    p.add_argument("--val-fraction", type=_checked(float, lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
+                   default=0.1)
     p.add_argument("--cap-per-anchor", type=_positive_int, default=20)
     common(p)
 
@@ -359,7 +369,8 @@ def build_parser() -> _Parser:
 
     p = command("downstream", "mean-embedding text classification", _cmd_downstream,
                 ("raw", "concat", "data"), {"data": "text,label CSV"})
-    p.add_argument("--test-fraction", type=float, default=0.25)
+    p.add_argument("--test-fraction", type=_checked(float, lambda v: 0 < v < 0.5, "in (0, 0.5)"),
+                   default=0.25)
     common(p)
     return parser
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from contrastmap import boosting
-from contrastmap.boosting import (BLOCK_CELLS, GAIN_TOL, H_EPS, TreeNode,
+from contrastmap.boosting import (GAIN_TOL, H_EPS, MAX_BINS, TreeNode,
                                   boosted_proba, boosted_scores, logistic_loss,
                                   train_boosted_trees)
 from contrastmap.evaluation import _pair_features
@@ -54,6 +54,24 @@ def test_loss_non_increasing_per_round():
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"y": 2.0 * np.array([0.0, 1.0, 1.0, 0.0])}, r"y must hold labels in \{0, 1\}"),
+    ({"y": np.array([0.0, 1.0, np.nan, 0.0])}, r"y must hold labels in \{0, 1\}"),
+    ({"y": np.array([0.0, 1.0, 1.0])}, "y must hold one label per row"),
+    ({"y": np.array([[0.0, 1.0, 1.0, 0.0]])}, "y must hold one label per row"),
+    ({"max_depth": -1}, "max_depth must be >= 0"),
+    ({"shrinkage": float("nan")}, "shrinkage must be finite and > 0"),
+    ({"shrinkage": -1.0}, "shrinkage must be finite and > 0"),
+    ({"shrinkage": 0.0}, "shrinkage must be finite and > 0"),
+    ({"shrinkage": float("inf")}, "shrinkage must be finite and > 0"),
+])
+def test_bad_arguments_rejected_by_name(kwargs, message):
+    args = {"X": np.arange(4.0)[:, None], "y": np.array([0.0, 1.0, 1.0, 0.0]),
+            "rounds": 1, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        train_boosted_trees(**args)
+
+
 def test_single_class_rejected():
     with pytest.raises(ValueError, match="single-class"):
         train_boosted_trees(np.zeros((3, 1)), np.ones(3), rounds=1)
@@ -64,6 +82,8 @@ def test_rounds_validated():
         train_boosted_trees(np.zeros((2, 1)), np.array([0.0, 1.0]), rounds=0)
     with pytest.raises(ValueError, match="feature column"):
         train_boosted_trees(np.zeros((2, 0)), np.array([0.0, 1.0]), rounds=1)
+    with pytest.raises(ValueError, match="one row"):
+        train_boosted_trees(np.zeros((0, 3)), np.zeros(0), rounds=1)
 
 
 def test_determinism():
@@ -92,14 +112,41 @@ def test_depth_limit_respected():
 # --- differential test against the masked full-matrix split search ----------
 # The reference below is the exact greedy search as it was written before the
 # per-node sorted orders: every node masks the column-sorted (n, d) matrix.
+# One change from that version: each distinct value's gradient and hessian are
+# summed in row order before the prefix sum over values, as a histogram sums
+# them. A prefix sum over single rows rounds ties between mirrored twin
+# features differently.
 
-def _reference_best_split(X, g, h, sort_idx, Xs, mask):
+def _reference_orders(X):
+    """Column sorts of ``X``, each row's value-group key, and where each group
+    starts in sorted order; all NaNs (sorted last) form one group."""
     n, d = X.shape
+    sort_idx = np.argsort(X, axis=0, kind="stable")
+    Xs = np.take_along_axis(X, sort_idx, axis=0)
+    same = (Xs[1:] == Xs[:-1]) | (np.isnan(Xs[1:]) & np.isnan(Xs[:-1]))
+    first = np.vstack([np.ones((1, d), dtype=bool), ~same])
+    key_sorted = np.cumsum(first, axis=0) - 1 + n * np.arange(d)
+    key = np.empty_like(key_sorted)
+    np.put_along_axis(key, sort_idx, key_sorted, axis=0)
+    return sort_idx, Xs, key, key_sorted, first
+
+
+def _grouped_prefix(values, mask, orders):
+    """Prefix sums, in sorted order, of the per-group sums of the masked
+    ``values``; a group's sum is taken in row order and enters the prefix at
+    the group's first sorted position."""
+    _, _, key, key_sorted, first = orders
+    sums = np.zeros(key.size)
+    np.add.at(sums, key.ravel(), np.repeat(np.where(mask, values, 0.0), key.shape[1]))
+    return np.cumsum(np.where(first, sums[key_sorted], 0.0), axis=0)
+
+
+def _reference_best_split(X, g, h, orders, mask):
+    n, d = X.shape
+    sort_idx, Xs = orders[:2]
     ms = mask[sort_idx]
-    gs = np.where(ms, g[sort_idx], 0.0)
-    hs = np.where(ms, h[sort_idx], 0.0)
-    cg = np.cumsum(gs, axis=0)
-    ch = np.cumsum(hs, axis=0)
+    cg = _grouped_prefix(g, mask, orders)
+    ch = _grouped_prefix(h, mask, orders)
     cnt = np.cumsum(ms, axis=0)
     G = cg[-1]
     H = ch[-1]
@@ -124,8 +171,8 @@ def _reference_best_split(X, g, h, sort_idx, Xs, mask):
     return float(best_gain), int(cols[i]), float(thresholds[i])
 
 
-def _reference_build_tree(X, g, h, sort_idx, Xs, mask, depth):
-    split = _reference_best_split(X, g, h, sort_idx, Xs, mask) if depth > 0 else None
+def _reference_build_tree(X, g, h, orders, mask, depth):
+    split = _reference_best_split(X, g, h, orders, mask) if depth > 0 else None
     if split is not None and split[0] <= GAIN_TOL:
         gm = g[mask]
         if depth < 2 or gm.min() >= 0.0 or gm.max() <= 0.0:
@@ -136,22 +183,49 @@ def _reference_build_tree(X, g, h, sort_idx, Xs, mask, depth):
     go_left = X[:, feature] <= threshold
     return TreeNode(
         feature=feature, threshold=threshold,
-        left=_reference_build_tree(X, g, h, sort_idx, Xs, mask & go_left, depth - 1),
-        right=_reference_build_tree(X, g, h, sort_idx, Xs, mask & ~go_left, depth - 1))
+        left=_reference_build_tree(X, g, h, orders, mask & go_left, depth - 1),
+        right=_reference_build_tree(X, g, h, orders, mask & ~go_left, depth - 1))
 
 
 def _reference_trees(X, y, rounds, shrinkage, max_depth):
-    sort_idx = np.argsort(X, axis=0, kind="stable")
-    Xs = np.take_along_axis(X, sort_idx, axis=0)
+    orders = _reference_orders(X)
     scores = np.full(len(y), math.log(y.mean() / (1.0 - y.mean())))
     trees = []
     for _ in range(rounds):
         p = boosting._sigmoid(scores)
-        tree = _reference_build_tree(X, p - y, p * (1.0 - p), sort_idx, Xs,
+        tree = _reference_build_tree(X, p - y, p * (1.0 - p), orders,
                                      np.ones(len(y), dtype=bool), max_depth)
         trees.append(tree)
         scores = scores + shrinkage * boosting._tree_predict(tree, X)
     return trees
+
+
+def _code_matrix(X):
+    """The library's bin codes of ``X`` as an (n, d) float matrix, NaN's bin as
+    NaN, and each bin's smallest and largest value, read from ``X``."""
+    codes = boosting._bin(X)[0]
+    Xc = codes.T.astype(np.float64)
+    Xc[codes.T == MAX_BINS] = np.nan
+    lower = np.full((X.shape[1], MAX_BINS + 1), np.inf)
+    upper = np.full((X.shape[1], MAX_BINS + 1), -np.inf)
+    for f in range(X.shape[1]):
+        np.minimum.at(lower[f], codes[f], X[:, f])
+        np.maximum.at(upper[f], codes[f], X[:, f])
+    return Xc, lower, upper
+
+
+def _to_values(node, Xc, lower, upper, rows):
+    """A tree fit on bin codes, with each threshold mapped to the values of
+    the node's bins on either side of it."""
+    if node.is_leaf:
+        return node
+    c = Xc[rows, node.feature]
+    left = c <= node.threshold
+    lo, hi = upper[node.feature, int(c[left].max())], lower[node.feature, int(np.nanmin(c[~left]))]
+    t = 0.5 * lo + 0.5 * hi
+    return TreeNode(feature=node.feature, threshold=float(t if t < hi else lo),
+                    left=_to_values(node.left, Xc, lower, upper, rows[left]),
+                    right=_to_values(node.right, Xc, lower, upper, rows[~left]))
 
 
 def _bits(node):
@@ -189,17 +263,13 @@ def _constant_columns():
 
 
 def _twinned(X):
-    """``X`` beside a copy of itself, for fixtures that span several blocks.
-
-    At the root a feature block (BLOCK_CELLS // rows features) is then
-    narrower than ``X``, so each column's twin lies in a later block and each
-    exact gain tie between twins crosses a block boundary.
-    """
-    assert BLOCK_CELLS // X.shape[0] < X.shape[1]
+    """``X`` beside a copy of itself: every exact gain tie between twins must
+    break on the lower feature index."""
     return np.hstack([X, X])
 
 
 def _blocked_pair_features():
+    # 525 distinct values per column: more than MAX_BINS, so the columns are binned
     world = planted_world(n_words=700, dim=16, seed=5)
     X, y = _pair_features(world.table, split_pairs(world.pairs).train, augment=True)
     return _twinned(X), y
@@ -224,11 +294,21 @@ def test_trees_match_masked_reference_bit_for_bit(fixture, max_depth):
     X, y = fixture()
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     model = train_boosted_trees(X, y, rounds=8, shrinkage=0.3, max_depth=max_depth)
-    reference = _reference_trees(X, y, 8, 0.3, max_depth)
+    wide = [len(np.unique(column)) > MAX_BINS for column in X.T]
+    if not any(wide):  # one bin per value: the exact search's candidates
+        reference = _reference_trees(X, y, 8, 0.3, max_depth)
+    else:  # the exact search over the bins, its thresholds mapped back to values
+        Xc, lower, upper = _code_matrix(X)
+        rows = np.arange(len(y))
+        reference = [_to_values(t, Xc, lower, upper, rows)
+                     for t in _reference_trees(Xc, y, 8, 0.3, max_depth)]
+    assert (fixture is _blocked_pair_features) == all(wide)
     assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference]
 
 
-def test_fit_peak_memory_stays_under_four_times_the_input():
+def _fit_peak_over_input():
+    """Peak traced memory of a 3-round fit on 6,000 x 64 pair features, over
+    the input's bytes."""
     world = planted_world(n_words=2000, dim=32, seed=1)
     X, y = _pair_features(world.table, split_pairs(world.pairs).train, augment=True)
     assert X.shape == (6000, 64)
@@ -238,7 +318,94 @@ def test_fit_peak_memory_stays_under_four_times_the_input():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * X.nbytes
+    return peak / X.nbytes
+
+
+def test_rows_without_hessian_match_masked_reference():
+    # a huge shrinkage saturates p to exactly 0 or 1 after one round, so
+    # later nodes hold rows with h == 0 that count as rows all the same
+    X, y = _continuous()
+    model = train_boosted_trees(X, y, rounds=4, shrinkage=40.0, max_depth=2)
+    p = boosting._sigmoid(model.base_score
+                          + 40.0 * boosting._tree_predict(model.trees[0], X))
+    assert np.any(p * (1.0 - p) == 0.0) and np.any(p * (1.0 - p) > 0.0)
+    reference = _reference_trees(X, y, 4, 40.0, 2)
+    assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference]
+
+
+def test_fit_peak_memory_stays_under_four_times_the_input():
+    assert _fit_peak_over_input() < 4
+
+
+def test_fit_peak_memory_stays_under_one_and_a_half_times_the_input():
+    # the uint8 codes, a root-to-node path of node codes and one node's
+    # histograms; the exact search's per-node sorted orders took 3.1x
+    assert _fit_peak_over_input() < 1.5
+
+
+# --- binning -----------------------------------------------------------------
+
+def _binning_fixture():
+    """Columns: continuous (wide), rounded with ties (wide), exactly MAX_BINS
+    and MAX_BINS + 1 distinct values, small integers with NaN and infinities,
+    constant, and all NaN."""
+    rng = np.random.default_rng(12)
+    n = 3000
+    small = rng.choice([-np.inf, 0.0, 1.0, 2.0, np.inf, np.nan], size=n)
+    return np.column_stack([
+        rng.standard_normal(n),
+        np.round(rng.standard_normal(n) ** 3, 1),
+        rng.permutation(np.arange(n) % MAX_BINS) * 0.5,
+        rng.permutation(np.arange(n) % (MAX_BINS + 1)) * 0.5,
+        small, np.full(n, 2.5), np.full(n, np.nan)])
+
+
+def test_bin_codes_ascend_with_value_and_nan_takes_the_last_code():
+    X = _binning_fixture()
+    codes, lower, upper = boosting._bin(X)
+    assert codes.dtype == np.uint8 and codes.shape == X.T.shape
+    for f, x in enumerate(X.T):
+        c = codes[f]
+        assert np.all(c[np.isnan(x)] == MAX_BINS)
+        values, c = x[~np.isnan(x)], c[~np.isnan(x)]
+        order = np.argsort(values, kind="stable")
+        assert np.all(np.diff(c[order].astype(int)) >= 0)  # monotone in value
+        for v in np.unique(values):
+            assert len(np.unique(c[values == v])) == 1  # equal values share a code
+        used = np.unique(c)
+        assert len(used) <= MAX_BINS and (len(used) == 0 or used.max() < MAX_BINS)
+        assert np.array_equal(used, np.arange(len(used)))  # no empty bin between codes
+        for b in used:
+            assert lower[f, b] == values[c == b].min() and upper[f, b] == values[c == b].max()
+
+
+def test_features_with_few_values_get_one_bin_per_value():
+    X = _binning_fixture()
+    codes = boosting._bin(X)[0]
+    for f in (2, 4, 5):
+        x = X[:, f]
+        distinct = np.unique(x[~np.isnan(x)])
+        assert len(distinct) == (MAX_BINS, 5, 1)[(2, 4, 5).index(f)]
+        # the code of each value is its rank among the distinct values
+        ranks = np.searchsorted(distinct, x[~np.isnan(x)])
+        assert np.array_equal(codes[f][~np.isnan(x)], ranks)
+
+
+def test_wide_features_get_bins_of_about_equal_row_count():
+    X = _binning_fixture()
+    codes = boosting._bin(X)[0]
+    for f in (0, 1, 3):
+        x, c = X[:, f], codes[f]
+        step = math.ceil(len(x) / MAX_BINS)
+        assert len(np.unique(x)) > MAX_BINS and len(np.unique(c)) <= MAX_BINS
+        for b in np.unique(c):
+            in_bin = x[c == b]
+            # n / MAX_BINS rows, plus at most the rows of one value that the
+            # next cut could not split
+            largest_value = np.unique(in_bin, return_counts=True)[1].max()
+            assert len(in_bin) <= step + largest_value
+            if f == 0:  # all values distinct: the bins are as even as rounding allows
+                assert len(in_bin) in (step - 1, step)
 
 
 def _node_sizes(node, X, rows):

@@ -77,12 +77,36 @@ def test_eval_classifiers_rounds_checked_at_parsing(tmp_path, capsys):
 @pytest.mark.parametrize("flag,value", [("--dims", "3,abc"), ("--dims", "20,,4"),
                                         ("--dims", "20,0"), ("--head-dims", "8,x"),
                                         ("--epochs", "0"), ("--batch-size", "0"),
-                                        ("--cap-per-anchor", "0")])
+                                        ("--cap-per-anchor", "0"), ("--lr", "-1"),
+                                        ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+                                        ("--lr", "abc"), ("--patience", "0"),
+                                        ("--patience", "-1"), ("--val-fraction", "0"),
+                                        ("--val-fraction", "0.6"), ("--val-fraction", "nan")])
 def test_train_dims_checked_at_parsing(tmp_path, capsys, flag, value):
     # the inputs do not exist: a usage error must come before any input is read
     args = ["train", "--embeddings", str(tmp_path / "missing"),
             "--pairs", str(tmp_path / "missing"), "--out", str(tmp_path / "out")]
     assert run(args + [flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "usage-error:" in err and flag in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, inputs, flag, value", [
+    ("split", ["--pairs"], "--test-every", "1"),
+    ("split", ["--pairs"], "--test-every", "-4"),
+    ("split", ["--pairs"], "--test-every", "2.5"),
+    ("downstream", ["--raw", "--concat", "--data"], "--test-fraction", "0"),
+    ("downstream", ["--raw", "--concat", "--data"], "--test-fraction", "0.5"),
+    ("downstream", ["--raw", "--concat", "--data"], "--test-fraction", "nan"),
+])
+def test_split_and_test_fractions_checked_at_parsing(tmp_path, capsys, command, inputs,
+                                                     flag, value):
+    # the inputs do not exist: a usage error must come before any input is read
+    args = [command, "--out", str(tmp_path / "out"), flag, value]
+    for name in inputs:
+        args += [name, str(tmp_path / "missing")]
+    assert run(args) == 1
     err = capsys.readouterr().err
     assert "usage-error:" in err and flag in err
     assert not (tmp_path / "out").exists()
