@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import _sigmoid
+from .network import _sigmoid, logistic_loss  # noqa: F401  (part of the boosting API)
 
 H_EPS = 1e-16
 GAIN_TOL = 1e-12
@@ -199,8 +199,3 @@ def boosted_scores(model: BoostedTrees, X: np.ndarray) -> np.ndarray:
 
 def boosted_proba(model: BoostedTrees, X: np.ndarray) -> np.ndarray:
     return _sigmoid(boosted_scores(model, X))
-
-
-def logistic_loss(y: np.ndarray, scores: np.ndarray) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))

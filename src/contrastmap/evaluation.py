@@ -69,20 +69,29 @@ class AccuracyTable:
         return "\n".join(lines) + "\n"
 
 
-def _pair_distances(tables: list[EmbeddingTable], pairs: PairSet):
+def _pair_rows(tables: list[EmbeddingTable], pairs: PairSet):
     """Resolve ``pairs`` in every table once.
 
-    Returns the mask of the pairs that every table resolves and, per table,
-    the float64 cosine distances of those pairs in pair order.
+    Returns the mask of the pairs that every table resolves, the synonym mask
+    of those pairs and, per table, their ``(left, right)`` row indices in pair
+    order.
     """
     lefts, rights = [p.left for p in pairs], [p.right for p in pairs]
-    rows = [(t, t.indices(lefts), t.indices(rights)) for t in tables]
-    found = np.logical_and.reduce([(i >= 0) & (j >= 0) for _, i, j in rows])
+    rows = [(t.indices(lefts), t.indices(rights)) for t in tables]
+    found = np.logical_and.reduce([(i >= 0) & (j >= 0) for i, j in rows])
     if not found.any():
         raise ValueError("no resolvable pairs")
-    return found, [np.array([cosine_distance(t.matrix[a], t.matrix[b])
-                             for a, b in zip(i[found], j[found])])
-                   for t, i, j in rows]
+    syn = np.array([p.relation == SYNONYM for p in pairs])[found]
+    return found, syn, [(i[found], j[found]) for i, j in rows]
+
+
+def _pair_distances(tables: list[EmbeddingTable], pairs: PairSet):
+    """:func:`_pair_rows`, with each table's float64 cosine distances of the
+    resolved pairs in place of its row indices."""
+    found, syn, rows = _pair_rows(tables, pairs)
+    return found, syn, [np.array([cosine_distance(t.matrix[a], t.matrix[b])
+                                  for a, b in zip(i, j)])
+                        for t, (i, j) in zip(tables, rows)]
 
 
 def _summary(fn, x: np.ndarray) -> float:
@@ -92,8 +101,7 @@ def _summary(fn, x: np.ndarray) -> float:
 
 def distance_report(table: EmbeddingTable, pairs: PairSet) -> DistanceReport:
     """Histogram + summary stats of cosine distances per relation."""
-    found, (d,) = _pair_distances([table], pairs)
-    syn = np.array([p.relation == SYNONYM for p in pairs])[found]
+    _, syn, (d,) = _pair_distances([table], pairs)
     bins = np.minimum((d / BIN_WIDTH).astype(np.intp), N_BINS - 1)
     return DistanceReport(
         syn_counts=np.bincount(bins[syn], minlength=N_BINS),
@@ -106,8 +114,7 @@ def distance_report(table: EmbeddingTable, pairs: PairSet) -> DistanceReport:
 def shift_report(before: EmbeddingTable, after: EmbeddingTable,
                  pairs: PairSet) -> ShiftReport:
     """Per-pair distance shifts between two spaces (after minus before)."""
-    found, (db, da) = _pair_distances([before, after], pairs)
-    syn = np.array([p.relation == SYNONYM for p in pairs])[found]
+    found, syn, (db, da) = _pair_distances([before, after], pairs)
     shift = da - db
     kept = (p for p, f in zip(pairs, found) if f)
     records = [(p.left, p.right, p.relation, b, a, sh)
@@ -143,55 +150,27 @@ def featurize_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([u, v], axis=-1)
 
 
-def _order_augmented(X: np.ndarray, y: np.ndarray) -> bool:
-    """Whether rows 2i and 2i + 1 are [u; v] and [v; u] with one label."""
-    n, width = X.shape
-    d = width // 2
-    return (n % 2 == 0 and width % 2 == 0 and np.array_equal(y[::2], y[1::2])
-            and np.array_equal(X[::2, :d], X[1::2, d:])
-            and np.array_equal(X[::2, d:], X[1::2, :d]))
-
-
-def _gradient_descent(X: np.ndarray, y: np.ndarray, cfg: dict, copies: int):
-    """Weights and bias after ``cfg["epochs"]`` full-batch steps from zero,
-    each row of ``X`` standing for ``copies`` identical training rows."""
-    n = copies * len(y)
-    w = np.zeros(X.shape[1])
-    b = 0.0
-    for _ in range(int(cfg["epochs"])):
-        p = _sigmoid(X @ w + b)
-        err = (p - y) / n
-        gw = X.T @ err + cfg["l2"] * w
-        gb = copies * err.sum()
-        w -= cfg["lr"] * gw
-        b -= cfg["lr"] * gb
-    return w, b
-
-
 def train_linear(features: np.ndarray, labels: np.ndarray,
-                 config: dict | None = None) -> tuple[np.ndarray, float]:
-    """Logistic regression by full-batch gradient descent with L2 penalty;
-    returns ``(weights, bias)``, scored as ``_sigmoid(X @ weights + bias)``.
-
-    On order-augmented pair features (rows 2i and 2i + 1 are [u; v] and
-    [v; u] with one label) the two weight halves start at zero and, as both
-    rows of a pair then score alike, get equal gradients: they stay equal,
-    and the model sees a pair only through u + v. So the fit runs on u + v
-    over the distinct pairs, each counted twice, and returns [w; w].
-    """
-    cfg = dict(LINEAR_DEFAULTS)
-    if config:
-        cfg.update(config)
+                 copies: int = 1) -> tuple[np.ndarray, float]:
+    """Logistic regression by full-batch gradient descent from zero with an
+    L2 penalty, its hyperparameters read from ``LINEAR_DEFAULTS``; each row
+    of ``features`` stands for ``copies`` identical training rows. Returns
+    ``(weights, bias)``, scored as ``_sigmoid(X @ weights + bias)``."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if len(set(y.tolist())) < 2:
         raise ValueError("single-class input")
-    if _order_augmented(X, y):
-        d = X.shape[1] // 2
-        w, b = _gradient_descent(X[::2, :d] + X[::2, d:], y[::2], cfg, copies=2)
-        w = np.concatenate([w, w])
-    else:
-        w, b = _gradient_descent(X, y, cfg, copies=1)
+    lr, l2 = LINEAR_DEFAULTS["lr"], LINEAR_DEFAULTS["l2"]
+    n = copies * len(y)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    for _ in range(int(LINEAR_DEFAULTS["epochs"])):
+        p = _sigmoid(X @ w + b)
+        err = (p - y) / n
+        gw = X.T @ err + l2 * w
+        gb = copies * err.sum()
+        w -= lr * gw
+        b -= lr * gb
     return w, b
 
 
@@ -211,36 +190,20 @@ def classify_accuracy(proba: Callable[[np.ndarray], np.ndarray],
     return float(np.mean(pred == y))
 
 
-def _pair_features(table: EmbeddingTable, pairs: PairSet, augment: bool):
-    """Rows [u; v] of the resolvable pairs in pair order; with ``augment``
-    each is followed by its swapped row [v; u]."""
-    left = table.indices([p.left for p in pairs])
-    right = table.indices([p.right for p in pairs])
-    found = (left >= 0) & (right >= 0)
-    if not found.any():
-        raise ValueError("no resolvable pairs")
-    left, right = left[found], right[found]
-    labels = np.array([1 if p.relation == SYNONYM else 0 for p in pairs])[found]
-    if augment:
-        left, right = (np.column_stack([left, right]).ravel(),
-                       np.column_stack([right, left]).ravel())
-        labels = np.repeat(labels, 2)
-    return featurize_pair(table.matrix[left], table.matrix[right]), labels
-
-
 def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
                          concat: EmbeddingTable, train_pairs: PairSet,
                          test_pairs: PairSet,
                          boosted_config: dict | None = None) -> AccuracyTable:
     """3 spaces x 2 classifiers on the leakage-free split.
 
-    Train features are order-augmented; test predictions are order-averaged
-    by :func:`classify_accuracy`. Any train/test vocabulary overlap aborts.
-
-    The linear classifier scores a pair through u + v alone (see
-    :func:`train_linear`). Whether u and v agree or oppose along a direction,
-    which tells synonyms from antonyms, is not linear in their sum, so its
-    accuracy stays near chance where the boosted trees' does not.
+    Any train/test vocabulary overlap aborts. The linear classifier is a
+    logistic regression on ``u + v``, each train pair counted once per order;
+    its score does not change when a pair is swapped. Whether u and v agree
+    or oppose along a direction, which tells synonyms from antonyms, is not
+    linear in their sum, so its accuracy stays near chance where the boosted
+    trees' does not. The trees train on the order-augmented rows ``[u; v]``
+    and ``[v; u]`` of each pair, and their test predictions are
+    order-averaged by :func:`classify_accuracy`.
     """
     if train_pairs.vocabulary() & test_pairs.vocabulary():
         raise ValueError("leakage")
@@ -248,16 +211,23 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
     accuracies: dict[str, dict[str, float]] = {}
     counts: dict[str, dict[str, int]] = {}
     for space, table in (("raw", raw), ("new", new), ("concatenated", concat)):
-        Xtr, ytr = _pair_features(table, train_pairs, augment=True)
-        Xte, yte = _pair_features(table, test_pairs, augment=False)
-        w, b = train_linear(Xtr, ytr)
+        M = table.matrix
+        _, y, ((left, right),) = _pair_rows([table], train_pairs)
+        _, y_test, ((left_test, right_test),) = _pair_rows([table], test_pairs)
+        w, b = train_linear(M[left] + M[right], y, copies=2)
+        linear_pred = _sigmoid((M[left_test] + M[right_test]) @ w + b) >= 0.5
+        # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u]
+        Xtr = featurize_pair(M[np.column_stack([left, right]).ravel()],
+                             M[np.column_stack([right, left]).ravel()])
+        ytr = np.repeat(y, 2)
         trees = train_boosted_trees(Xtr, ytr, rounds=int(boosted["rounds"]),
                                     shrinkage=float(boosted["shrinkage"]),
                                     max_depth=int(boosted["max_depth"]))
+        Xte = featurize_pair(M[left_test], M[right_test])
         accuracies[space] = {
-            "linear": classify_accuracy(lambda X: _sigmoid(X @ w + b), Xte, yte),
-            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X), Xte, yte),
+            "linear": float(np.mean(linear_pred == y_test)),
+            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X), Xte, y_test),
         }
-        counts[space] = {"train_examples": len(ytr), "test_pairs": len(yte)}
+        counts[space] = {"train_examples": len(ytr), "test_pairs": len(y_test)}
     config = {"linear": dict(LINEAR_DEFAULTS), "boosted": boosted}
     return AccuracyTable(accuracies=accuracies, counts=counts, config=config)

@@ -228,6 +228,13 @@ def pair_head_logits(head: MlpParams, U: np.ndarray, V: np.ndarray) -> np.ndarra
     return out[:, 0]
 
 
+def logistic_loss(y: np.ndarray, scores: np.ndarray) -> float:
+    """Mean binary cross-entropy of the logits ``scores`` against the 0/1
+    labels ``y``, in the stable form softplus(z) - y * z."""
+    y = np.asarray(y, dtype=np.float64)
+    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
+
+
 def pair_head_loss_backward(head: MlpParams, U: np.ndarray, V: np.ndarray,
                             labels: np.ndarray):
     """Mean binary cross-entropy through the head, with gradients.
@@ -240,8 +247,7 @@ def pair_head_loss_backward(head: MlpParams, U: np.ndarray, V: np.ndarray,
     out, cache = _forward_cached(head, X)
     z = out[:, 0]
     y = np.asarray(labels, dtype=np.float64)
-    # stable BCE with logits: softplus(z) - y*z
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
+    loss = logistic_loss(y, z)
     dz = (_sigmoid(z) - y) / n
     grads, dZ0 = _backward(head, cache, dz[:, None])
     dX = dZ0 @ head.weights[0]

@@ -11,8 +11,9 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .network import (DivergenceError, MlpParams, TripletBatch, _backward,
                       _forward_cached, forward, init_optimizer,
-                      init_params, optimizer_step, pair_head_loss_backward,
-                      triplet_backward, triplet_loss, pair_head_logits)
+                      init_params, logistic_loss, optimizer_step,
+                      pair_head_loss_backward, triplet_backward, triplet_loss,
+                      pair_head_logits)
 from .pairs import Triplet
 
 BASELINE = "baseline"
@@ -40,6 +41,10 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
         if self.mode not in (BASELINE, CLASSIFIER_SYSTEM):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -234,8 +239,7 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
         # one branch's gather and forward cache at a time: the held-out rows are many
         U, V, y = _head_pairs(*(_forward_cached(models[0], X)[0]
                                 for X in _gather(table, rows, idx)))
-        z = pair_head_logits(models[1], U, V)
-        return float(np.mean(np.logaddexp(0.0, z) - y * z))
+        return logistic_loss(y, pair_head_logits(models[1], U, V))
 
     (best_params, best_head), report = _fit([params, head], step, val_loss, len(rows[0]),
                                             config, start, dropped)

@@ -9,7 +9,7 @@ from contrastmap import boosting
 from contrastmap.boosting import (GAIN_TOL, H_EPS, MAX_BINS, TreeNode,
                                   boosted_proba, boosted_scores, logistic_loss,
                                   train_boosted_trees)
-from contrastmap.evaluation import _pair_features
+from contrastmap.evaluation import _pair_rows, featurize_pair
 from contrastmap.pairs import split_pairs
 from contrastmap.synthetic import planted_world
 
@@ -236,9 +236,18 @@ def _bits(node):
             + _bits(node.left) + _bits(node.right))
 
 
+def _augmented_train_rows(world):
+    """The train pairs of ``world`` as order-augmented features: rows 2i and
+    2i + 1 are pair i as [u; v] and as [v; u], with its 0/1 label."""
+    _, syn, ((left, right),) = _pair_rows([world.table], split_pairs(world.pairs).train)
+    M = world.table.matrix
+    X = featurize_pair(M[np.column_stack([left, right]).ravel()],
+                       M[np.column_stack([right, left]).ravel()])
+    return X, np.repeat(syn.astype(int), 2)
+
+
 def _planted_pair_features():
-    world = planted_world(n_words=300, dim=8, seed=5)
-    return _pair_features(world.table, split_pairs(world.pairs).train, augment=True)
+    return _augmented_train_rows(planted_world(n_words=300, dim=8, seed=5))
 
 
 def _xor():
@@ -270,8 +279,7 @@ def _twinned(X):
 
 def _blocked_pair_features():
     # 525 distinct values per column: more than MAX_BINS, so the columns are binned
-    world = planted_world(n_words=700, dim=16, seed=5)
-    X, y = _pair_features(world.table, split_pairs(world.pairs).train, augment=True)
+    X, y = _augmented_train_rows(planted_world(n_words=700, dim=16, seed=5))
     return _twinned(X), y
 
 
@@ -309,8 +317,7 @@ def test_trees_match_masked_reference_bit_for_bit(fixture, max_depth):
 def _fit_peak_over_input():
     """Peak traced memory of a 3-round fit on 6,000 x 64 pair features, over
     the input's bytes."""
-    world = planted_world(n_words=2000, dim=32, seed=1)
-    X, y = _pair_features(world.table, split_pairs(world.pairs).train, augment=True)
+    X, y = _augmented_train_rows(planted_world(n_words=2000, dim=32, seed=1))
     assert X.shape == (6000, 64)
     tracemalloc.start()
     try:

@@ -7,7 +7,7 @@ import pytest
 
 from contrastmap.embeddings import EmbeddingTable, cosine_distance
 from contrastmap.boosting import boosted_proba, train_boosted_trees
-from contrastmap.evaluation import (LINEAR_DEFAULTS, _pair_features,
+from contrastmap.evaluation import (BOOSTED_DEFAULTS, LINEAR_DEFAULTS, _pair_rows,
                                     build_accuracy_table, classify_accuracy,
                                     distance_report, extreme_pairs,
                                     featurize_pair, shift_report, train_linear)
@@ -182,7 +182,7 @@ def test_featurize_pair():
 
 
 def _reference_pair_features(table, pairs, augment):
-    # the per-pair loop that _pair_features replaced
+    # the per-pair loop that resolving pairs to row indices replaced
     feats, labels = [], []
     for p in pairs:
         u, v = table.lookup(p.left), table.lookup(p.right)
@@ -202,24 +202,27 @@ def _reference_pair_features(table, pairs, augment):
 @pytest.mark.parametrize("augment", [False, True])
 def test_pair_features_match_per_pair_loop(augment):
     world = planted_world(n_words=300, dim=8, seed=5)
-    # drop every seventh word so some pairs do not resolve
-    kept = [w for i, w in enumerate(world.table.words) if i % 7]
-    table = EmbeddingTable(dimension=8, words=kept,
-                           matrix=world.table.matrix[[i % 7 != 0 for i in range(300)]])
-    X, y = _pair_features(table, world.pairs, augment)
+    table = _without_every(world.table, 7, 0)  # so some pairs do not resolve
+    found, syn, ((left, right),) = _pair_rows([table], world.pairs)
+    y = syn.astype(int)
+    if augment:  # rows 2i and 2i + 1 are pair i in both orders
+        left, right = (np.column_stack([left, right]).ravel(),
+                       np.column_stack([right, left]).ravel())
+        y = np.repeat(y, 2)
+    X = featurize_pair(table.matrix[left], table.matrix[right])
     X_ref, y_ref = _reference_pair_features(table, world.pairs, augment)
-    assert len(y_ref) < (2 if augment else 1) * len(world.pairs)
+    assert np.count_nonzero(found) == len(syn) < len(world.pairs)
     assert X.shape == X_ref.shape and X.dtype == X_ref.dtype
     assert X.tobytes() == X_ref.tobytes()
     assert y.dtype == y_ref.dtype and np.array_equal(y, y_ref)
     with pytest.raises(ValueError, match="no resolvable pairs"):
-        _pair_features(table, _pairs(("zz", "a", SYNONYM)), augment)
+        _pair_rows([table], _pairs(("zz", "a", SYNONYM)))
 
 
-def _reference_train_linear(X, y, config):
+def _reference_train_linear(X, y):
     # the fit train_linear ran on every input before it fit order-augmented
     # pair features on u + v: full-batch descent over the (2m, 2d) matrix
-    cfg = {**LINEAR_DEFAULTS, **(config or {})}
+    cfg = LINEAR_DEFAULTS
     n, d = X.shape
     w, b = np.zeros(d), 0.0
     for _ in range(int(cfg["epochs"])):
@@ -233,16 +236,23 @@ def _reference_train_linear(X, y, config):
 
 
 @pytest.fixture(scope="module")
-def pair_spaces():
-    """Order-augmented train and plain test pair features per space."""
+def pair_tables():
+    """The raw, new and concatenated tables of one planted world, and its split."""
     world = planted_world(n_words=600, dim=16, seed=3)
-    split = split_pairs(world.pairs)
     new = transform_vocabulary(init_params([16, 12, 4], seed=1), world.table)
-    spaces = {"raw": world.table, "new": new,
-              "concatenated": concat_embeddings(world.table, new)}
-    features = {space: (_pair_features(table, split.train, augment=True),
-                        _pair_features(table, split.test, augment=False))
-                for space, table in spaces.items()}
+    return ({"raw": world.table, "new": new,
+             "concatenated": concat_embeddings(world.table, new)},
+            split_pairs(world.pairs))
+
+
+@pytest.fixture(scope="module")
+def pair_spaces(pair_tables):
+    """Order-augmented train and plain test pair features per space, built
+    by the per-pair loop."""
+    tables, split = pair_tables
+    features = {space: (_reference_pair_features(table, split.train, augment=True),
+                        _reference_pair_features(table, split.test, augment=False))
+                for space, table in tables.items()}
     rng = np.random.default_rng(7)
     U, V = rng.standard_normal((300, 5)), rng.standard_normal((300, 5))
     y = (np.sum(U * V, axis=1) + 0.5 * U[:, 0] > 0).astype(int)
@@ -257,31 +267,69 @@ def pair_spaces():
     ("raw", None), ("new", None), ("concatenated", None), ("random", None),
     ("raw", {"epochs": 0}), ("new", {"lr": 0.7}), ("concatenated", {"l2": 0.0}),
     ("random", {"epochs": 40, "lr": 1.5, "l2": 0.0})])
-def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config):
+def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config,
+                                                   monkeypatch):
+    for key, value in (config or {}).items():
+        monkeypatch.setitem(LINEAR_DEFAULTS, key, value)
     (X, y), (X_test, y_test) = pair_spaces[space]
-    model = train_linear(X, y, config)
-    reference = _reference_train_linear(X, y.astype(float), config)
-    (w, b), (w_ref, b_ref) = model, reference
     d = X.shape[1] // 2
-    assert len(w) == len(w_ref) == 2 * d
-    assert np.array_equal(w[:d], w[d:])
-    got = np.append(w, b)
+    w, b = train_linear(X[::2, :d] + X[::2, d:], y[::2], copies=2)
+    w_ref, b_ref = _reference_train_linear(X, y.astype(float))
+    assert len(w) == d and len(w_ref) == 2 * d
+    got = np.append(np.concatenate([w, w]), b)
     want = np.append(w_ref, b_ref)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-    assert (classify_accuracy(_linear(model), X_test, y_test)
-            == classify_accuracy(_linear(reference), X_test, y_test))
+    pred = _sigmoid((X_test[:, :d] + X_test[:, d:]) @ w + b) >= 0.5
+    assert (np.mean(pred == y_test)
+            == classify_accuracy(_linear((w_ref, b_ref)), X_test, y_test))
 
 
 def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces):
+    # with one copy per row, train_linear is the full-width fit on any
+    # features, order-augmented pair rows included
     (X, y), _ = pair_spaces["random"]
     y = y.astype(float)
     flipped = y.copy()
     flipped[1] = 1.0 - flipped[1]  # one pair whose two rows disagree
-    for features, labels in [(X[:, :9], y), (X[:-1], y[:-1]), (X, flipped)]:
+    for features, labels in [(X, y), (X[:, :9], y), (X[:-1], y[:-1]), (X, flipped)]:
         w, b = train_linear(features, labels)
-        w_ref, b_ref = _reference_train_linear(features, labels, None)
+        w_ref, b_ref = _reference_train_linear(features, labels)
         assert w.tobytes() == w_ref.tobytes()
         assert b == b_ref
+
+
+def _reference_accuracy_table(tables, train_pairs, test_pairs, rounds):
+    # the table as built before the linear column fit u + v itself: the
+    # augmented rows, the full-width linear fit, order-averaged [w; w] scores
+    accuracies, counts = {}, {}
+    for space, table in tables.items():
+        Xtr, ytr = _reference_pair_features(table, train_pairs, augment=True)
+        Xte, yte = _reference_pair_features(table, test_pairs, augment=False)
+        linear = _reference_train_linear(Xtr, ytr.astype(float))
+        trees = train_boosted_trees(Xtr, ytr, rounds=rounds,
+                                    shrinkage=BOOSTED_DEFAULTS["shrinkage"],
+                                    max_depth=BOOSTED_DEFAULTS["max_depth"])
+        accuracies[space] = {
+            "linear": classify_accuracy(_linear(linear), Xte, yte),
+            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X), Xte, yte)}
+        counts[space] = {"train_examples": len(ytr), "test_pairs": len(yte)}
+    return accuracies, counts
+
+
+@pytest.mark.parametrize("thinned", [(), ("new",), ("raw", "new", "concatenated")],
+                         ids=["none", "new", "all"])
+def test_accuracy_table_matches_augmented_reference(pair_tables, thinned):
+    tables, split = pair_tables
+    # drop every seventh word of the thinned tables so some pairs do not resolve
+    tables = {space: _without_every(table, 7, 0) if space in thinned else table
+              for space, table in tables.items()}
+    result = build_accuracy_table(tables["raw"], tables["new"], tables["concatenated"],
+                                  split.train, split.test, boosted_config={"rounds": 20})
+    accuracies, counts = _reference_accuracy_table(tables, split.train, split.test, 20)
+    assert result.accuracies == accuracies
+    assert result.counts == counts
+    for space in tables:
+        assert (counts[space]["train_examples"] < 2 * len(split.train)) == (space in thinned)
 
 
 def test_train_linear_separable():
@@ -294,10 +342,11 @@ def test_train_linear_separable():
     assert np.mean(pred == y) == 1.0
 
 
-def test_train_linear_zero_epochs():
+def test_train_linear_zero_epochs(monkeypatch):
+    monkeypatch.setitem(LINEAR_DEFAULTS, "epochs", 0)
     X = np.array([[1.0], [-1.0]])
     y = np.array([1.0, 0.0])
-    model = train_linear(X, y, {"epochs": 0})
+    model = train_linear(X, y)
     w, b = model
     assert np.all(w == 0.0) and b == 0.0
     assert np.all(_linear(model)(X) == 0.5)
@@ -308,25 +357,28 @@ def test_train_linear_single_class():
         train_linear(np.zeros((3, 2)), np.ones(3))
 
 
-def test_linear_threshold_invariant_to_positive_rescaling():
+def test_linear_threshold_invariant_to_positive_rescaling(monkeypatch):
     rng = np.random.default_rng(2)
     X = rng.standard_normal((60, 3))
     y = (X @ np.array([1.0, -2.0, 0.5]) > 0).astype(float)
-    m1 = train_linear(X, y, {"l2": 0.0})
-    m2 = train_linear(10.0 * X, y, {"l2": 0.0, "lr": 0.001})
+    monkeypatch.setitem(LINEAR_DEFAULTS, "l2", 0.0)
+    m1 = train_linear(X, y)
+    monkeypatch.setitem(LINEAR_DEFAULTS, "lr", 0.001)
+    m2 = train_linear(10.0 * X, y)
     p1 = (_linear(m1)(X) >= 0.5)
     p2 = (_linear(m2)(10.0 * X) >= 0.5)
     assert np.mean(p1 == p2) > 0.95  # decision agreement, not value equality
 
 
-def test_classify_accuracy_perfect_and_constant():
+def test_classify_accuracy_perfect_and_constant(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 2))
     X = np.concatenate([X, X], axis=1)  # symmetric pair features
     y = (X[:, 0] > 0).astype(int)
     model = train_linear(X, y.astype(float))
     assert classify_accuracy(_linear(model), X, y) > 0.9
-    constant = train_linear(X, y.astype(float), {"epochs": 0})
+    monkeypatch.setitem(LINEAR_DEFAULTS, "epochs", 0)
+    constant = train_linear(X, y.astype(float))
     # all probabilities 0.5 -> every prediction is "positive"
     assert classify_accuracy(_linear(constant), X, y) == pytest.approx(np.mean(y == 1))
 

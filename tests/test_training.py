@@ -1,5 +1,6 @@
 """Tests for end-to-end training, the classifier-head ablation, and the
 transformed / concatenated table plumbing."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,11 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="mode"):
         TrainConfig(mode="nonsense")
+    for lr in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
+    with pytest.raises(ValueError, match="early_stop_patience"):
+        TrainConfig(early_stop_patience=0)
 
 
 def test_single_epoch_report(small_world):
