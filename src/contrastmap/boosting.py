@@ -116,9 +116,10 @@ def _best_split(codes: np.ndarray, gn: np.ndarray, hn: np.ndarray):
 
 
 def _build_tree(codes: np.ndarray | None, rows: np.ndarray, lower: np.ndarray,
-                upper: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int) -> TreeNode:
+                upper: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int,
+                out: np.ndarray) -> TreeNode:
     """The subtree of the node of ``rows``, in row order, whose codes are
-    the (d, len(rows)) ``codes``."""
+    the (d, len(rows)) ``codes``. Each leaf writes its value to ``out[rows]``."""
     gn, hn = g[rows], h[rows]
     split = _best_split(codes, gn, hn) if depth > 0 else None
     if split is not None and split[0] <= GAIN_TOL:
@@ -128,7 +129,8 @@ def _build_tree(codes: np.ndarray | None, rows: np.ndarray, lower: np.ndarray,
         if depth < 2 or gn.min() >= 0.0 or gn.max() <= 0.0:
             split = None
     if split is None:  # rows are in row order: a float sum's rounding depends on order
-        return TreeNode(value=-gn.sum() / (hn.sum() + H_EPS))
+        out[rows] = value = -gn.sum() / (hn.sum() + H_EPS)
+        return TreeNode(value=value)
     _, feature, b = split
     goes_left = codes[feature] <= b
     # a valid split's next non-empty bin in the node is a value bin, not NaN's
@@ -136,7 +138,8 @@ def _build_tree(codes: np.ndarray | None, rows: np.ndarray, lower: np.ndarray,
     t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
     # a leaf searches nothing and needs no codes
     left, right = (_build_tree(codes.compress(keep, axis=1) if depth > 1 else None, rows[keep],
-                               lower, upper, g, h, depth - 1) for keep in (goes_left, ~goes_left))
+                               lower, upper, g, h, depth - 1, out)
+                   for keep in (goes_left, ~goes_left))
     return TreeNode(feature=feature, threshold=float(t if t < hi else lo), left=left, right=right)
 
 
@@ -178,14 +181,14 @@ def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = 200,
     codes, lower, upper = _bin(X)
     rows = np.arange(len(y))
     scores = np.full(len(y), base)
+    update = np.empty(len(y))  # each round's leaves write their values to their rows
     trees: list[TreeNode] = []
     for _ in range(rounds):
         p = _sigmoid(scores)
         g = p - y
         h = p * (1.0 - p)
-        tree = _build_tree(codes, rows, lower, upper, g, h, max_depth)
-        trees.append(tree)
-        scores = scores + shrinkage * _tree_predict(tree, X)
+        trees.append(_build_tree(codes, rows, lower, upper, g, h, max_depth, update))
+        scores += shrinkage * update
     return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage)
 
 

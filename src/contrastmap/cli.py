@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -57,6 +58,9 @@ def _checked(convert, ok, requirement: str):
 
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+# a value that goes into artifact file names
+_file_label = _checked(str, lambda v: not {"/", os.sep, os.altsep} & set(v),
+                       "free of path separators")
 
 
 def _sha256(path: Path) -> str:
@@ -149,6 +153,7 @@ def _cmd_split(args, run: _Run) -> None:
         "dropped_spanning": result.dropped_spanning,
         "dropped_duplicates": pairs.dropped_duplicates,
         "dropped_conflicts": pairs.dropped_conflicts,
+        "skipped_lines": pairs.skipped_lines,
         "train_vocab": len(result.train.vocabulary()),
         "test_vocab": len(result.test.vocabulary()),
     }
@@ -164,6 +169,7 @@ def _cmd_stats(args, run: _Run) -> None:
         **component_stats(pairs),
         "synonym_pairs": len(pairs.by_relation("synonym")),
         "antonym_pairs": len(pairs.by_relation("antonym")),
+        "skipped_lines": pairs.skipped_lines,
     }
     run.write("stats.json", _json, summary)
     run.log(f"stats: {summary['component_count']} components, giant share "
@@ -351,7 +357,7 @@ def build_parser() -> _Parser:
 
     p = command("eval-distances", "distance distribution report", _cmd_eval_distances,
                 ("embeddings", "pairs"))
-    p.add_argument("--label", default="raw")
+    p.add_argument("--label", type=_file_label, default="raw")
     common(p)
 
     common(command("eval-shifts", "pairwise distance shift report", _cmd_eval_shifts,

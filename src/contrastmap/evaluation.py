@@ -2,6 +2,7 @@
 examples, and the raw/new/concatenated pair-classifier comparison."""
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import IO, Callable
@@ -46,9 +47,11 @@ class ShiftReport:
     unresolved: int
 
     def write_csv(self, stream: IO[str]) -> None:
-        stream.write("left,right,relation,d_before,d_after,shift\n")
-        for left, right, rel, db, da, sh in self.records:
-            stream.write(f"{left},{right},{rel},{db!r},{da!r},{sh!r}\n")
+        """CSV rows; a word that holds ``,`` or ``"`` is quoted, and a float is
+        written as its ``repr``."""
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(("left", "right", "relation", "d_before", "d_after", "shift"))
+        writer.writerows(self.records)
 
 
 @dataclass
@@ -174,20 +177,12 @@ def train_linear(features: np.ndarray, labels: np.ndarray,
     return w, b
 
 
-def _swap_halves(X: np.ndarray) -> np.ndarray:
-    d = X.shape[1] // 2
-    return np.concatenate([X[:, d:], X[:, :d]], axis=1)
-
-
-def classify_accuracy(proba: Callable[[np.ndarray], np.ndarray],
-                      features: np.ndarray, labels: np.ndarray) -> float:
-    """Accuracy at threshold 0.5 of ``proba`` (feature matrix -> probabilities),
-    order-averaged over both pair orders."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
-    p = 0.5 * (proba(X) + proba(_swap_halves(X)))
-    pred = (p >= 0.5).astype(int)
-    return float(np.mean(pred == y))
+def classify_accuracy(proba: Callable[[np.ndarray], np.ndarray], U: np.ndarray,
+                      V: np.ndarray, labels: np.ndarray) -> float:
+    """Accuracy at threshold 0.5 of ``proba`` (pair features -> probabilities) on
+    the pairs of row-aligned members ``U`` and ``V``, averaged over both orders."""
+    p = 0.5 * (proba(featurize_pair(U, V)) + proba(featurize_pair(V, U)))
+    return float(np.mean((p >= 0.5) == np.asarray(labels)))
 
 
 def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
@@ -223,10 +218,10 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
         trees = train_boosted_trees(Xtr, ytr, rounds=int(boosted["rounds"]),
                                     shrinkage=float(boosted["shrinkage"]),
                                     max_depth=int(boosted["max_depth"]))
-        Xte = featurize_pair(M[left_test], M[right_test])
         accuracies[space] = {
             "linear": float(np.mean(linear_pred == y_test)),
-            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X), Xte, y_test),
+            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X),
+                                         M[left_test], M[right_test], y_test),
         }
         counts[space] = {"train_examples": len(ytr), "test_pairs": len(y_test)}
     config = {"linear": dict(LINEAR_DEFAULTS), "boosted": boosted}

@@ -218,7 +218,7 @@ def triplet_backward(params: MlpParams, batch: TripletBatch) -> tuple[float, np.
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def pair_head_logits(head: MlpParams, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -307,7 +307,9 @@ def params_from_dict(doc: dict) -> MlpParams:
                if k not in doc]
     if missing:
         raise ValueError(f"model lacks {', '.join(missing)}")
-    dims = [int(d) for d in doc["layer_dims"]]
+    dims = doc["layer_dims"]
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+        raise ValueError(f"layer_dims must be a list of ints, got {dims!r}")
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
     if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:

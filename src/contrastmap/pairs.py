@@ -77,9 +77,8 @@ def load_pairs(stream: str | IO[str] | Iterable[str]) -> PairSet:
     first record; a pair seen with both relations drops every record of
     that pair (counted in ``dropped_conflicts``).
     """
-    seen: dict[tuple[str, str], LabeledPair] = {}
-    conflicted: set[tuple[str, str]] = set()
-    order: list[tuple[str, str]] = []
+    # key -> its first pair, or None once the key is seen with both relations
+    entries: dict[tuple[str, str], LabeledPair | None] = {}
     dropped_duplicates = 0
     dropped_conflicts = 0
     skipped = 0
@@ -99,24 +98,22 @@ def load_pairs(stream: str | IO[str] | Iterable[str]) -> PairSet:
             continue
         pair = LabeledPair(left, right, relation)
         key = pair.key()
-        if key in conflicted:
-            dropped_conflicts += 1
+        if key not in entries:
+            entries[key] = pair
             continue
-        prev = seen.get(key)
+        prev = entries[key]
         if prev is None:
-            seen[key] = pair
-            order.append(key)
-            continue
-        if prev.relation == relation:
+            dropped_conflicts += 1
+        elif prev.relation == relation:
             dropped_duplicates += 1
         else:
             # both records of a synonym/antonym conflict are dropped
-            conflicted.add(key)
+            entries[key] = None
             dropped_conflicts += 2
-    pairs = [seen[k] for k in order if k not in conflicted]
-    if not pairs and not conflicted:
+    if not entries:
         raise PairParseError("no pairs")
-    return PairSet(pairs=pairs, dropped_duplicates=dropped_duplicates,
+    return PairSet(pairs=[p for p in entries.values() if p is not None],
+                   dropped_duplicates=dropped_duplicates,
                    dropped_conflicts=dropped_conflicts, skipped_lines=skipped)
 
 

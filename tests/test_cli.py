@@ -1,6 +1,7 @@
 """Tests for the command-line pipeline: exit codes, artifacts, manifests,
 and rerun determinism."""
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -99,6 +100,9 @@ def test_train_dims_checked_at_parsing(tmp_path, capsys, flag, value):
     ("downstream", ["--raw", "--concat", "--data"], "--test-fraction", "0"),
     ("downstream", ["--raw", "--concat", "--data"], "--test-fraction", "0.5"),
     ("downstream", ["--raw", "--concat", "--data"], "--test-fraction", "nan"),
+    # the label goes into artifact file names, which must stay inside --out
+    ("eval-distances", ["--embeddings", "--pairs"], "--label", "x/y"),
+    ("eval-distances", ["--embeddings", "--pairs"], "--label", "/abs"),
 ])
 def test_split_and_test_fractions_checked_at_parsing(tmp_path, capsys, command, inputs,
                                                      flag, value):
@@ -239,7 +243,15 @@ def test_bad_pairs_exit_2(tmp_path, capsys):
     '{"format_version": 1, "layer_dims": [3, 2]}\n',
     '{"format_version": 1, "layer_dims": 3, "hidden_activation": "tanh", '
     '"weights": [], "biases": []}\n',
-], ids=["not-json", "json-list", "missing-keys", "dims-not-a-list"])
+    # shaped for the truncated dims [20, 3, 2], which used to load
+    json.dumps({"format_version": 1, "layer_dims": [20.9, 3.2, 2.7],
+                "hidden_activation": "tanh", "weights": [[[0.1] * 20] * 3, [[0.1] * 3] * 2],
+                "biases": [[0.0] * 3, [0.0] * 2]}),
+    json.dumps({"format_version": 1, "layer_dims": [20, True, 2],
+                "hidden_activation": "tanh", "weights": [[[0.1] * 20], [[0.1]] * 2],
+                "biases": [[0.0], [0.0] * 2]}),
+], ids=["not-json", "json-list", "missing-keys", "dims-not-a-list", "dims-not-integers",
+        "dims-bools"])
 def test_bad_model_file_exit_2(fixtures, tmp_path, capsys, model):
     path = tmp_path / "model.json"
     path.write_text(model)
@@ -260,11 +272,19 @@ def test_split_command(fixtures, tmp_path):
     summary = json.loads((out / "split.json").read_text())
     assert summary["train_pairs"] == len(train)
     assert summary["test_pairs"] == len(test)
+    assert summary["skipped_lines"] == 0
     manifest = json.loads((out / "run.json").read_text())
     for entry in manifest["outputs"].values():
         assert _sha256(out / entry["path"].split("/")[-1]) == entry["sha256"]
     _assert_manifest(out, "split", {"pairs": str(fixtures["pairs"]), "test_every": 4,
                                     "seed": 0}, ["pairs"])
+    # two malformed lines (bad arity, self-pair) are counted in both summaries
+    probe = tmp_path / "probe.tsv"
+    probe.write_text(fixtures["pairs"].read_text() + "a\tb\nx\tx\tsynonym\n")
+    for command, name in (("split", "split.json"), ("stats", "stats.json")):
+        assert run([command, "--pairs", str(probe), "--out", str(tmp_path / command),
+                    "--quiet"]) == 0
+        assert json.loads((tmp_path / command / name).read_text())["skipped_lines"] == 2
 
 
 @pytest.fixture(scope="module")
@@ -375,13 +395,26 @@ def _assert_shifts_csv(csv_path, before, after, pairs):
     """Each row of ``csv_path`` holds plain numbers equal to the shift report's."""
     with open(before) as b, open(after) as a, open(pairs) as p:
         report = shift_report(parse_embedding_text(b), parse_embedding_text(a), load_pairs(p))
-    rows = csv_path.read_text().splitlines()
-    assert rows[0] == "left,right,relation,d_before,d_after,shift"
+    with open(csv_path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["left", "right", "relation", "d_before", "d_after", "shift"]
     assert len(rows) == len(report.records) + 1
-    for row, record in zip(rows[1:], report.records):
-        fields = row.split(",")
+    for fields, record in zip(rows[1:], report.records):
+        assert len(fields) == 6
         assert fields[:3] == list(record[:3])
         assert [float(x) for x in fields[3:]] == list(record[3:])
+
+
+def test_shifts_csv_quotes_words_with_commas_and_quotes(tmp_path):
+    before, after, pairs = (tmp_path / name for name in ("before.txt", "after.txt", "pairs.tsv"))
+    before.write_text('a,b 1 0\ne"q 0 1\nc 1 1\n')
+    after.write_text('a,b 1 2\ne"q 2 1\nc 1 1\n')
+    pairs.write_text('a,b\te"q\tantonym\nc\ta,b\tsynonym\n')
+    assert run(["eval-shifts", "--before", str(before), "--after", str(after),
+                "--pairs", str(pairs), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    csv_path = tmp_path / "out" / "shifts.csv"
+    assert csv_path.read_text().splitlines()[1].startswith('"a,b","e""q",antonym,')
+    _assert_shifts_csv(csv_path, before, after, pairs)
 
 
 def test_eval_classifiers_command(pipeline, tmp_path):

@@ -281,7 +281,8 @@ def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config,
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     pred = _sigmoid((X_test[:, :d] + X_test[:, d:]) @ w + b) >= 0.5
     assert (np.mean(pred == y_test)
-            == classify_accuracy(_linear((w_ref, b_ref)), X_test, y_test))
+            == classify_accuracy(_linear((w_ref, b_ref)), X_test[:, :d], X_test[:, d:],
+                                 y_test))
 
 
 def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces):
@@ -305,13 +306,14 @@ def _reference_accuracy_table(tables, train_pairs, test_pairs, rounds):
     for space, table in tables.items():
         Xtr, ytr = _reference_pair_features(table, train_pairs, augment=True)
         Xte, yte = _reference_pair_features(table, test_pairs, augment=False)
+        U, V = np.hsplit(Xte, 2)
         linear = _reference_train_linear(Xtr, ytr.astype(float))
         trees = train_boosted_trees(Xtr, ytr, rounds=rounds,
                                     shrinkage=BOOSTED_DEFAULTS["shrinkage"],
                                     max_depth=BOOSTED_DEFAULTS["max_depth"])
         accuracies[space] = {
-            "linear": classify_accuracy(_linear(linear), Xte, yte),
-            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X), Xte, yte)}
+            "linear": classify_accuracy(_linear(linear), U, V, yte),
+            "boosted": classify_accuracy(lambda X: boosted_proba(trees, X), U, V, yte)}
         counts[space] = {"train_examples": len(ytr), "test_pairs": len(yte)}
     return accuracies, counts
 
@@ -372,15 +374,15 @@ def test_linear_threshold_invariant_to_positive_rescaling(monkeypatch):
 
 def test_classify_accuracy_perfect_and_constant(monkeypatch):
     rng = np.random.default_rng(3)
-    X = rng.standard_normal((40, 2))
-    X = np.concatenate([X, X], axis=1)  # symmetric pair features
+    U = rng.standard_normal((40, 2))
+    X = np.concatenate([U, U], axis=1)  # symmetric pair features
     y = (X[:, 0] > 0).astype(int)
     model = train_linear(X, y.astype(float))
-    assert classify_accuracy(_linear(model), X, y) > 0.9
+    assert classify_accuracy(_linear(model), U, U, y) > 0.9
     monkeypatch.setitem(LINEAR_DEFAULTS, "epochs", 0)
     constant = train_linear(X, y.astype(float))
     # all probabilities 0.5 -> every prediction is "positive"
-    assert classify_accuracy(_linear(constant), X, y) == pytest.approx(np.mean(y == 1))
+    assert classify_accuracy(_linear(constant), U, U, y) == pytest.approx(np.mean(y == 1))
 
 
 def test_classify_accuracy_order_invariance():
@@ -388,11 +390,10 @@ def test_classify_accuracy_order_invariance():
     U = rng.standard_normal((30, 3))
     V = rng.standard_normal((30, 3))
     X = np.concatenate([U, V], axis=1)
-    X_swapped = np.concatenate([V, U], axis=1)
     y = rng.integers(0, 2, size=30)
     trees = train_boosted_trees(X, y.astype(float), rounds=10)
     proba = lambda X: boosted_proba(trees, X)
-    assert classify_accuracy(proba, X, y) == classify_accuracy(proba, X_swapped, y)
+    assert classify_accuracy(proba, U, V, y) == classify_accuracy(proba, V, U, y)
 
 
 def test_build_accuracy_table_leakage():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrastmap.pairs import (ANTONYM, SYNONYM, LabeledPair, PairParseError,
-                               PairSet, build_triplets, component_stats,
+from contrastmap.embeddings import _as_lines
+from contrastmap.pairs import (ANTONYM, RELATIONS, SYNONYM, LabeledPair, PairParseError,
+                               PairSet, _valid_token, build_triplets, component_stats,
                                load_pairs, split_pairs, write_pairs)
 
 
@@ -37,6 +38,66 @@ def test_load_comments_and_malformed():
     ps = load_pairs(stream)
     assert [p.relation for p in ps] == [SYNONYM, ANTONYM]
     assert ps.skipped_lines == 2  # bad arity + self-pair
+
+
+def _reference_load_pairs(stream):
+    # the loader before one insertion-ordered dict replaced its seen/order/conflicted
+    seen, conflicted, order = {}, set(), []
+    dropped_duplicates = dropped_conflicts = skipped = 0
+    for raw_line in _as_lines(stream):
+        line = raw_line.rstrip("\r\n")
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            skipped += 1
+            continue
+        left, right, relation = cols[0], cols[1], cols[2].strip().lower()
+        if relation not in RELATIONS or not _valid_token(left) \
+                or not _valid_token(right) or left == right:
+            skipped += 1
+            continue
+        pair = LabeledPair(left, right, relation)
+        key = pair.key()
+        if key in conflicted:
+            dropped_conflicts += 1
+            continue
+        prev = seen.get(key)
+        if prev is None:
+            seen[key] = pair
+            order.append(key)
+            continue
+        if prev.relation == relation:
+            dropped_duplicates += 1
+        else:
+            conflicted.add(key)
+            dropped_conflicts += 2
+    pairs = [seen[k] for k in order if k not in conflicted]
+    if not pairs and not conflicted:
+        raise PairParseError("no pairs")
+    return PairSet(pairs=pairs, dropped_duplicates=dropped_duplicates,
+                   dropped_conflicts=dropped_conflicts, skipped_lines=skipped)
+
+
+_pair_line = st.one_of(
+    st.tuples(st.sampled_from("abc"), st.sampled_from("abc"),
+              st.sampled_from(["synonym", "antonym", " ANTONYM", "Synonym\r", "other"])
+              ).map("\t".join),
+    st.sampled_from(["", "# comment", "a\tb", "a\tb\tsynonym\tx", "a b\tc\tsynonym",
+                     "\tc\tantonym"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_pair_line, max_size=25))
+def test_load_pairs_matches_reference_loader(lines):
+    text = "\n".join(lines)
+    try:
+        want = _reference_load_pairs(text)
+    except PairParseError as exc:
+        with pytest.raises(PairParseError, match=str(exc)):
+            load_pairs(text)
+        return
+    assert load_pairs(text) == want
 
 
 def test_load_empty_errors():

@@ -405,9 +405,10 @@ def _reference_classifier_step(params, head, W, S, A):
     return loss, [grad, head_grad]
 
 
-def _training_closures(monkeypatch, table, triplets, mode, activation):
-    """The models, step and val_loss that a training call hands to ``_fit``,
-    with every parameter perturbed so that the biases are nonzero."""
+def _training_closures(monkeypatch, table, triplets, mode, activation, **overrides):
+    """The models, step and val_loss that a training call hands to ``_fit``
+    (its config ``_small_config`` with ``overrides``), with every parameter
+    perturbed so that the biases are nonzero."""
     seen = {}
 
     def capture(models, step, val_loss, *_):
@@ -415,7 +416,7 @@ def _training_closures(monkeypatch, table, triplets, mode, activation):
         return models, None
 
     monkeypatch.setattr(training, "_fit", capture)
-    config = _small_config(mode=mode, hidden_activation=activation)
+    config = _small_config(mode=mode, hidden_activation=activation, **overrides)
     (train_baseline if mode == BASELINE else train_classifier_system)(table, triplets, config)
     rng = np.random.default_rng(7)
     for model in seen["models"]:
@@ -463,3 +464,28 @@ def test_relu_step_with_a_nan_input_row_matches_reference(small_world, monkeypat
     triplet_rows = _reference_resolve(table, triplets)
     assert np.isnan(triplet_rows[0][idx]).any()
     _assert_step_matches_reference(models, step, val_loss, mode, triplet_rows, idx)
+
+
+def test_classifier_step_gradients_match_finite_differences(monkeypatch):
+    # the head's input gradients reach the map through dU[:n] + dU[n:] (the
+    # anchor's two pairs), dV[:n] (synonyms) and dV[n:] (antonyms)
+    world = planted_world(n_words=120, dim=6, seed=4)
+    triplets = build_triplets(split_pairs(world.pairs).train, seed=1)
+    models, step, _ = _training_closures(monkeypatch, world.table, triplets,
+                                         CLASSIFIER_SYSTEM, "tanh",
+                                         layer_dims=[6, 5, 3], head_dims=[6, 4, 1])
+    idx = np.arange(9)
+    grads = [g.copy() for g in step(models, idx)[1]]
+    h = 1e-6
+    for model, grad in zip(models, grads):
+        numeric = np.empty_like(model.flat)
+        for i in range(len(model.flat)):
+            orig = model.flat[i]
+            model.flat[i] = orig + h
+            up = step(models, idx)[0]
+            model.flat[i] = orig - h
+            down = step(models, idx)[0]
+            model.flat[i] = orig
+            numeric[i] = (up - down) / (2 * h)
+        assert np.all(np.abs(grad) > 1e-8)  # every entry is checked at relative tolerance
+        np.testing.assert_allclose(grad, numeric, rtol=1e-5)
