@@ -335,25 +335,51 @@ def test_transform_command(pipeline):
     assert set(manifest["outputs"]) == {"transformed.txt", "concat.txt"}
 
 
+def _digests_at_blas_threads(args, out, threads):
+    """Run the CLI with ``args`` in a fresh process at ``threads`` OpenBLAS
+    threads, writing to ``out``; the sha256 of each output it records."""
+    args = list(args)
+    args[args.index("--out") + 1] = str(out)
+    src = str(Path(contrastmap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "contrastmap.cli", *args], env=env,
+                   check=True, timeout=300)
+    outputs = json.loads((out / "run.json").read_text())["outputs"]
+    assert all(_sha256(out / name) == entry["sha256"] for name, entry in outputs.items())
+    return {name: entry["sha256"] for name, entry in outputs.items()}
+
+
+# at most two threads, so these tests never oversubscribe a two-core runner
 @pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
 def test_train_artifacts_equal_across_blas_thread_counts(pipeline, tmp_path, mode):
-    # at most two threads, so the test never oversubscribes a two-core runner
-    src = str(Path(contrastmap.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        args = list(pipeline["train_args"])
-        args[args.index("--mode") + 1] = mode
-        out = tmp_path / f"threads{threads}"
-        args[args.index("--out") + 1] = str(out)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "contrastmap.cli", *args], env=env,
-                       check=True, timeout=300)
-        outputs = json.loads((out / "run.json").read_text())["outputs"]
-        assert all(_sha256(out / name) == entry["sha256"] for name, entry in outputs.items())
-        digests.append({name: entry["sha256"] for name, entry in outputs.items()})
+    args = list(pipeline["train_args"])
+    args[args.index("--mode") + 1] = mode
+    digests = [_digests_at_blas_threads(args, tmp_path / f"threads{threads}", threads)
+               for threads in ("1", "2")]
     expected = {"model.json", "report.json"} | ({"head.json"} if mode != "baseline" else set())
     assert set(digests[0]) == expected
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("command", ["eval-classifiers", "downstream"])
+def test_linear_fit_artifacts_equal_across_blas_thread_counts(pipeline, tmp_path, command):
+    # both commands fit train_linear, whose Newton systems LAPACK solves
+    out, fixtures = pipeline["out"], pipeline["fixtures"]
+    args = {"eval-classifiers": ["--raw", fixtures["embeddings"],
+                                 "--new", out / "transform" / "transformed.txt",
+                                 "--concat", out / "transform" / "concat.txt",
+                                 "--train-pairs", out / "split" / "train.tsv",
+                                 "--test-pairs", out / "split" / "test.tsv",
+                                 "--rounds", "5"],
+            "downstream": ["--raw", fixtures["embeddings"],
+                           "--concat", out / "transform" / "concat.txt",
+                           "--data", fixtures["corpus"]]}[command]
+    args = [command, *map(str, args), "--out", "", "--quiet"]
+    digests = [_digests_at_blas_threads(args, tmp_path / f"threads{threads}", threads)
+               for threads in ("1", "2")]
+    assert set(digests[0]) == {"eval-classifiers": {"accuracy.json", "accuracy.txt"},
+                               "downstream": {"downstream.json"}}[command]
     assert digests[0] == digests[1]
 
 

@@ -1,11 +1,13 @@
 """Tests for the measurement suite: distance/shift reports, extreme pairs,
 pair featurization, and the two pair classifiers."""
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from contrastmap.embeddings import EmbeddingTable, cosine_distance
+from contrastmap import evaluation
 from contrastmap.boosting import boosted_proba, train_boosted_trees
 from contrastmap.evaluation import (BOOSTED_DEFAULTS, LINEAR_DEFAULTS, _pair_rows,
                                     build_accuracy_table, classify_accuracy,
@@ -219,20 +221,44 @@ def test_pair_features_match_per_pair_loop(augment):
         _pair_rows([table], _pairs(("zz", "a", SYNONYM)))
 
 
-def _reference_train_linear(X, y):
-    # the fit train_linear ran on every input before it fit order-augmented
-    # pair features on u + v: full-batch descent over the (2m, 2d) matrix
-    cfg = LINEAR_DEFAULTS
-    n, d = X.shape
-    w, b = np.zeros(d), 0.0
-    for _ in range(int(cfg["epochs"])):
-        p = _sigmoid(X @ w + b)
-        err = (p - y) / n
-        gw = X.T @ err + cfg["l2"] * w
-        gb = err.sum()
-        w -= cfg["lr"] * gw
-        b -= cfg["lr"] * gb
-    return w, b
+def _descent_fixed_point(X, y, copies=1, lr=0.1, max_epochs=100_000):
+    # the fit train_linear ran before it was solved by Newton's method: full-
+    # batch descent from zero at the old learning rate, here run on until an
+    # epoch changes no bit of (w, b) rather than stopped after 500 epochs
+    n, l2 = copies * len(y), LINEAR_DEFAULTS["l2"]
+    w, b = np.zeros(X.shape[1]), 0.0
+    for _ in range(max_epochs):
+        err = (_sigmoid(X @ w + b) - y) / n
+        w_next = w - lr * (X.T @ err + l2 * w)
+        b_next = b - lr * copies * err.sum()
+        if np.array_equal(w_next, w) and b_next == b:
+            return w, b
+        w, b = w_next, b_next
+    raise AssertionError("descent reached no fixed point")
+
+
+def _gradient(X, y, model, copies=1):
+    """The full gradient, bias last, of train_linear's objective at ``model``."""
+    w, b = model
+    r = _sigmoid(X @ w + b) - y
+    return np.append(X.T @ r / len(y) + copies * LINEAR_DEFAULTS["l2"] * w, r.mean())
+
+
+def _count_solves(monkeypatch):
+    """A list that gains an entry at each later np.linalg.solve call: one per
+    Newton step of train_linear."""
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+    return solves
+
+
+def _separable(n=200, d=20, scale=30.0, seed=220):
+    """Linearly separable rows with wide features: only the L2 penalty bounds
+    the optimum, whose weights are large."""
+    rng = np.random.default_rng(seed)
+    X = scale * rng.standard_normal((n, d))
+    return X, (X @ rng.standard_normal(d) > 0).astype(float)
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +291,8 @@ def pair_spaces(pair_tables):
 
 @pytest.mark.parametrize("space,config", [
     ("raw", None), ("new", None), ("concatenated", None), ("random", None),
-    ("raw", {"epochs": 0}), ("new", {"lr": 0.7}), ("concatenated", {"l2": 0.0}),
-    ("random", {"epochs": 40, "lr": 1.5, "l2": 0.0})])
+    ("raw", {"l2": 1e-2}), ("new", {"l2": 1.0}), ("concatenated", {"l2": 1e-6}),
+    ("random", {"l2": 1e-3})])
 def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config,
                                                    monkeypatch):
     for key, value in (config or {}).items():
@@ -274,7 +300,7 @@ def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config,
     (X, y), (X_test, y_test) = pair_spaces[space]
     d = X.shape[1] // 2
     w, b = train_linear(X[::2, :d] + X[::2, d:], y[::2], copies=2)
-    w_ref, b_ref = _reference_train_linear(X, y.astype(float))
+    w_ref, b_ref = train_linear(X, y)  # full width, on both orders of every pair
     assert len(w) == d and len(w_ref) == 2 * d
     got = np.append(np.concatenate([w, w]), b)
     want = np.append(w_ref, b_ref)
@@ -285,29 +311,33 @@ def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config,
                                  y_test))
 
 
-def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces):
-    # with one copy per row, train_linear is the full-width fit on any
-    # features, order-augmented pair rows included
+def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces,
+                                                                  monkeypatch):
+    # on any features, order-augmented pair rows included, a fit of c copies
+    # is the one-copy fit with c times the penalty, bit for bit
     (X, y), _ = pair_spaces["random"]
     y = y.astype(float)
     flipped = y.copy()
     flipped[1] = 1.0 - flipped[1]  # one pair whose two rows disagree
+    l2 = LINEAR_DEFAULTS["l2"]
     for features, labels in [(X, y), (X[:, :9], y), (X[:-1], y[:-1]), (X, flipped)]:
-        w, b = train_linear(features, labels)
-        w_ref, b_ref = _reference_train_linear(features, labels)
+        monkeypatch.setitem(LINEAR_DEFAULTS, "l2", l2)
+        w, b = train_linear(features, labels, copies=2)
+        monkeypatch.setitem(LINEAR_DEFAULTS, "l2", 2 * l2)
+        w_ref, b_ref = train_linear(features, labels)
         assert w.tobytes() == w_ref.tobytes()
         assert b == b_ref
 
 
 def _reference_accuracy_table(tables, train_pairs, test_pairs, rounds):
     # the table as built before the linear column fit u + v itself: the
-    # augmented rows, the full-width linear fit, order-averaged [w; w] scores
+    # augmented rows, the full-width linear fit, order-averaged scores
     accuracies, counts = {}, {}
     for space, table in tables.items():
         Xtr, ytr = _reference_pair_features(table, train_pairs, augment=True)
         Xte, yte = _reference_pair_features(table, test_pairs, augment=False)
         U, V = np.hsplit(Xte, 2)
-        linear = _reference_train_linear(Xtr, ytr.astype(float))
+        linear = train_linear(Xtr, ytr)
         trees = train_boosted_trees(Xtr, ytr, rounds=rounds,
                                     shrinkage=BOOSTED_DEFAULTS["shrinkage"],
                                     max_depth=BOOSTED_DEFAULTS["max_depth"])
@@ -345,11 +375,14 @@ def test_train_linear_separable():
 
 
 def test_train_linear_zero_epochs(monkeypatch):
-    monkeypatch.setitem(LINEAR_DEFAULTS, "epochs", 0)
-    X = np.array([[1.0], [-1.0]])
-    y = np.array([1.0, 0.0])
+    # the gradient vanishes at zero, so the fit stops at its first Newton
+    # system, whose step is zero, as a fit of zero descent epochs did
+    solves = _count_solves(monkeypatch)
+    X = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+    y = np.array([1.0, 0.0, 1.0, 0.0])
     model = train_linear(X, y)
     w, b = model
+    assert len(solves) == 1
     assert np.all(w == 0.0) and b == 0.0
     assert np.all(_linear(model)(X) == 0.5)
 
@@ -359,30 +392,105 @@ def test_train_linear_single_class():
         train_linear(np.zeros((3, 2)), np.ones(3))
 
 
-def test_linear_threshold_invariant_to_positive_rescaling(monkeypatch):
+@pytest.mark.parametrize("features,labels,copies,l2,message", [
+    (np.ones((3, 1)), [0.0, 2.0, 1.0], 1, 1e-4, "labels must be 0 or 1"),
+    (np.ones((3, 1)), [0.0, np.nan, 1.0], 1, 1e-4, "labels must be 0 or 1"),
+    (np.ones((3, 1)), [0.0, 1.0], 1, 1e-4, "labels must hold one label per row"),
+    (np.ones((3, 1)), [[0.0, 1.0, 1.0]], 1, 1e-4, "labels must hold one label per row"),
+    ([[1.0], [np.nan], [0.0]], [0.0, 1.0, 1.0], 1, 1e-4, "features must be finite"),
+    ([[1.0], [np.inf], [0.0]], [0.0, 1.0, 1.0], 1, 1e-4, "features must be finite"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], 0, 1e-4, "copies must be >= 1"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], -2, 1e-4, "copies must be >= 1"),
+    (np.ones((0, 2)), [], 1, 1e-4, "features must be a matrix with at least one row"),
+    (np.ones(3), [0.0, 1.0, 1.0], 1, 1e-4, "features must be a matrix"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], 1, 0.0, "l2 must be finite and > 0"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], 1, -1e-4, "l2 must be finite and > 0"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], 1, np.nan, "l2 must be finite and > 0"),
+], ids=["label-2", "label-nan", "short-labels", "label-matrix", "nan-feature",
+        "inf-feature", "copies-0", "copies-negative", "no-rows", "vector-features",
+        "l2-0", "l2-negative", "l2-nan"])
+def test_train_linear_rejects_bad_arguments(monkeypatch, features, labels, copies, l2,
+                                            message):
+    monkeypatch.setitem(LINEAR_DEFAULTS, "l2", l2)
+    with pytest.raises(ValueError, match=message):
+        train_linear(np.asarray(features), np.asarray(labels), copies=copies)
+
+
+@pytest.mark.parametrize("fixture", ["pair-sums", "augmented", "separable"])
+def test_train_linear_returns_a_stationary_point(pair_spaces, fixture):
+    (X, y), _ = pair_spaces["new"]
+    y, d = y.astype(float), X.shape[1] // 2
+    X, y, copies = {"pair-sums": (X[::2, :d] + X[::2, d:], y[::2], 2),
+                    "augmented": (X, y, 1),
+                    "separable": (*_separable(), 1)}[fixture]
+    model = train_linear(X, y, copies=copies)
+    zero = (np.zeros(X.shape[1]), 0.0)
+    assert (np.linalg.norm(_gradient(X, y, model, copies))
+            <= 1e-9 * np.linalg.norm(_gradient(X, y, zero, copies)))
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_train_linear_matches_descent_run_to_its_fixed_point(copies):
+    # a small, well-conditioned fit that the old descent can finish
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((100, 3))
+    y = (rng.random(100) < _sigmoid(X @ np.array([1.0, -0.5, 0.25]) + 0.3)).astype(float)
+    got = np.append(*train_linear(X, y, copies=copies))
+    want = np.append(*_descent_fixed_point(X, y, copies=copies))
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_train_linear_newton_steps_bounded_on_separable_data(monkeypatch):
+    # separable rows drive the weights far from zero, where a stopping rule
+    # that asks an absolute decrement below round-off of the objective stalls
+    solves = _count_solves(monkeypatch)
+    X, y = _separable()
+    model = train_linear(X, y)
+    assert len(solves) <= 30
+    assert np.mean((_linear(model)(X) >= 0.5) == y) == 1.0
+
+
+def test_train_linear_peak_memory_stays_under_half_the_features():
+    # the Hessian is formed a block of rows at a time: no (n, d) temporary
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((8192, 32))
+    y = (rng.random(8192) < _sigmoid(X[:, 0])).astype(float)
+    tracemalloc.start()
+    try:
+        train_linear(X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * X.nbytes
+
+
+def test_train_linear_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(evaluation, "NEWTON_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 Newton steps"):
+        train_linear(*_separable())
+
+
+def test_linear_threshold_invariant_to_positive_rescaling():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((60, 3))
     y = (X @ np.array([1.0, -2.0, 0.5]) > 0).astype(float)
-    monkeypatch.setitem(LINEAR_DEFAULTS, "l2", 0.0)
     m1 = train_linear(X, y)
-    monkeypatch.setitem(LINEAR_DEFAULTS, "lr", 0.001)
     m2 = train_linear(10.0 * X, y)
     p1 = (_linear(m1)(X) >= 0.5)
     p2 = (_linear(m2)(10.0 * X) >= 0.5)
     assert np.mean(p1 == p2) > 0.95  # decision agreement, not value equality
 
 
-def test_classify_accuracy_perfect_and_constant(monkeypatch):
+def test_classify_accuracy_perfect_and_constant():
     rng = np.random.default_rng(3)
     U = rng.standard_normal((40, 2))
     X = np.concatenate([U, U], axis=1)  # symmetric pair features
     y = (X[:, 0] > 0).astype(int)
     model = train_linear(X, y.astype(float))
     assert classify_accuracy(_linear(model), U, U, y) > 0.9
-    monkeypatch.setitem(LINEAR_DEFAULTS, "epochs", 0)
-    constant = train_linear(X, y.astype(float))
     # all probabilities 0.5 -> every prediction is "positive"
-    assert classify_accuracy(_linear(constant), U, U, y) == pytest.approx(np.mean(y == 1))
+    constant = lambda X: np.full(len(X), 0.5)
+    assert classify_accuracy(constant, U, U, y) == pytest.approx(np.mean(y == 1))
 
 
 def test_classify_accuracy_order_invariance():
