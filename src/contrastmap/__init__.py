@@ -7,9 +7,8 @@ from .embeddings import (EmbeddingTable, cosine_distance, parse_embedding_text,
                          write_embedding_text)
 from .pairs import (LabeledPair, PairSet, SplitResult, Triplet, build_triplets,
                     component_stats, load_pairs, split_pairs, write_pairs)
-from .network import (MlpParams, OptimizerState, TripletBatch, forward,
-                      init_params, optimizer_step, triplet_backward,
-                      triplet_loss)
+from .network import (MlpParams, OptimizerState, forward, init_params,
+                      optimizer_step, triplet_backward, triplet_loss)
 from .training import (TrainConfig, TrainReport, concat_embeddings,
                        train_baseline, train_classifier_system,
                        transform_vocabulary)
@@ -28,7 +27,7 @@ __all__ = [
     "write_embedding_text",
     "LabeledPair", "PairSet", "SplitResult", "Triplet", "build_triplets",
     "component_stats", "load_pairs", "split_pairs", "write_pairs",
-    "MlpParams", "OptimizerState", "TripletBatch", "forward", "init_params",
+    "MlpParams", "OptimizerState", "forward", "init_params",
     "optimizer_step", "triplet_backward", "triplet_loss",
     "TrainConfig", "TrainReport", "concat_embeddings", "train_baseline",
     "train_classifier_system", "transform_vocabulary",

@@ -324,7 +324,7 @@ def build_parser() -> _Parser:
         return p
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--quiet", action="store_true")
 

@@ -1,4 +1,4 @@
-"""Word-vector tables: text-format parsing, serialization, lookup and cosine distance.
+"""Word-vector tables: text-format parsing, serialization, row indices and cosine distance.
 
 The on-disk format is the plain text layout shared by the GloVe/FastText
 distributions: one word per line followed by its vector components, with an
@@ -9,7 +9,7 @@ The reader converts each row's values with one ``np.array(tokens,
 dtype=float64)`` call, which parses every token by Python's ``float`` rules,
 and writes each accepted row straight into one growing matrix, so a parse
 peaks near 1.5 times its matrix rather than holding every row twice.
-Given a ``vocabulary``, it converts only the rows a caller will look up:
+Given a ``vocabulary``, it converts only the rows a caller will use:
 after the first accepted row (which fixes the dimension and is always kept),
 a row whose word is outside the vocabulary is passed over unsplit,
 unconverted and uncounted. The result is the full parse restricted to the
@@ -36,7 +36,8 @@ class EmbeddingTable:
     """Immutable word -> dense vector table of fixed dimension.
 
     Vectors are stored row-wise in a single float64 matrix; ``words[i]``
-    owns ``matrix[i]``. Lookup is exact and case-sensitive.
+    owns ``matrix[i]``. ``indices`` and ``in`` match words exactly, case
+    included.
     """
 
     dimension: int
@@ -60,13 +61,6 @@ class EmbeddingTable:
         """Row index of each word, -1 where the word is absent."""
         get = self._index.get
         return np.array([get(w, -1) for w in words], dtype=np.intp)
-
-    def lookup(self, word: str) -> np.ndarray | None:
-        """Exact-match vector for ``word``, or None if absent."""
-        i = self._index.get(word)
-        if i is None:
-            return None
-        return self.matrix[i]
 
 
 def _as_lines(stream: str | IO[str] | Iterable[str]) -> Iterable[str]:

@@ -78,23 +78,6 @@ class MlpParams:
         return MlpParams(self.layer_dims, self.flat.copy(), self.hidden_activation)
 
 
-@dataclass
-class TripletBatch:
-    """Aligned (anchor, synonym, antonym) vector rows, all (n, m)."""
-
-    anchors: np.ndarray
-    synonyms: np.ndarray
-    antonyms: np.ndarray
-
-    def __post_init__(self) -> None:
-        a, s, t = self.anchors, self.synonyms, self.antonyms
-        if not (a.shape == s.shape == t.shape) or a.ndim != 2 or a.shape[0] < 1:
-            raise ValueError("triplet batch arrays must be aligned (n, m) with n >= 1")
-
-    def __len__(self) -> int:
-        return self.anchors.shape[0]
-
-
 def init_params(layer_dims: list[int], hidden_activation: str = "tanh",
                 seed: int = 0) -> MlpParams:
     """Glorot-uniform weights and zero biases, deterministic per seed, for a
@@ -157,15 +140,14 @@ def _backward(params: MlpParams, cache, dout: np.ndarray, grad: np.ndarray | Non
     return grad, delta
 
 
-def forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Apply the map to one m-vector or a batch of (n, m) rows."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
+def forward(params: MlpParams, X: np.ndarray) -> np.ndarray:
+    """Apply the map to a batch of (n, m) rows."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"input must be an (n, m) matrix, got shape {X.shape}")
     if X.shape[1] != params.input_dim:
         raise ValueError(f"input dimension {X.shape[1]} != {params.input_dim}")
-    out, _ = _forward_cached(params, X)
-    return out[0] if single else out
+    return _forward_cached(params, X)[0]
 
 
 def _row_cosines(U: np.ndarray, V: np.ndarray):
@@ -187,26 +169,29 @@ def _row_cosines(U: np.ndarray, V: np.ndarray):
     return c, dU, dV
 
 
-def triplet_loss(params: MlpParams, batch: TripletBatch) -> float:
-    """Mean over triplets of (1 - cos(f(w), f(s))) + (1 + cos(f(w), f(a)))."""
+def triplet_loss(params: MlpParams, anchors: np.ndarray, synonyms: np.ndarray,
+                 antonyms: np.ndarray) -> float:
+    """Mean over the aligned (n, m) row blocks of
+    (1 - cos(f(w), f(s))) + (1 + cos(f(w), f(a)))."""
     # [0]: no branch's forward cache outlives its own pass
-    Zw = _forward_cached(params, batch.anchors)[0]
-    Zs = _forward_cached(params, batch.synonyms)[0]
-    Za = _forward_cached(params, batch.antonyms)[0]
+    Zw = _forward_cached(params, anchors)[0]
+    Zs = _forward_cached(params, synonyms)[0]
+    Za = _forward_cached(params, antonyms)[0]
     cs, _, _ = _row_cosines(Zw, Zs)
     ca, _, _ = _row_cosines(Zw, Za)
     return float(np.mean((1.0 - cs) + (1.0 + ca)))
 
 
-def triplet_backward(params: MlpParams, batch: TripletBatch) -> tuple[float, np.ndarray]:
+def triplet_backward(params: MlpParams, anchors: np.ndarray, synonyms: np.ndarray,
+                     antonyms: np.ndarray) -> tuple[float, np.ndarray]:
     """Loss and exact analytic gradient of :func:`triplet_loss`.
 
     All three branches share weights, so the three branch gradients
     add into one vector in the layout of ``params.flat``.
     """
-    n = len(batch)
+    n = len(anchors)
     (Zw, cw), (Zs, cs_cache), (Za, ca_cache) = (
-        _forward_cached(params, X) for X in (batch.anchors, batch.synonyms, batch.antonyms))
+        _forward_cached(params, X) for X in (anchors, synonyms, antonyms))
     cs, dcs_dw, dcs_ds = _row_cosines(Zw, Zs)
     ca, dca_dw, dca_da = _row_cosines(Zw, Za)
     loss = float(np.mean((1.0 - cs) + (1.0 + ca)))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .network import (DivergenceError, MlpParams, TripletBatch, _backward,
+from .network import (DivergenceError, MlpParams, _backward,
                       _forward_cached, forward, init_optimizer,
                       init_params, logistic_loss, optimizer_step,
                       pair_head_loss_backward, triplet_backward, triplet_loss,
@@ -189,11 +189,11 @@ def train_baseline(table: EmbeddingTable, triplets: list[Triplet],
     params = init_params(dims, config.hidden_activation, seed=config.seed)
 
     def step(models, idx):
-        loss, grad = triplet_backward(models[0], TripletBatch(*_gather(table, rows, idx)))
+        loss, grad = triplet_backward(models[0], *_gather(table, rows, idx))
         return loss, [grad]
 
     def val_loss(models, idx):
-        return triplet_loss(models[0], TripletBatch(*_gather(table, rows, idx)))
+        return triplet_loss(models[0], *_gather(table, rows, idx))
 
     (best,), report = _fit([params], step, val_loss, len(rows[0]), config, start, dropped)
     return best, report

@@ -20,8 +20,7 @@ from contrastmap.downstream import load_bundled_corpus, run_downstream
 from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
                                     parse_embedding_text, write_embedding_text)
 from contrastmap.evaluation import build_accuracy_table
-from contrastmap.network import (MlpParams, TripletBatch, init_params,
-                                 load_params,
+from contrastmap.network import (MlpParams, init_params, load_params,
                                  pair_head_loss_backward, save_params,
                                  triplet_backward, triplet_loss)
 from contrastmap.pairs import (ANTONYM, SYNONYM, LabeledPair, PairSet,
@@ -68,11 +67,11 @@ def test_criterion_1_gradient_correctness():
     head_ok = True
     for draw in range(50):
         params = init_params([10, 8, 4], seed=1000 + draw)
-        batch = TripletBatch(rng.standard_normal((16, 10)),
-                             rng.standard_normal((16, 10)),
-                             rng.standard_normal((16, 10)))
-        _, grads = triplet_backward(params, batch)
-        numeric = _fd_gradient(lambda p: triplet_loss(p, batch), params)
+        batch = (rng.standard_normal((16, 10)),
+                 rng.standard_normal((16, 10)),
+                 rng.standard_normal((16, 10)))
+        _, grads = triplet_backward(params, *batch)
+        numeric = _fd_gradient(lambda p: triplet_loss(p, *batch), params)
         if not _grads_agree(grads, numeric):
             triplet_ok = False
             break

@@ -21,7 +21,9 @@ from contrastmap.pairs import load_pairs
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
 from contrastmap.embeddings import parse_embedding_text, write_embedding_text
 from contrastmap.evaluation import shift_report
+from contrastmap.network import init_params
 from contrastmap.pairs import write_pairs
+from contrastmap.training import concat_embeddings, transform_vocabulary
 
 
 def _sha256(path):
@@ -103,6 +105,8 @@ def test_train_dims_checked_at_parsing(tmp_path, capsys, flag, value):
     # the label goes into artifact file names, which must stay inside --out
     ("eval-distances", ["--embeddings", "--pairs"], "--label", "x/y"),
     ("eval-distances", ["--embeddings", "--pairs"], "--label", "/abs"),
+    ("train", ["--embeddings", "--pairs"], "--seed", "-1"),
+    ("downstream", ["--raw", "--concat", "--data"], "--seed", "-1"),
 ])
 def test_split_and_test_fractions_checked_at_parsing(tmp_path, capsys, command, inputs,
                                                      flag, value):
@@ -362,10 +366,29 @@ def test_train_artifacts_equal_across_blas_thread_counts(pipeline, tmp_path, mod
     assert digests[0] == digests[1]
 
 
-@pytest.mark.parametrize("command", ["eval-classifiers", "downstream"])
-def test_linear_fit_artifacts_equal_across_blas_thread_counts(pipeline, tmp_path, command):
+@pytest.fixture(scope="module")
+def wide_downstream(tmp_path_factory):
+    """Downstream inputs whose concat fit, 1,050 x 100 on 1,400 documents of a
+    600-word, 60-d world, is wide enough that OpenBLAS splits it: the fitted
+    weights differ in the last bits between one and two threads."""
+    root = tmp_path_factory.mktemp("wide-downstream")
+    world = planted_world(n_words=600, dim=60, seed=6)
+    new = transform_vocabulary(init_params([60, 40], seed=7), world.table)
+    for name, table in (("raw", world.table), ("concat", concat_embeddings(world.table, new))):
+        with open(root / f"{name}.txt", "w", newline="\n") as f:
+            write_embedding_text(table, f)
+    with open(root / "corpus.csv", "w", newline="\n") as f:
+        write_sentiment_csv(sentiment_corpus(world, n_documents=1400, seed=3), f)
+    return ["--raw", root / "raw.txt", "--concat", root / "concat.txt",
+            "--data", root / "corpus.csv"]
+
+
+@pytest.mark.parametrize("case", ["eval-classifiers", "downstream", "downstream-wide"])
+def test_linear_fit_artifacts_equal_across_blas_thread_counts(pipeline, tmp_path, request,
+                                                              case):
     # both commands fit train_linear, whose Newton systems LAPACK solves
     out, fixtures = pipeline["out"], pipeline["fixtures"]
+    command = case.removesuffix("-wide")
     args = {"eval-classifiers": ["--raw", fixtures["embeddings"],
                                  "--new", out / "transform" / "transformed.txt",
                                  "--concat", out / "transform" / "concat.txt",
@@ -375,6 +398,8 @@ def test_linear_fit_artifacts_equal_across_blas_thread_counts(pipeline, tmp_path
             "downstream": ["--raw", fixtures["embeddings"],
                            "--concat", out / "transform" / "concat.txt",
                            "--data", fixtures["corpus"]]}[command]
+    if case == "downstream-wide":
+        args = request.getfixturevalue("wide_downstream")
     args = [command, *map(str, args), "--out", "", "--quiet"]
     digests = [_digests_at_blas_threads(args, tmp_path / f"threads{threads}", threads)
                for threads in ("1", "2")]

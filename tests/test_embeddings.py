@@ -16,15 +16,14 @@ def test_parse_basic():
     table = parse_embedding_text("cat 0.1 0.2 0.3\ndog 1 0 0")
     assert table.dimension == 3
     assert list(table.words) == ["cat", "dog"]
-    assert np.allclose(table.lookup("cat"), [0.1, 0.2, 0.3])
-    assert np.allclose(table.lookup("dog"), [1, 0, 0])
+    assert np.allclose(table.matrix, [[0.1, 0.2, 0.3], [1, 0, 0]])
 
 
 def test_parse_header_and_duplicate():
     table = parse_embedding_text("2 3\ncat 0.1 0.2 0.3\ncat 9 9 9\ndog 1 0 0")
     assert table.dimension == 3
-    assert np.allclose(table.lookup("cat"), [0.1, 0.2, 0.3])  # first wins
-    assert np.allclose(table.lookup("dog"), [1, 0, 0])
+    assert table.words == ["cat", "dog"]
+    assert np.allclose(table.matrix, [[0.1, 0.2, 0.3], [1, 0, 0]])  # first wins
     assert table.duplicate_warnings == 1
 
 
@@ -64,15 +63,17 @@ def test_parse_skips_malformed_rows():
 
 def test_parse_crlf():
     table = parse_embedding_text(io.StringIO("cat 1 2\r\ndog 3 4\r\n"))
-    assert np.allclose(table.lookup("dog"), [3, 4])
+    assert np.allclose(table.matrix[table.indices(["dog"])], [[3, 4]])
 
 
-def test_lookup():
+def test_indices_exact_case_sensitive_and_absent():
     table = parse_embedding_text("cat 0.1 0.2 0.3\ndog 1 0 0")
-    assert np.allclose(table.lookup("cat"), [0.1, 0.2, 0.3])
-    assert table.lookup("Cat") is None  # case-sensitive
-    assert table.lookup("fish") is None
-    assert "cat" in table and "fish" not in table
+    rows = table.indices(["dog", "cat", "Cat", "fish", "ca", "cat "])
+    assert rows.dtype == np.intp
+    assert rows.tolist() == [1, 0, -1, -1, -1, -1]  # exact, case-sensitive, -1 if absent
+    assert np.allclose(table.matrix[rows[:2]], [[1, 0, 0], [0.1, 0.2, 0.3]])
+    assert table.indices([]).shape == (0,)
+    assert "cat" in table and "Cat" not in table and "fish" not in table
 
 
 def test_cosine_distance_canonical_values():
@@ -321,7 +322,7 @@ def test_parse_with_vocabulary_cases():
     text = "a 1 2\nb nan 1\nc 1 1\nb 3 4\nb 5 6\n"
     table = parse_embedding_text(text, vocabulary={"b"})
     assert table.words == ["a", "b"]
-    assert table.lookup("b").tolist() == [3.0, 4.0]
+    assert table.matrix[table.indices(["b"])].tolist() == [[3.0, 4.0]]
     assert table.skipped_rows == 1 and table.duplicate_warnings == 1
     # rejected leading rows are read as before; the first accepted row is kept
     table = parse_embedding_text("3 2\nz 0 0\ny nan 1\na 1 2\nq 1 1\n", vocabulary={"q"})

@@ -83,8 +83,9 @@ def _reference_distance_report(table, pairs):
     # the per-word lookups and per-pair binning that distance_report replaced
     syn_counts, ant_counts = np.zeros(100, dtype=np.int64), np.zeros(100, dtype=np.int64)
     syn_d, ant_d, unresolved = [], [], 0
+    vectors = dict(zip(table.words, table.matrix))
     for p in pairs:
-        u, v = table.lookup(p.left), table.lookup(p.right)
+        u, v = vectors.get(p.left), vectors.get(p.right)
         if u is None or v is None:
             unresolved += 1
             continue
@@ -101,9 +102,10 @@ def _reference_distance_report(table, pairs):
 def _reference_shift_records(before, after, pairs):
     # the per-word lookups that shift_report replaced
     records, unresolved = [], 0
+    old, new = dict(zip(before.words, before.matrix)), dict(zip(after.words, after.matrix))
     for p in pairs:
-        ub, vb = before.lookup(p.left), before.lookup(p.right)
-        ua, va = after.lookup(p.left), after.lookup(p.right)
+        ub, vb = old.get(p.left), old.get(p.right)
+        ua, va = new.get(p.left), new.get(p.right)
         if ub is None or vb is None or ua is None or va is None:
             unresolved += 1
             continue
@@ -186,8 +188,9 @@ def test_featurize_pair():
 def _reference_pair_features(table, pairs, augment):
     # the per-pair loop that resolving pairs to row indices replaced
     feats, labels = [], []
+    vectors = dict(zip(table.words, table.matrix))
     for p in pairs:
-        u, v = table.lookup(p.left), table.lookup(p.right)
+        u, v = vectors.get(p.left), vectors.get(p.right)
         if u is None or v is None:
             continue
         y = 1 if p.relation == SYNONYM else 0

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from contrastmap.network import (DivergenceError, MlpParams, TripletBatch,
-                                 _sigmoid, forward, init_optimizer,
+from contrastmap.network import (DivergenceError, MlpParams, _sigmoid, forward, init_optimizer,
                                  init_params, load_params,
                                  optimizer_step, pair_head_logits,
                                  pair_head_loss_backward, save_params,
@@ -15,9 +14,10 @@ from contrastmap.network import (DivergenceError, MlpParams, TripletBatch,
 
 
 def _random_batch(rng, n=16, m=10):
-    return TripletBatch(rng.standard_normal((n, m)),
-                        rng.standard_normal((n, m)),
-                        rng.standard_normal((n, m)))
+    """Aligned (anchors, synonyms, antonyms) row blocks, each (n, m)."""
+    return (rng.standard_normal((n, m)),
+            rng.standard_normal((n, m)),
+            rng.standard_normal((n, m)))
 
 
 def _mlp(layer_dims, weights, biases):
@@ -72,27 +72,29 @@ def test_init_not_a_contraction():
 
 def test_forward_single_linear_layer():
     params = _mlp([2, 2], [np.array([[2.0, 0.0], [0.0, 3.0]])], [np.zeros(2)])
-    assert np.allclose(forward(params, np.array([1.0, 1.0])), [2, 3])
+    assert np.allclose(forward(params, np.array([[1.0, 1.0]])), [[2, 3]])
 
 
 def test_forward_zero_weights_returns_bias():
     params = _mlp([3, 2], [np.zeros((2, 3))], [np.array([0.5, -1.5])])
-    for x in (np.zeros(3), np.ones(3), np.array([3.0, -7.0, 2.0])):
-        assert np.allclose(forward(params, x), [0.5, -1.5])
+    X = np.array([np.zeros(3), np.ones(3), [3.0, -7.0, 2.0]])
+    assert np.allclose(forward(params, X), [[0.5, -1.5]] * 3)
 
 
 def test_forward_tanh_saturation():
     params = init_params([2, 4, 1], seed=0)
     params.weights[0][...] = 100.0  # saturating pre-activations
     params.weights[1][...] = 1.0
-    out = forward(params, np.array([1.0, 1.0]))
-    assert abs(out[0]) <= 4.0 + 1e-12  # sum of four tanh values in [-1, 1]
+    out = forward(params, np.array([[1.0, 1.0]]))
+    assert abs(out[0, 0]) <= 4.0 + 1e-12  # sum of four tanh values in [-1, 1]
 
 
 def test_forward_dimension_mismatch():
     params = init_params([4, 2], seed=0)
     with pytest.raises(ValueError, match="dimension"):
-        forward(params, np.zeros(3))
+        forward(params, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"\(n, m\) matrix"):
+        forward(params, np.zeros(4))  # a single vector goes in as a (1, m) matrix
 
 
 # --- triplet loss -------------------------------------------------------------
@@ -104,10 +106,10 @@ def _identity_map(m):
 def test_loss_zero_at_optimum():
     # identity-like map; synonym parallel to anchor, antonym antiparallel
     params = _identity_map(3)
-    batch = TripletBatch(np.array([[1.0, 0.0, 0.0]]),
-                         np.array([[2.0, 0.0, 0.0]]),
-                         np.array([[-1.0, 0.0, 0.0]]))
-    assert triplet_loss(params, batch) == pytest.approx(0.0, abs=1e-9)
+    batch = (np.array([[1.0, 0.0, 0.0]]),
+             np.array([[2.0, 0.0, 0.0]]),
+             np.array([[-1.0, 0.0, 0.0]]))
+    assert triplet_loss(params, *batch) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_loss_constant_map_is_two():
@@ -115,14 +117,14 @@ def test_loss_constant_map_is_two():
     params = _mlp([3, 2], [np.zeros((2, 3))], [np.array([1.0, 2.0])])
     rng = np.random.default_rng(0)
     batch = _random_batch(rng, n=5, m=3)
-    assert triplet_loss(params, batch) == pytest.approx(2.0, abs=1e-9)
+    assert triplet_loss(params, *batch) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_loss_golden_value():
     rng = np.random.default_rng(1)
     batch = _random_batch(rng, n=16, m=10)
     params = init_params([10, 8, 4], seed=3)
-    assert triplet_loss(params, batch) == pytest.approx(1.668555504684118,
+    assert triplet_loss(params, *batch) == pytest.approx(1.668555504684118,
                                                         abs=1e-12)
 
 
@@ -131,7 +133,7 @@ def test_loss_bounds_random():
     for _ in range(20):
         params = init_params([6, 5, 3], seed=int(rng.integers(1000)))
         batch = _random_batch(rng, n=8, m=6)
-        assert 0.0 <= triplet_loss(params, batch) <= 4.0
+        assert 0.0 <= triplet_loss(params, *batch) <= 4.0
 
 
 def test_loss_permutation_invariance():
@@ -139,10 +141,8 @@ def test_loss_permutation_invariance():
     params = init_params([6, 5, 3], seed=1)
     batch = _random_batch(rng, n=10, m=6)
     perm = rng.permutation(10)
-    shuffled = TripletBatch(batch.anchors[perm], batch.synonyms[perm],
-                            batch.antonyms[perm])
-    l1, g1 = triplet_backward(params, batch)
-    l2, g2 = triplet_backward(params, shuffled)
+    l1, g1 = triplet_backward(params, *batch)
+    l2, g2 = triplet_backward(params, *(X[perm] for X in batch))
     assert l1 == pytest.approx(l2, abs=1e-12)
     assert np.allclose(g1, g2, atol=1e-12)
 
@@ -153,17 +153,16 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
     params = init_params([10, 8, 4], seed=11)
     batch = _random_batch(rng)
-    _, grads = triplet_backward(params, batch)
-    numeric = _fd_gradient(lambda p: triplet_loss(p, batch), params)
+    _, grads = triplet_backward(params, *batch)
+    numeric = _fd_gradient(lambda p: triplet_loss(p, *batch), params)
     assert_gradients_close(grads, numeric)
 
 
 def test_gradient_near_zero_at_optimum():
     params = _identity_map(3)
-    batch = TripletBatch(np.array([[1.0, 0.0, 0.0]]),
-                         np.array([[2.0, 0.0, 0.0]]),
-                         np.array([[-1.0, 0.0, 0.0]]))
-    _, grads = triplet_backward(params, batch)
+    _, grads = triplet_backward(params, np.array([[1.0, 0.0, 0.0]]),
+                                np.array([[2.0, 0.0, 0.0]]),
+                                np.array([[-1.0, 0.0, 0.0]]))
     assert np.linalg.norm(grads) < 1e-6
 
 
@@ -171,11 +170,8 @@ def test_gradient_batch_mean():
     rng = np.random.default_rng(5)
     params = init_params([6, 5, 3], seed=1)
     one = _random_batch(rng, n=1, m=6)
-    eight = TripletBatch(np.repeat(one.anchors, 8, axis=0),
-                         np.repeat(one.synonyms, 8, axis=0),
-                         np.repeat(one.antonyms, 8, axis=0))
-    _, g1 = triplet_backward(params, one)
-    _, g8 = triplet_backward(params, eight)
+    _, g1 = triplet_backward(params, *one)
+    _, g8 = triplet_backward(params, *(np.repeat(X, 8, axis=0) for X in one))
     assert np.allclose(g1, g8, atol=1e-12)
 
 
@@ -184,10 +180,10 @@ def test_one_small_step_decreases_loss():
     for seed in range(5):
         params = init_params([8, 6, 3], seed=seed)
         batch = _random_batch(rng, n=12, m=8)
-        loss, grads = triplet_backward(params, batch)
+        loss, grads = triplet_backward(params, *batch)
         state = init_optimizer(params, learning_rate=1e-4)
         new_params, _ = optimizer_step(params, grads, state)
-        assert triplet_loss(new_params, batch) < loss
+        assert triplet_loss(new_params, *batch) < loss
 
 
 # --- optimizer ----------------------------------------------------------------

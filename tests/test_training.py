@@ -8,7 +8,7 @@ import pytest
 
 from contrastmap import training
 from contrastmap.embeddings import EmbeddingTable
-from contrastmap.network import (MlpParams, TripletBatch, _row_cosines, _sigmoid,
+from contrastmap.network import (MlpParams, _row_cosines, _sigmoid,
                                  init_params, pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
@@ -116,12 +116,11 @@ def test_resolve_triplets_matches_per_triplet_loop(small_world):
     indices, vectors, dropped = [], [], 0
     for t in mixed:  # the per-triplet lookups resolve_triplets used to do
         words = (t.anchor, t.synonym, t.antonym)
-        vecs = [world.table.lookup(w) for w in words]
-        if any(v is None for v in vecs):
+        if not all(w in world.table for w in words):
             dropped += 1
         else:
             indices.append([world.table.words.index(w) for w in words])
-            vectors.append(vecs)
+            vectors.append([world.table.matrix[i] for i in indices[-1]])
     got, got_dropped = resolve_triplets(world.table, mixed)
     assert got_dropped == dropped == 3
     assert len(got) == 3
@@ -189,7 +188,7 @@ def test_transform_identity_map():
     params.weights[0][...] = np.eye(2, 3)
     out = transform_vocabulary(params, table)
     assert out.dimension == 2
-    assert np.allclose(out.lookup("a"), [1.0, 2.0])
+    assert np.allclose(out.matrix[out.indices(["a"])], [[1.0, 2.0]])
     assert set(out.words) <= set(table.words)
 
 
@@ -204,7 +203,7 @@ def test_concat_basic():
     new = _table([("a", [5.0])])
     out = concat_embeddings(raw, new)
     assert out.dimension == 3
-    assert np.allclose(out.lookup("a"), [1.0, 0.0, 5.0])
+    assert np.allclose(out.matrix[out.indices(["a"])], [[1.0, 0.0, 5.0]])
 
 
 def test_concat_matches_per_word_loop():
@@ -216,8 +215,8 @@ def test_concat_matches_per_word_loop():
                          matrix=rng.standard_normal((len(picked), 2)))
     out = concat_embeddings(raw, new)
     common = [w for w in raw.words if w in new]
-    ref = np.concatenate([np.array([raw.lookup(w) for w in common]),
-                          np.array([new.lookup(w) for w in common])], axis=1)
+    ref = np.concatenate([np.array([raw.matrix[raw.words.index(w)] for w in common]),
+                          np.array([new.matrix[new.words.index(w)] for w in common])], axis=1)
     assert out.words == common
     assert out.matrix.tobytes() == ref.tobytes()
     assert out.skipped_rows == (30 - len(common)) + (len(picked) - len(common))
@@ -294,7 +293,8 @@ def test_concat_identical_word_distance_zero():
     raw = _table([("a", [1.0, 0.0])])
     new = _table([("a", [5.0])])
     out = concat_embeddings(raw, new)
-    assert cosine_distance(out.lookup("a"), out.lookup("a")) == 0.0
+    u = out.matrix[out.indices(["a"])[0]]
+    assert cosine_distance(u, u) == 0.0
 
 
 def test_wall_time_excluded_on_request(small_world):
