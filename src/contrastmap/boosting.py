@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import _sigmoid, logistic_loss  # noqa: F401  (part of the boosting API)
+from .network import _labelled_matrix, _sigmoid
+from .network import logistic_loss  # noqa: F401  (part of the boosting API)
 
 H_EPS = 1e-16
 GAIN_TOL = 1e-12
@@ -160,23 +161,14 @@ def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
 def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = 200,
                         shrinkage: float = 0.1, max_depth: int = 2) -> BoostedTrees:
     """Fit the ensemble: base-rate log-odds, then one tree per round."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if not (math.isfinite(shrinkage) and shrinkage > 0.0):
         raise ValueError(f"shrinkage must be finite and > 0, got {shrinkage}")
-    if X.ndim != 2 or 0 in X.shape:
-        raise ValueError("X must be a matrix with at least one row and one feature column")
-    if y.shape != (len(X),):
-        raise ValueError(f"y must hold one label per row of X: {y.shape} for {len(X)} rows")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("y must hold labels in {0, 1}")
+    X, y = _labelled_matrix(X, y)
     p_base = y.mean()
-    if p_base in (0.0, 1.0):
-        raise ValueError("single-class input")
     base = math.log(p_base / (1.0 - p_base))
     codes, lower, upper = _bin(X)
     rows = np.arange(len(y))

@@ -72,8 +72,13 @@ def _sha256(path: Path) -> str:
 
 
 def _json(doc, stream) -> None:
-    json.dump(doc, stream, sort_keys=True, indent=2)
+    json.dump(doc, stream, sort_keys=True, indent=2, allow_nan=False)
     stream.write("\n")
+
+
+def _fixed(x: float | None, spec: str) -> str:
+    """``x`` formatted by ``spec`` for a log line; ``none`` for a summary of no pairs."""
+    return "none" if x is None else format(x, spec)
 
 
 # parsed-argument fields that steer the run but are not part of its config
@@ -253,8 +258,8 @@ def _cmd_eval_distances(args, run: _Run) -> None:
                "unresolved": report.unresolved,
                "syn_mean": report.syn_mean, "syn_std": report.syn_std,
                "ant_mean": report.ant_mean, "ant_std": report.ant_std})
-    run.log(f"distances[{args.label}]: syn mean {report.syn_mean:.3f}, "
-            f"ant mean {report.ant_mean:.3f}")
+    run.log(f"distances[{args.label}]: syn mean {_fixed(report.syn_mean, '.3f')}, "
+            f"ant mean {_fixed(report.ant_mean, '.3f')}")
 
 
 def _shifts(run: _Run):
@@ -273,8 +278,8 @@ def _cmd_eval_shifts(args, run: _Run) -> None:
                "ant_mean_shift": report.ant_mean_shift,
                "pair_count": len(report.records),
                "unresolved": report.unresolved})
-    run.log(f"shifts: syn {report.syn_mean_shift:+.3f}, "
-            f"ant {report.ant_mean_shift:+.3f}")
+    run.log(f"shifts: syn {_fixed(report.syn_mean_shift, '+.3f')}, "
+            f"ant {_fixed(report.ant_mean_shift, '+.3f')}")
 
 
 def _cmd_eval_extremes(args, run: _Run) -> None:

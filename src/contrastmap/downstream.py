@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import re
 from importlib import resources
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, _as_lines
 from .evaluation import train_linear
 from .network import _sigmoid
 
@@ -53,9 +52,7 @@ class DownstreamResult:
 
 def load_text_csv(stream: str | IO[str], name: str = "") -> TextDataset:
     """Load a `text,label` CSV with standard double-quote escaping."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
+    reader = csv.reader(_as_lines(stream))
     try:
         header = next(reader)
     except StopIteration:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .boosting import boosted_proba, train_boosted_trees
 from .embeddings import EmbeddingTable, cosine_distance
-from .network import _sigmoid, logistic_loss
+from .network import _labelled_matrix, _sigmoid, logistic_loss
 from .pairs import ANTONYM, SYNONYM, PairSet
 
 N_BINS = 100
@@ -28,10 +28,10 @@ BOOSTED_DEFAULTS = {"rounds": 200, "shrinkage": 0.1, "max_depth": 2}
 class DistanceReport:
     syn_counts: np.ndarray          # 100 bins over [0, 2]
     ant_counts: np.ndarray
-    syn_mean: float
-    syn_std: float
-    ant_mean: float
-    ant_std: float
+    syn_mean: float | None          # None for a relation with no pairs
+    syn_std: float | None
+    ant_mean: float | None
+    ant_std: float | None
     pair_count: int
     unresolved: int
 
@@ -45,8 +45,8 @@ class DistanceReport:
 @dataclass
 class ShiftReport:
     records: list[tuple[str, str, str, float, float, float]]
-    syn_mean_shift: float
-    ant_mean_shift: float
+    syn_mean_shift: float | None    # None for a relation with no pairs
+    ant_mean_shift: float | None
     unresolved: int
 
     def write_csv(self, stream: IO[str]) -> None:
@@ -100,9 +100,10 @@ def _pair_distances(tables: list[EmbeddingTable], pairs: PairSet):
                         for t, (i, j) in zip(tables, rows)]
 
 
-def _summary(fn, x: np.ndarray) -> float:
-    """``fn`` (np.mean or np.std) of ``x`` as a float; nan when ``x`` is empty."""
-    return float(fn(x)) if len(x) else math.nan
+def _summary(fn, x: np.ndarray) -> float | None:
+    """``fn`` (np.mean or np.std) of ``x`` as a float; None when ``x`` is empty,
+    which a JSON report writes as null."""
+    return float(fn(x)) if len(x) else None
 
 
 def distance_report(table: EmbeddingTable, pairs: PairSet) -> DistanceReport:
@@ -156,16 +157,12 @@ def featurize_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate([u, v], axis=-1)
 
 
-def train_linear(features: np.ndarray, labels: np.ndarray,
-                 copies: int = 1) -> tuple[np.ndarray, float]:
+def train_linear(X: np.ndarray, y: np.ndarray,
+                 l2: float = LINEAR_DEFAULTS["l2"]) -> tuple[np.ndarray, float]:
     """L2-regularised logistic regression, solved to its optimum.
 
-    Minimises ``mean(softplus(z) - y * z) + (copies * l2 / 2) * |w|^2`` over
-    the rows ``z = X @ w + b`` of ``features``, with ``l2`` read from
-    ``LINEAR_DEFAULTS``; the bias is not penalised. With ``copies`` = c this
-    is the fit of c side-by-side copies of each row, whose optimum repeats w
-    c times: on pair sums u + v with c = 2, the full-width fit on the
-    order-augmented rows ``[u; v]`` and ``[v; u]``. Returns ``(weights,
+    Minimises ``mean(softplus(z) - y * z) + (l2 / 2) * |w|^2`` over the rows
+    ``z = X @ w + b``; the bias is not penalised. Returns ``(weights,
     bias)``, scored as ``_sigmoid(X @ weights + bias)``.
 
     Damped Newton steps from zero, each backtracked by halving until the
@@ -174,26 +171,12 @@ def train_linear(features: np.ndarray, labels: np.ndarray,
     objective, or when a line search finds no strict decrease; reaching
     ``NEWTON_STEPS`` raises ``ArithmeticError``.
     """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    l2 = LINEAR_DEFAULTS["l2"]
-    if X.ndim != 2 or len(X) == 0:
-        raise ValueError("features must be a matrix with at least one row")
-    if y.shape != (len(X),):
-        raise ValueError(f"labels must hold one label per row of features: "
-                         f"{y.shape} for {len(X)} rows")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be 0 or 1")
+    X, y = _labelled_matrix(X, y)
     if not np.isfinite(X).all():
-        raise ValueError("features must be finite")
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
+        raise ValueError("X must be finite")
     if not (math.isfinite(l2) and l2 > 0.0):  # at l2 = 0 separable data has no optimum
         raise ValueError(f"l2 must be finite and > 0, got {l2}")
-    if y.min() == y.max():
-        raise ValueError("single-class input")
     n, d = X.shape
-    lam = copies * l2
     eps = np.finfo(np.float64).eps
     w, b = np.zeros(d), 0.0
     z = np.zeros(n)
@@ -201,7 +184,7 @@ def train_linear(features: np.ndarray, labels: np.ndarray,
     for _ in range(NEWTON_STEPS):
         p = _sigmoid(z)
         r = p - y
-        g = np.append(X.T @ r / n + lam * w, r.mean())
+        g = np.append(X.T @ r / n + l2 * w, r.mean())
         s = p * (1.0 - p)
         root = np.sqrt(s)
         H = np.zeros((d + 1, d + 1))  # the bias is the last row and column
@@ -211,7 +194,7 @@ def train_linear(features: np.ndarray, labels: np.ndarray,
         H[:d, d] = H[d, :d] = X.T @ s
         H[d, d] = s.sum()
         H /= n
-        H[range(d), range(d)] += lam
+        H[range(d), range(d)] += l2
         step = np.linalg.solve(H, -g)
         decrement = -(g @ step)
         dw, db = step[:d], step[d]
@@ -220,7 +203,7 @@ def train_linear(features: np.ndarray, labels: np.ndarray,
         dz = X @ dw + db
         t = 1.0
         while True:
-            f_new = logistic_loss(y, z + t * dz) + 0.5 * lam * np.sum((w + t * dw) ** 2)
+            f_new = logistic_loss(y, z + t * dz) + 0.5 * l2 * np.sum((w + t * dw) ** 2)
             if f_new <= f - ARMIJO * t * decrement or t < eps:
                 break
             t /= 2.0
@@ -262,15 +245,15 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
         M = table.matrix
         _, y, ((left, right),) = _pair_rows([table], train_pairs)
         _, y_test, ((left_test, right_test),) = _pair_rows([table], test_pairs)
-        w, b = train_linear(M[left] + M[right], y, copies=2)
+        # the full-width fit on both orders [u; v] and [v; u] of every pair has
+        # the weights [w; w], where w is the fit on u + v at twice the penalty
+        w, b = train_linear(M[left] + M[right], y, l2=2 * LINEAR_DEFAULTS["l2"])
         linear_pred = _sigmoid((M[left_test] + M[right_test]) @ w + b) >= 0.5
         # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u]
         Xtr = featurize_pair(M[np.column_stack([left, right]).ravel()],
                              M[np.column_stack([right, left]).ravel()])
         ytr = np.repeat(y, 2)
-        trees = train_boosted_trees(Xtr, ytr, rounds=int(boosted["rounds"]),
-                                    shrinkage=float(boosted["shrinkage"]),
-                                    max_depth=int(boosted["max_depth"]))
+        trees = train_boosted_trees(Xtr, ytr, **boosted)
         accuracies[space] = {
             "linear": float(np.mean(linear_pred == y_test)),
             "boosted": classify_accuracy(lambda X: boosted_proba(trees, X),

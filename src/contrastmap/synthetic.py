@@ -11,6 +11,7 @@ function is therefore known exactly and serves as the evaluation oracle.
 """
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,6 @@ def sentiment_corpus(world: PlantedWorld, n_documents: int = 200,
 
 
 def write_sentiment_csv(docs: list[tuple[str, int]], stream) -> None:
+    """A ``text,label`` CSV: each text quoted, its ``"`` doubled."""
     stream.write("text,label\n")
-    for text, label in docs:
-        stream.write(f'"{text}",{label}\n')
+    csv.writer(stream, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC).writerows(docs)

@@ -134,7 +134,7 @@ def _fit(models: list[MlpParams], step, val_loss, n: int, config: TrainConfig,
     each model takes one optimizer step. ``val_loss(models, idx)`` scores the
     held-out rows (the epoch's training loss stands in when none are held
     out). Training stops after ``early_stop_patience`` non-improving epochs
-    and returns copies of the models from the best validation epoch.
+    and returns the models as they were at the best validation epoch.
     """
     rng = np.random.default_rng(config.seed)
     states = [init_optimizer(m, learning_rate=config.learning_rate) for m in models]
@@ -265,7 +265,7 @@ def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTabl
     """Per-word concatenation [raw; new] over the common vocabulary.
 
     The result is allocated once and filled in row blocks of about
-    ``CONCAT_BLOCK_BYTES``, so the copies it gathers stay that small.
+    ``CONCAT_BLOCK_BYTES``, so the rows it gathers at once stay that small.
     """
     rows = new.indices(raw.words)
     found = np.flatnonzero(rows >= 0)

@@ -30,15 +30,28 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(path):
+    """The JSON document in ``path``; a NaN or Infinity in it raises."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
 def _assert_manifest(out, command, config, inputs):
     """``out``/run.json names ``command``, records exactly ``config`` and the
-    input names ``inputs``, and every hash in it matches its file."""
-    manifest = json.loads((out / "run.json").read_text())
+    input names ``inputs``, every hash in it matches its file, and every JSON
+    output in it is strict JSON."""
+    manifest = _strict_json(out / "run.json")
     assert manifest["command"] == command
     assert manifest["config"] == config
     assert sorted(manifest["inputs"]) == sorted(inputs)
     for entry in (*manifest["inputs"].values(), *manifest["outputs"].values()):
         assert _sha256(Path(entry["path"])) == entry["sha256"]
+    for entry in manifest["outputs"].values():
+        if entry["path"].endswith(".json"):
+            _strict_json(entry["path"])
     return manifest
 
 
@@ -454,6 +467,22 @@ def _assert_shifts_csv(csv_path, before, after, pairs):
         assert len(fields) == 6
         assert fields[:3] == list(record[:3])
         assert [float(x) for x in fields[3:]] == list(record[3:])
+
+
+def test_reports_over_one_relation_write_null(tmp_path, capsys):
+    embeddings, pairs = tmp_path / "embeddings.txt", tmp_path / "pairs.tsv"
+    embeddings.write_text("a 1 0\nb 0 1\nc 1 1\n")
+    pairs.write_text("a\tb\tantonym\nb\tc\tantonym\n")  # no synonym pair
+    assert run(["eval-distances", "--embeddings", str(embeddings), "--pairs", str(pairs),
+                "--label", "raw", "--out", str(tmp_path / "dist")]) == 0
+    assert "syn mean none" in capsys.readouterr().err
+    assert run(["eval-shifts", "--before", str(embeddings), "--after", str(embeddings),
+                "--pairs", str(pairs), "--out", str(tmp_path / "shift"), "--quiet"]) == 0
+    distances = _strict_json(tmp_path / "dist" / "distances_raw.json")
+    assert distances["syn_mean"] is None and distances["syn_std"] is None
+    assert distances["ant_mean"] > 0.0 and distances["pair_count"] == 2
+    shifts = _strict_json(tmp_path / "shift" / "shifts.json")
+    assert shifts["syn_mean_shift"] is None and shifts["ant_mean_shift"] == 0.0
 
 
 def test_shifts_csv_quotes_words_with_commas_and_quotes(tmp_path):

@@ -1,4 +1,7 @@
 """Tests for the downstream text-classification harness."""
+import io
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from contrastmap.downstream import (TextDataset, embed_document,
                                     load_bundled_corpus, load_text_csv,
                                     run_downstream, tokenize)
 from contrastmap.embeddings import EmbeddingTable
-from contrastmap.synthetic import planted_world, sentiment_corpus
+from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
 from contrastmap.training import concat_embeddings
 
 
@@ -25,6 +28,21 @@ def test_load_text_csv_basic():
 def test_load_text_csv_quoting():
     data = load_text_csv('text,label\n"says ""hi"", then leaves",1\nplain,0\n')
     assert data.records[0][0] == 'says "hi", then leaves'
+
+
+def test_sentiment_csv_round_trips_quotes_and_commas():
+    docs = [('he said "no" twice', 1), ("a, b", 0), ('""', 1), ("plain", 0)]
+    stream = io.StringIO()
+    write_sentiment_csv(docs, stream)
+    assert load_text_csv(stream.getvalue()).records == docs
+
+
+def test_bundled_corpus_is_the_generated_corpus_byte_for_byte():
+    stream = io.StringIO()
+    write_sentiment_csv(sentiment_corpus(planted_world(600, 50, seed=11), 200, seed=6),
+                        stream)
+    bundled = resources.files("contrastmap").joinpath("data/sentiment_corpus.csv")
+    assert stream.getvalue().encode("utf-8") == bundled.read_bytes()
 
 
 def test_load_text_csv_missing_header():

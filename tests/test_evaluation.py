@@ -240,11 +240,11 @@ def _descent_fixed_point(X, y, copies=1, lr=0.1, max_epochs=100_000):
     raise AssertionError("descent reached no fixed point")
 
 
-def _gradient(X, y, model, copies=1):
+def _gradient(X, y, model, l2):
     """The full gradient, bias last, of train_linear's objective at ``model``."""
     w, b = model
     r = _sigmoid(X @ w + b) - y
-    return np.append(X.T @ r / len(y) + copies * LINEAR_DEFAULTS["l2"] * w, r.mean())
+    return np.append(X.T @ r / len(y) + l2 * w, r.mean())
 
 
 def _count_solves(monkeypatch):
@@ -296,14 +296,12 @@ def pair_spaces(pair_tables):
     ("raw", None), ("new", None), ("concatenated", None), ("random", None),
     ("raw", {"l2": 1e-2}), ("new", {"l2": 1.0}), ("concatenated", {"l2": 1e-6}),
     ("random", {"l2": 1e-3})])
-def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config,
-                                                   monkeypatch):
-    for key, value in (config or {}).items():
-        monkeypatch.setitem(LINEAR_DEFAULTS, key, value)
+def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config):
+    l2 = (config or LINEAR_DEFAULTS)["l2"]
     (X, y), (X_test, y_test) = pair_spaces[space]
     d = X.shape[1] // 2
-    w, b = train_linear(X[::2, :d] + X[::2, d:], y[::2], copies=2)
-    w_ref, b_ref = train_linear(X, y)  # full width, on both orders of every pair
+    w, b = train_linear(X[::2, :d] + X[::2, d:], y[::2], l2=2 * l2)
+    w_ref, b_ref = train_linear(X, y, l2=l2)  # full width, on both orders of every pair
     assert len(w) == d and len(w_ref) == 2 * d
     got = np.append(np.concatenate([w, w]), b)
     want = np.append(w_ref, b_ref)
@@ -312,24 +310,6 @@ def test_linear_on_pair_sums_matches_augmented_fit(pair_spaces, space, config,
     assert (np.mean(pred == y_test)
             == classify_accuracy(_linear((w_ref, b_ref)), X_test[:, :d], X_test[:, d:],
                                  y_test))
-
-
-def test_linear_on_other_features_is_the_augmented_fit_bit_for_bit(pair_spaces,
-                                                                  monkeypatch):
-    # on any features, order-augmented pair rows included, a fit of c copies
-    # is the one-copy fit with c times the penalty, bit for bit
-    (X, y), _ = pair_spaces["random"]
-    y = y.astype(float)
-    flipped = y.copy()
-    flipped[1] = 1.0 - flipped[1]  # one pair whose two rows disagree
-    l2 = LINEAR_DEFAULTS["l2"]
-    for features, labels in [(X, y), (X[:, :9], y), (X[:-1], y[:-1]), (X, flipped)]:
-        monkeypatch.setitem(LINEAR_DEFAULTS, "l2", l2)
-        w, b = train_linear(features, labels, copies=2)
-        monkeypatch.setitem(LINEAR_DEFAULTS, "l2", 2 * l2)
-        w_ref, b_ref = train_linear(features, labels)
-        assert w.tobytes() == w_ref.tobytes()
-        assert b == b_ref
 
 
 def _reference_accuracy_table(tables, train_pairs, test_pairs, rounds):
@@ -395,41 +375,38 @@ def test_train_linear_single_class():
         train_linear(np.zeros((3, 2)), np.ones(3))
 
 
-@pytest.mark.parametrize("features,labels,copies,l2,message", [
-    (np.ones((3, 1)), [0.0, 2.0, 1.0], 1, 1e-4, "labels must be 0 or 1"),
-    (np.ones((3, 1)), [0.0, np.nan, 1.0], 1, 1e-4, "labels must be 0 or 1"),
-    (np.ones((3, 1)), [0.0, 1.0], 1, 1e-4, "labels must hold one label per row"),
-    (np.ones((3, 1)), [[0.0, 1.0, 1.0]], 1, 1e-4, "labels must hold one label per row"),
-    ([[1.0], [np.nan], [0.0]], [0.0, 1.0, 1.0], 1, 1e-4, "features must be finite"),
-    ([[1.0], [np.inf], [0.0]], [0.0, 1.0, 1.0], 1, 1e-4, "features must be finite"),
-    (np.ones((3, 1)), [0.0, 1.0, 1.0], 0, 1e-4, "copies must be >= 1"),
-    (np.ones((3, 1)), [0.0, 1.0, 1.0], -2, 1e-4, "copies must be >= 1"),
-    (np.ones((0, 2)), [], 1, 1e-4, "features must be a matrix with at least one row"),
-    (np.ones(3), [0.0, 1.0, 1.0], 1, 1e-4, "features must be a matrix"),
-    (np.ones((3, 1)), [0.0, 1.0, 1.0], 1, 0.0, "l2 must be finite and > 0"),
-    (np.ones((3, 1)), [0.0, 1.0, 1.0], 1, -1e-4, "l2 must be finite and > 0"),
-    (np.ones((3, 1)), [0.0, 1.0, 1.0], 1, np.nan, "l2 must be finite and > 0"),
+@pytest.mark.parametrize("features,labels,l2,message", [
+    (np.ones((3, 1)), [0.0, 2.0, 1.0], 1e-4, r"y must hold labels in \{0, 1\}"),
+    (np.ones((3, 1)), [0.0, np.nan, 1.0], 1e-4, r"y must hold labels in \{0, 1\}"),
+    (np.ones((3, 1)), [0.0, 1.0], 1e-4, "y must hold one label per row"),
+    (np.ones((3, 1)), [[0.0, 1.0, 1.0]], 1e-4, "y must hold one label per row"),
+    ([[1.0], [np.nan], [0.0]], [0.0, 1.0, 1.0], 1e-4, "X must be finite"),
+    ([[1.0], [np.inf], [0.0]], [0.0, 1.0, 1.0], 1e-4, "X must be finite"),
+    (np.ones((0, 2)), [], 1e-4, "X must be a matrix with at least one row"),
+    (np.ones((3, 0)), [0.0, 1.0, 1.0], 1e-4, "X must be a matrix .* one feature column"),
+    (np.ones(3), [0.0, 1.0, 1.0], 1e-4, "X must be a matrix"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], 0.0, "l2 must be finite and > 0"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], -1e-4, "l2 must be finite and > 0"),
+    (np.ones((3, 1)), [0.0, 1.0, 1.0], np.nan, "l2 must be finite and > 0"),
 ], ids=["label-2", "label-nan", "short-labels", "label-matrix", "nan-feature",
-        "inf-feature", "copies-0", "copies-negative", "no-rows", "vector-features",
+        "inf-feature", "no-rows", "no-columns", "vector-features",
         "l2-0", "l2-negative", "l2-nan"])
-def test_train_linear_rejects_bad_arguments(monkeypatch, features, labels, copies, l2,
-                                            message):
-    monkeypatch.setitem(LINEAR_DEFAULTS, "l2", l2)
+def test_train_linear_rejects_bad_arguments(features, labels, l2, message):
     with pytest.raises(ValueError, match=message):
-        train_linear(np.asarray(features), np.asarray(labels), copies=copies)
+        train_linear(np.asarray(features), np.asarray(labels), l2=l2)
 
 
 @pytest.mark.parametrize("fixture", ["pair-sums", "augmented", "separable"])
 def test_train_linear_returns_a_stationary_point(pair_spaces, fixture):
     (X, y), _ = pair_spaces["new"]
-    y, d = y.astype(float), X.shape[1] // 2
-    X, y, copies = {"pair-sums": (X[::2, :d] + X[::2, d:], y[::2], 2),
-                    "augmented": (X, y, 1),
-                    "separable": (*_separable(), 1)}[fixture]
-    model = train_linear(X, y, copies=copies)
+    y, d, l2 = y.astype(float), X.shape[1] // 2, LINEAR_DEFAULTS["l2"]
+    X, y, l2 = {"pair-sums": (X[::2, :d] + X[::2, d:], y[::2], 2 * l2),
+                "augmented": (X, y, l2),
+                "separable": (*_separable(), l2)}[fixture]
+    model = train_linear(X, y, l2=l2)
     zero = (np.zeros(X.shape[1]), 0.0)
-    assert (np.linalg.norm(_gradient(X, y, model, copies))
-            <= 1e-9 * np.linalg.norm(_gradient(X, y, zero, copies)))
+    assert (np.linalg.norm(_gradient(X, y, model, l2))
+            <= 1e-9 * np.linalg.norm(_gradient(X, y, zero, l2)))
 
 
 @pytest.mark.parametrize("copies", [1, 2])
@@ -438,7 +415,7 @@ def test_train_linear_matches_descent_run_to_its_fixed_point(copies):
     rng = np.random.default_rng(11)
     X = rng.standard_normal((100, 3))
     y = (rng.random(100) < _sigmoid(X @ np.array([1.0, -0.5, 0.25]) + 0.3)).astype(float)
-    got = np.append(*train_linear(X, y, copies=copies))
+    got = np.append(*train_linear(X, y, l2=copies * LINEAR_DEFAULTS["l2"]))
     want = np.append(*_descent_fixed_point(X, y, copies=copies))
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -515,16 +492,18 @@ def test_build_accuracy_table_leakage():
         build_accuracy_table(table, table, table, train, test)
 
 
-def test_build_accuracy_table_shape():
+def _small_table_and_split():
+    """A 24-word, 3-d table and six train and six test pairs over disjoint words."""
     rng = np.random.default_rng(5)
-    words = [(f"w{i}", rng.standard_normal(3)) for i in range(24)]
-    table = _table(words)
-    specs_train = [(f"w{i}", f"w{i + 1}", SYNONYM if i % 4 == 0 else ANTONYM)
-                   for i in range(0, 12, 2)]
-    specs_test = [(f"w{i}", f"w{i + 1}", SYNONYM if i % 4 == 0 else ANTONYM)
-                  for i in range(12, 24, 2)]
-    result = build_accuracy_table(table, table, table,
-                                  _pairs(*specs_train), _pairs(*specs_test),
+    table = _table([(f"w{i}", rng.standard_normal(3)) for i in range(24)])
+    specs = [(f"w{i}", f"w{i + 1}", SYNONYM if i % 4 == 0 else ANTONYM)
+             for i in range(0, 24, 2)]
+    return table, _pairs(*specs[:6]), _pairs(*specs[6:])
+
+
+def test_build_accuracy_table_shape():
+    table, train, test = _small_table_and_split()
+    result = build_accuracy_table(table, table, table, train, test,
                                   boosted_config={"rounds": 5})
     assert set(result.accuracies) == {"raw", "new", "concatenated"}
     for row in result.accuracies.values():
@@ -533,3 +512,9 @@ def test_build_accuracy_table_shape():
     text = result.format_text()
     assert text.startswith("space")
     assert "concatenated" in text
+
+
+def test_build_accuracy_table_rejects_an_unknown_boosted_setting():
+    table, train, test = _small_table_and_split()
+    with pytest.raises(TypeError, match="'round'"):
+        build_accuracy_table(table, table, table, train, test, boosted_config={"round": 3})
