@@ -7,6 +7,7 @@ audited byte for byte. Exit codes: 1 usage, 2 input/parse, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -109,8 +110,21 @@ class _Run:
         self.outputs: dict[str, dict] = {}
         self.out.mkdir(parents=True, exist_ok=True)
 
+    @contextlib.contextmanager
     def open(self, name: str, newline: str | None = None):
-        return open(self.paths[name], "r", encoding="utf-8", newline=newline)
+        """Input ``name`` as text, with any UTF-8 byte-order mark dropped.
+
+        A ValueError raised while it is open, a bad encoding included, is
+        re-raised with ``--<flag> <path>: `` in front, so the message names
+        the input. So is a TypeError: ``load_params`` raises one for a
+        malformed model document.
+        """
+        path = self.paths[name]
+        try:
+            with open(path, "r", encoding="utf-8-sig", newline=newline) as f:
+                yield f
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"--{name.replace('_', '-')} {path}: {exc}") from None
 
     def table(self, name: str, vocabulary=None):
         with self.open(name) as f:
@@ -236,10 +250,7 @@ def _cmd_train(args, run: _Run) -> None:
 
 def _cmd_transform(args, run: _Run) -> None:
     with run.open("model") as f:
-        try:
-            params = load_params(f)
-        except (ValueError, TypeError) as exc:  # bad JSON or a malformed document
-            raise ValueError(f"--model {args.model}: {exc}") from None
+        params = load_params(f)
     table = run.table("embeddings")
     new = transform_vocabulary(params, table)
     concat = concat_embeddings(table, new)

@@ -5,17 +5,24 @@ distributions: one word per line followed by its vector components, with an
 optional ``count dim`` header line. Only this text format is supported; the
 binary Word2Vec format must be converted externally.
 
-The reader converts each row's values with one ``np.array(tokens,
-dtype=float64)`` call, which parses every token by Python's ``float`` rules,
-and writes each accepted row straight into one growing matrix, so a parse
-peaks near 1.5 times its matrix rather than holding every row twice.
+The reader first tries each row's values as JSON floats through orjson,
+whose number reader rounds correctly, so it gives the bits Python's ``float``
+gives. A row in any other form (ints, other spacing, tokens JSON does not
+know such as ``nan``) falls back to one ``np.array(tokens, dtype=float64)``
+call, which parses every token by Python's ``float`` rules. Each accepted
+row goes straight into one growing matrix, so a parse peaks near 1.5 times
+its matrix rather than holding every row twice.
 Given a ``vocabulary``, it converts only the rows a caller will use:
 after the first accepted row (which fixes the dimension and is always kept),
-a row whose word is outside the vocabulary is passed over unsplit,
-unconverted and uncounted. The result is the full parse restricted to the
-vocabulary plus that first row, in file order and bit for bit. The writer
-renders each row with ``repr`` (the shortest round-trip form) and prints
-integral values without their trailing ``.0``.
+a row whose word is outside the vocabulary is passed over unconverted and
+uncounted. The result is the full parse restricted to the
+vocabulary plus that first row, in file order and bit for bit.
+
+The writer prints the shortest round-trip form of each value, as ``repr``
+does, and prints integral values without their trailing ``.0``. A row whose
+values are all 0 or of magnitude in [1e-4, 1e16) is rendered by orjson's Ryu
+printer, which gives ``repr``'s text there; ``repr`` renders any other row,
+since outside that range the two choose different notations.
 """
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import IO, Container, Iterable
 
 import numpy as np
+import orjson
 
 
 class EmbeddingParseError(ValueError):
@@ -83,6 +91,29 @@ def _unusable(vec: np.ndarray) -> bool:
         return not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0
 
 
+def _floats(values: list[str] | list[float]) -> np.ndarray:
+    """A row's values as float64; tokens convert by Python's ``float`` rules."""
+    return np.array(values, dtype=np.float64)
+
+
+def _json_floats(rest: str) -> list[float] | None:
+    """The values of ``rest`` if it is JSON floats split by single spaces, else None.
+
+    Every JSON float is a valid ``float`` literal, and orjson rounds it as
+    ``float`` does, so a result converts to the bits ``rest.split()`` does.
+    Anything else (ints, where ``-0`` would lose its sign, other JSON values,
+    a comma that ``split`` would not split at, any other spacing) is None
+    and left to the per-token conversion.
+    """
+    if "," in rest:
+        return None
+    try:
+        values = orjson.loads("[" + rest.rstrip().replace(" ", ",") + "]")
+    except orjson.JSONDecodeError:
+        return None
+    return values if {*map(type, values)} == {float} else None
+
+
 def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                          vocabulary: Container[str] | None = None) -> EmbeddingTable:
     """Parse a text vector stream into an :class:`EmbeddingTable`.
@@ -107,17 +138,20 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
         nonlocal duplicates, skipped, dim
         for n, raw_line in enumerate(_as_lines(stream)):
             line = raw_line.rstrip("\r\n")
-            if dim is not None and vocabulary is not None:
-                head = line.split(None, 1)
-                if head and head[0] not in vocabulary:
-                    continue
-            tokens = line.split()
-            if not tokens or (n == 0 and _is_header(tokens)):
+            head = line.split(None, 1)
+            if not head or (dim is not None and vocabulary is not None
+                            and head[0] not in vocabulary):
                 continue
+            values = _json_floats(head[1]) if len(head) == 2 else None
+            if values is None:  # left to the per-token conversion
+                tokens = line.split()
+                if n == 0 and _is_header(tokens):
+                    continue
+                values = tokens[1:]
             try:
-                if len(tokens) < 2 or dim not in (None, len(tokens) - 1):
+                if not values or dim not in (None, len(values)):
                     raise ValueError("wrong arity")
-                vec = np.array(tokens[1:], dtype=np.float64)
+                vec = _floats(values)
             except ValueError as exc:
                 if dim is None:  # no row has fixed the dimension yet
                     raise EmbeddingParseError("bad format") from exc
@@ -127,7 +161,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                 skipped += 1  # a rejected first row leaves the dimension open
                 continue
             dim = len(vec)
-            word = tokens[0]
+            word = head[0]
             if word in index:
                 duplicates += 1
                 continue
@@ -147,6 +181,11 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                           _index=index)
 
 
+# rows per range check in the writer: checked row by row, the check costs a
+# third of a row's write; a small block keeps the block's copies small
+_WRITE_BLOCK = 256
+
+
 def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:
     """Write ``table`` in the text format with a ``count dim`` header.
 
@@ -157,13 +196,23 @@ def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:
     header = f"{len(table)} {table.dimension}\n"
     stream.write(header)
     written += len(header)
-    for word, row in zip(table.words, table.matrix):
-        # repr() is the shortest round-trip form; integral values lose their
-        # ".0". One tolist() per row: a whole-matrix one holds every float.
-        values = " ".join(map(repr, row.tolist())) + "\n"
-        line = word + " " + values.replace(".0 ", " ").replace(".0\n", "\n")
-        stream.write(line)
-        written += len(line)
+    for start in range(0, len(table), _WRITE_BLOCK):
+        # C-contiguous float64 rows: orjson writes float32 in its own shortest form
+        block = np.ascontiguousarray(table.matrix[start:start + _WRITE_BLOCK],
+                                     dtype=np.float64)
+        # only 0 and magnitudes in [1e-4, 1e16) get the same notation from both
+        magnitude = np.abs(block)
+        ryu = ((magnitude == 0.0)
+               | ((magnitude >= 1e-4) & (magnitude < 1e16))).all(axis=1)
+        for word, row, fast in zip(table.words[start:start + _WRITE_BLOCK], block, ryu):
+            if fast:
+                values = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
+                values = values[1:-1].decode().replace(",", " ") + "\n"
+            else:
+                values = " ".join(map(repr, row.tolist())) + "\n"
+            line = word + " " + values.replace(".0 ", " ").replace(".0\n", "\n")
+            stream.write(line)
+            written += len(line)
     return written
 
 

@@ -279,6 +279,51 @@ def test_bad_model_file_exit_2(fixtures, tmp_path, capsys, model):
     assert not (tmp_path / "out" / "transformed.txt").exists()
 
 
+@pytest.mark.parametrize("flag, content", [
+    ("--concat", b"word abc def\n"),
+    ("--raw", b"\xff\xfe not utf-8\n"),
+], ids=["bad-format", "not-utf-8"])
+def test_parse_errors_name_the_input(fixtures, tmp_path, capsys, flag, content):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    inputs = {"--raw": fixtures["embeddings"], "--concat": fixtures["embeddings"], flag: bad}
+    code = run(["downstream", *[str(a) for kv in inputs.items() for a in kv],
+                "--data", str(fixtures["corpus"]), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"input-error: {flag} {bad}: ")
+
+
+def _outputs(out):
+    """name -> sha256 of every output in ``out``/run.json."""
+    return {name: entry["sha256"]
+            for name, entry in json.loads((out / "run.json").read_text())["outputs"].items()}
+
+
+def test_byte_order_mark_on_inputs_changes_no_artifact(pipeline, tmp_path):
+    out = pipeline["out"]
+    fixtures = pipeline["fixtures"]
+    headerless = tmp_path / "headerless.txt"  # the mark lands on the first word
+    headerless.write_text(fixtures["embeddings"].read_text().split("\n", 1)[1])
+    commands = [
+        ["split", "--pairs", fixtures["pairs"]],
+        ["transform", "--model", out / "train" / "model.json",
+         "--embeddings", fixtures["embeddings"]],
+        ["downstream", "--raw", headerless, "--concat", out / "transform" / "concat.txt",
+         "--data", fixtures["corpus"]],
+    ]
+    for i, command in enumerate(commands):
+        marked = list(command)
+        (tmp_path / f"marked{i}").mkdir()
+        for j in range(2, len(command), 2):  # same file names: downstream records one
+            marked[j] = tmp_path / f"marked{i}" / command[j].name
+            marked[j].write_bytes(b"\xef\xbb\xbf" + command[j].read_bytes())
+        outputs = []
+        for name, args in (("plain", command), ("bom", marked)):
+            assert run([*map(str, args), "--out", str(tmp_path / f"{name}{i}"), "--quiet"]) == 0
+            outputs.append(_outputs(tmp_path / f"{name}{i}"))
+        assert outputs[0] == outputs[1]
+
+
 def test_split_command(fixtures, tmp_path):
     out = tmp_path / "split"
     assert run(["split", "--pairs", str(fixtures["pairs"]),

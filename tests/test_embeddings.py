@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from contrastmap import embeddings
 from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
                                     cosine_distance, parse_embedding_text,
                                     write_embedding_text)
@@ -276,19 +277,26 @@ def _outcome(parse, text, **kwargs):
 
 
 WORDS = ["a", "b", "c", "v1.0", "é"]
+# 30-digit mantissas, as plain decimals and with exponents
+_long_mantissa = st.tuples(st.integers(10**29, 10**30 - 1), st.integers(-340, 310),
+                           st.sampled_from(["{m}e{e}", "-0.{m}e{e}", "{m}.5", "0.{m}"])).map(
+    lambda t: t[2].format(m=t[0], e=t[1]))
 _value = st.one_of(
     st.floats().map(repr),
     st.integers(-3, 3).map(str),
+    _long_mantissa,
+    # tokens that JSON and float() read differently, or that only one reads
     st.sampled_from(["0", "-0", "0.0", "nan", "-inf", "1e400", "1e-400", "5e-324",
-                     "1_000", "+.5", "abc", "١٢٣", "0x10"]))
+                     "1_000", "+.5", "abc", "١٢٣", "0x10", "true", "null", '"1"',
+                     "[1]", "0.5,2.5", "0e999999", "18446744073709551616", "1E5", "-0.0"]))
 _row = st.tuples(st.sampled_from(WORDS), st.lists(_value, max_size=4)).map(
     lambda r: [r[0], *r[1]])
 _line = st.one_of(_row, _row, _row, st.just([]),
                   st.tuples(st.integers(0, 9), st.integers(0, 9)).map(
                       lambda h: [str(h[0]), str(h[1])]))
 vector_streams = st.tuples(
-    st.lists(st.tuples(_line, st.sampled_from([" ", "\t", "  "]),
-                       st.sampled_from(["\n", "\r\n"])), max_size=12),
+    st.lists(st.tuples(_line, st.sampled_from([" ", "\t", "  ", "\t ", " \t", "\xa0"]),
+                       st.sampled_from(["\n", "\r\n", " \n"])), max_size=12),
     st.booleans()).map(
     lambda s: "".join(sep.join(toks) + end for toks, sep, end in s[0])
     + ("tail 1 2" if s[1] else ""))
@@ -297,6 +305,9 @@ vector_streams = st.tuples(
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300)
 @given(vector_streams)
+@example("a 0.5,2.5\nb 1.5 2.5\n")  # a comma is not a separator
+@example("a 1.5 2.5\nb 0.5,2.5 1.5\n")
+@example("a -0 1.5\nb 1.5 -0.0\n")  # the int -0 is read as -0.0
 def test_parse_matches_per_token_reference(text):
     assert _outcome(parse_embedding_text, text) == _outcome(_reference_parse, text)
 
@@ -315,6 +326,13 @@ def test_parse_with_vocabulary_is_restricted_full_parse(text, vocabulary):
     assert restricted.dimension == table.dimension
     assert restricted.words == [table.words[i] for i in keep]
     assert restricted.matrix.tobytes() == table.matrix[keep].tobytes()
+
+
+def test_header_line_that_is_also_a_row_is_skipped_only_as_line_0():
+    text = "2 1\n2 1\n3 1.5\n"
+    assert _outcome(parse_embedding_text, text) == _outcome(_reference_parse, text)
+    table = parse_embedding_text(text)
+    assert table.words == ["2", "3"] and table.matrix.tolist() == [[1.0], [1.5]]
 
 
 def test_parse_with_vocabulary_cases():
@@ -338,23 +356,91 @@ def _write(writer, table):
     return out.getvalue(), n
 
 
+# both sides of each point where repr changes notation
+_SWITCH_VALUES = [v for x in (1e-4, 1e16) for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+
+
 def test_write_matches_per_value_reference_on_edge_values():
     matrix = np.array([[-0.0, 1e16, 1e-05, 5e-324, 3.0],
                        [10.0, -2.0, 0.1, 1e22, 123456789.0],
-                       [1.5, 100.0, -1e-300, 2.0 ** 60, 0.0]])
-    table = EmbeddingTable(dimension=5, words=["v1.0", "w", "1.0"], matrix=matrix)
+                       [1.5, 100.0, -1e-300, 2.0 ** 60, 0.0],
+                       [0.5, -0.0, 1e-4, 0.0, 1e15],
+                       [np.nextafter(1e16, 0), -np.nextafter(1e-4, 1), 2.5, -7.0, 0.25]])
+    table = EmbeddingTable(dimension=5, words=["v1.0", "w", "1.0", "in", "edges"],
+                           matrix=matrix)
     text, n = _write(write_embedding_text, table)
     assert (text, n) == _write(_reference_write, table)
     assert text.splitlines()[1:] == [
         "v1.0 -0 1e+16 1e-05 5e-324 3",
         "w 10 -2 0.1 1e+22 123456789",
-        "1.0 1.5 100 -1e-300 1.152921504606847e+18 0"]
+        "1.0 1.5 100 -1e-300 1.152921504606847e+18 0",
+        "in 0.5 -0 0.0001 0 1000000000000000",
+        "edges 9999999999999998 -0.00010000000000000002 2.5 -7 0.25"]
+    # each switch value alone in an otherwise in-range row
+    table = EmbeddingTable(dimension=3, words=[f"s{i}" for i in range(12)],
+                           matrix=np.array([[s * v, 2.5, -7.0] for v in _SWITCH_VALUES
+                                            for s in (1.0, -1.0)]))
+    assert _write(write_embedding_text, table) == _write(_reference_write, table)
 
 
-@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                         | st.integers(-10**6, 10**6).map(float),
-                         min_size=3, max_size=3), min_size=1, max_size=5))
+_write_value = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-4, 1e16),
+    st.integers(-10**6, 10**6).map(float),
+    st.sampled_from([*_SWITCH_VALUES, 5e-324, 1e-310, 0.0]).flatmap(
+        lambda v: st.sampled_from([v, -v])))
+
+
+@given(st.integers(1, 50).flatmap(lambda d: st.lists(
+    st.lists(_write_value, min_size=d, max_size=d), min_size=1, max_size=5)))
 def test_write_matches_per_value_reference(rows):
-    table = EmbeddingTable(dimension=3, words=[f"w{i}.0" for i in range(len(rows))],
+    table = EmbeddingTable(dimension=len(rows[0]),
+                           words=[f"w{i}.0" for i in range(len(rows))],
                            matrix=np.array(rows, dtype=np.float64))
     assert _write(write_embedding_text, table) == _write(_reference_write, table)
+
+
+@pytest.mark.parametrize("layout", ["float32", "fortran", "column-slice"])
+def test_write_matches_per_value_reference_on_other_layouts(layout):
+    rng = np.random.default_rng(4)
+    wide = rng.standard_normal((300, 12)) * 10.0 ** rng.integers(-6, 18, size=(300, 12))
+    matrix = {"float32": wide.astype(np.float32), "fortran": np.asfortranarray(wide),
+              "column-slice": wide[:, ::2]}[layout]
+    table = EmbeddingTable(dimension=matrix.shape[1], words=[f"w{i}" for i in range(300)],
+                           matrix=matrix)
+    assert _write(write_embedding_text, table) == _write(_reference_write, table)
+
+
+def test_in_range_tables_never_take_the_per_value_paths(tmp_path, monkeypatch):
+    # a bug that sent every row down the slow path would pass every other test
+    rng = np.random.default_rng(5)
+    matrix = rng.uniform(1e-3, 1e3, size=(500, 30)) * rng.choice([-1.0, 1.0], size=(500, 30))
+    zeros = matrix.copy()
+    zeros[::7, 3] = 0.0
+    zeros[1::7, 4] = -0.0
+
+    def refuse(*args):
+        raise AssertionError("per-value path taken")
+
+    paths = []
+    for name, m in (("vectors.txt", matrix), ("zeros.txt", zeros)):
+        table = EmbeddingTable(dimension=30, words=[f"w{i}" for i in range(500)], matrix=m)
+        paths.append(tmp_path / name)
+        with monkeypatch.context() as patch:
+            patch.setattr(embeddings, "repr", refuse, raising=False)
+            with open(paths[-1], "w", encoding="utf-8", newline="\n") as f:
+                write_embedding_text(table, f)
+        assert paths[-1].read_text(encoding="utf-8") == _write(_reference_write, table)[0]
+    # zeros are written as the JSON ints "0" and "-0", which the reader leaves to float()
+    convert = embeddings._floats
+
+    def refuse_tokens(values):
+        if any(isinstance(v, str) for v in values):
+            raise AssertionError("per-token path taken")
+        return convert(values)
+
+    monkeypatch.setattr(embeddings, "_floats", refuse_tokens)
+    with open(paths[0], encoding="utf-8") as f:
+        parsed = parse_embedding_text(f)
+    assert parsed.words == table.words
+    assert parsed.matrix.tobytes() == matrix.tobytes()
