@@ -33,8 +33,7 @@ print(f"concat accuracy {result.accuracy_concat:.3f} "
 
 # Control: concatenating raw with a copy of itself adds feature count but
 # no information; its accuracy should track the raw arm.
-duplicate = EmbeddingTable(dimension=world.table.dimension,
-                           words=list(world.table.words),
+duplicate = EmbeddingTable(words=list(world.table.words),
                            matrix=world.table.matrix.copy())
 control = run_downstream(world.table, concat_embeddings(world.table, duplicate),
                          data, seed=9)

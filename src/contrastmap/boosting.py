@@ -9,8 +9,7 @@ value. A feature with at most ``MAX_BINS`` distinct values gets one bin per
 value, so its candidate splits and thresholds are exactly those of XGBoost's
 exact greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at
 most ``MAX_BINS`` bins of about equal row count, cut only where the value
-changes. NaN takes code ``MAX_BINS``, a last bin that is never a candidate,
-so NaN rows always go right.
+changes. Features must be finite, as for every binary fit here.
 
 Each node sums its rows' gradients and hessians per bin with ``np.bincount``,
 in row order, and prefix-sums the bins for every candidate's gain. A split
@@ -35,7 +34,7 @@ from .network import logistic_loss  # noqa: F401  (part of the boosting API)
 
 H_EPS = 1e-16
 GAIN_TOL = 1e-12
-MAX_BINS = 255  # value bins per feature; code MAX_BINS holds NaN
+MAX_BINS = 255  # value bins per feature
 
 
 @dataclass
@@ -62,25 +61,22 @@ def _bin(X: np.ndarray):
     """Codes (d, n) uint8 of every feature, and each bin's smallest and
     largest value, (d, MAX_BINS) each."""
     n, d = X.shape
-    codes = np.full((d, n), MAX_BINS, dtype=np.uint8)
+    codes = np.empty((d, n), dtype=np.uint8)
     lower, upper = np.zeros((d, MAX_BINS)), np.zeros((d, MAX_BINS))
     for f in range(d):
         order = np.argsort(X[:, f])  # equal values share a code: any tie order will do
         v = X[order, f]
-        m = n - np.count_nonzero(np.isnan(v))  # NaN sorts last
-        if m == 0:
-            continue
-        begins = np.zeros(m, dtype=np.intp)  # 1 where a bin begins: at each new value
-        begins[1:] = v[1:m] > v[:m - 1]
+        begins = np.zeros(n, dtype=np.intp)  # 1 where a bin begins: at each new value
+        begins[1:] = v[1:] > v[:-1]
         starts = np.flatnonzero(begins)
-        if len(starts) >= MAX_BINS:  # too many: at the first new value after each m / MAX_BINS rows
-            at = np.searchsorted(starts, np.arange(1, MAX_BINS) * m // MAX_BINS)
+        if len(starts) >= MAX_BINS:  # too many: at the first new value after each n / MAX_BINS rows
+            at = np.searchsorted(starts, np.arange(1, MAX_BINS) * n // MAX_BINS)
             begins[:] = 0
             begins[starts[at[at < len(starts)]]] = 1
             starts = np.flatnonzero(begins)
-        codes[f, order[:m]] = np.cumsum(begins, out=begins)
+        codes[f, order] = np.cumsum(begins, out=begins)
         lower[f, :len(starts) + 1] = v[np.r_[0, starts]]
-        upper[f, :len(starts) + 1] = v[np.r_[starts - 1, m - 1]]
+        upper[f, :len(starts) + 1] = v[np.r_[starts - 1, n - 1]]
     return codes, lower, upper
 
 
@@ -88,23 +84,22 @@ def _best_split(codes: np.ndarray, gn: np.ndarray, hn: np.ndarray):
     """Best (gain, feature, bin) for one node, or None when no valid split
     exists. ``codes`` (d, m) are the node's rows' codes and ``gn``, ``hn``
     their gradients and hessians, all in row order, which fixes each bin's sum."""
-    GL, HL = np.empty((2, len(codes), MAX_BINS + 1))
+    gl, hl = np.empty((2, len(codes), MAX_BINS))
     nonempty = np.empty((len(codes), MAX_BINS), dtype=bool)
     counted = hn.min() > 0.0  # then a bin is non-empty where its hessian sum is
     for f, c in enumerate(codes):
         c = c.astype(np.intp)
-        GL[f] = np.bincount(c, gn, MAX_BINS + 1)
-        HL[f] = np.bincount(c, hn, MAX_BINS + 1)
-        nonempty[f] = (HL[f] if counted else np.bincount(c, minlength=MAX_BINS + 1))[:MAX_BINS] > 0
-    np.cumsum(GL, axis=1, out=GL)
-    np.cumsum(HL, axis=1, out=HL)
+        gl[f] = np.bincount(c, gn, MAX_BINS)
+        hl[f] = np.bincount(c, hn, MAX_BINS)
+        nonempty[f] = (hl[f] if counted else np.bincount(c, minlength=MAX_BINS)) > 0
+    np.cumsum(gl, axis=1, out=gl)
+    np.cumsum(hl, axis=1, out=hl)
     # a split may follow a non-empty value bin that a later one follows
     seen = np.cumsum(nonempty, axis=1)
     valid = nonempty & (seen < seen[:, -1:])
     if not valid.any():
         return None
-    G, H = GL[:, -1:], HL[:, -1:]
-    gl, hl = GL[:, :MAX_BINS], HL[:, :MAX_BINS]
+    G, H = gl[:, -1:], hl[:, -1:]
     # gain = gl*gl/(hl+H_EPS) + gr*gr/(hr+H_EPS) - G*G/(H+H_EPS), in this order
     gain = gl * gl / (hl + H_EPS)
     gr, hr = G - gl, H - hl
@@ -134,7 +129,6 @@ def _build_tree(codes: np.ndarray | None, rows: np.ndarray, lower: np.ndarray,
         return TreeNode(value=value)
     _, feature, b = split
     goes_left = codes[feature] <= b
-    # a valid split's next non-empty bin in the node is a value bin, not NaN's
     lo, hi = upper[feature, b], lower[feature, codes[feature, ~goes_left].min()]
     t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
     # a leaf searches nothing and needs no codes

@@ -252,6 +252,9 @@ def _cmd_transform(args, run: _Run) -> None:
     with run.open("model") as f:
         params = load_params(f)
     table = run.table("embeddings")
+    if params.input_dim != table.dimension:
+        raise ValueError(f"--model {run.paths['model']}: input dimension {params.input_dim} "
+                         f"!= --embeddings dimension {table.dimension}")
     new = transform_vocabulary(params, table)
     concat = concat_embeddings(table, new)
     run.write("transformed.txt", write_embedding_text, new)
@@ -331,24 +334,22 @@ def build_parser() -> _Parser:
 
     def command(name, help, func, inputs, input_help=None):
         """A subparser with one required flag per input file in ``inputs``,
-        declared in the order ``_Run`` checks and hashes them."""
+        declared in the order ``_Run`` checks and hashes them, and the flags
+        every subcommand shares."""
         p = sub.add_parser(name, help=help)
         for dest in inputs:
             p.add_argument("--" + dest.replace("_", "-"), required=True,
                            help=(input_help or {}).get(dest))
-        p.set_defaults(func=func, inputs=inputs)
-        return p
-
-    def common(p):
         p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--quiet", action="store_true")
+        p.set_defaults(func=func, inputs=inputs)
+        return p
 
     p = command("split", "leakage-free train/test pair split", _cmd_split, ("pairs",))
     p.add_argument("--test-every", type=_checked(int, lambda v: v >= 2, ">= 2"), default=4)
-    common(p)
 
-    common(command("stats", "relation-graph component statistics", _cmd_stats, ("pairs",)))
+    command("stats", "relation-graph component statistics", _cmd_stats, ("pairs",))
 
     p = command("train", "train the contrasting map", _cmd_train,
                 ("embeddings", "pairs"), {"pairs": "train-side pair TSV"})
@@ -366,34 +367,29 @@ def build_parser() -> _Parser:
     p.add_argument("--val-fraction", type=_checked(float, lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
                    default=0.1)
     p.add_argument("--cap-per-anchor", type=_positive_int, default=20)
-    common(p)
 
-    common(command("transform", "materialize transformed + concat tables", _cmd_transform,
-                   ("model", "embeddings")))
+    command("transform", "materialize transformed + concat tables", _cmd_transform,
+            ("model", "embeddings"))
 
     p = command("eval-distances", "distance distribution report", _cmd_eval_distances,
                 ("embeddings", "pairs"))
     p.add_argument("--label", type=_file_label, default="raw")
-    common(p)
 
-    common(command("eval-shifts", "pairwise distance shift report", _cmd_eval_shifts,
-                   ("before", "after", "pairs")))
+    command("eval-shifts", "pairwise distance shift report", _cmd_eval_shifts,
+            ("before", "after", "pairs"))
 
     p = command("eval-extremes", "closest antonyms / farthest synonyms", _cmd_eval_extremes,
                 ("before", "after", "pairs"))
     p.add_argument("-n", type=_positive_int, default=10)
-    common(p)
 
     p = command("eval-classifiers", "raw/new/concat accuracy table", _cmd_eval_classifiers,
                 ("raw", "new", "concat", "train_pairs", "test_pairs"))
     p.add_argument("--rounds", type=_positive_int, default=200)
-    common(p)
 
     p = command("downstream", "mean-embedding text classification", _cmd_downstream,
                 ("raw", "concat", "data"), {"data": "text,label CSV"})
     p.add_argument("--test-fraction", type=_checked(float, lambda v: 0 < v < 0.5, "in (0, 0.5)"),
                    default=0.25)
-    common(p)
     return parser
 
 

@@ -5,6 +5,9 @@ distributions: one word per line followed by its vector components, with an
 optional ``count dim`` header line. Only this text format is supported; the
 binary Word2Vec format must be converted externally.
 
+A table is its words and its matrix, one row per word; its dimension is the
+matrix's width, and the constructor checks the two agree.
+
 The reader first tries each row's values as JSON floats through orjson,
 whose number reader rounds correctly, so it gives the bits Python's ``float``
 gives. A row in any other form (ints, other spacing, tokens JSON does not
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Container, Iterable
 
 import numpy as np
@@ -41,23 +44,28 @@ class EmbeddingParseError(ValueError):
 
 @dataclass
 class EmbeddingTable:
-    """Immutable word -> dense vector table of fixed dimension.
+    """Immutable word -> dense vector table: ``words[i]`` owns ``matrix[i]``.
 
-    Vectors are stored row-wise in a single float64 matrix; ``words[i]``
-    owns ``matrix[i]``. ``indices`` and ``in`` match words exactly, case
-    included.
+    Vectors are stored row-wise in a single 2-D float64 matrix with one row
+    per word; the constructor rejects any other shape. ``indices`` and ``in``
+    match words exactly, case included. ``duplicate_warnings`` and
+    ``skipped_rows`` count what a parse dropped.
     """
 
-    dimension: int
     words: list[str]
     matrix: np.ndarray
     duplicate_warnings: int = 0
     skipped_rows: int = 0
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if not self._index:
-            self._index = {w: i for i, w in enumerate(self.words)}
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.words):
+            raise ValueError(f"matrix of shape {self.matrix.shape} for "
+                             f"{len(self.words)} words: need one row per word")
+        self._index = {w: i for i, w in enumerate(self.words)}
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     def __len__(self) -> int:
         return len(self.words)
@@ -129,7 +137,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     for words in it; the others are neither converted nor counted.
     """
     words: list[str] = []
-    index: dict[str, int] = {}
+    seen: set[str] = set()
     duplicates = 0
     skipped = 0
     dim: int | None = None
@@ -162,10 +170,10 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                 continue
             dim = len(vec)
             word = head[0]
-            if word in index:
+            if word in seen:
                 duplicates += 1
                 continue
-            index[word] = len(words)
+            seen.add(word)
             words.append(word)
             yield vec
 
@@ -176,9 +184,8 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     # each row goes straight into one growing buffer: no row is held twice
     matrix = np.fromiter(itertools.chain([first], rows),
                          dtype=np.dtype((np.float64, (dim,))))
-    return EmbeddingTable(dimension=dim, words=words, matrix=matrix,
-                          duplicate_warnings=duplicates, skipped_rows=skipped,
-                          _index=index)
+    return EmbeddingTable(words=words, matrix=matrix,
+                          duplicate_warnings=duplicates, skipped_rows=skipped)
 
 
 # rows per range check in the writer: checked row by row, the check costs a

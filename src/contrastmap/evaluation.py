@@ -172,8 +172,6 @@ def train_linear(X: np.ndarray, y: np.ndarray,
     ``NEWTON_STEPS`` raises ``ArithmeticError``.
     """
     X, y = _labelled_matrix(X, y)
-    if not np.isfinite(X).all():
-        raise ValueError("X must be finite")
     if not (math.isfinite(l2) and l2 > 0.0):  # at l2 = 0 separable data has no optimum
         raise ValueError(f"l2 must be finite and > 0, got {l2}")
     n, d = X.shape

@@ -222,11 +222,14 @@ def logistic_loss(y: np.ndarray, scores: np.ndarray) -> float:
 
 def _labelled_matrix(X, y) -> tuple[np.ndarray, np.ndarray]:
     """``X`` and ``y`` as float64, checked as the inputs of a binary fit: a
-    matrix with rows and columns, one 0/1 label per row, both classes present."""
+    finite matrix with rows and columns, one 0/1 label per row, both classes
+    present."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or 0 in X.shape:
         raise ValueError("X must be a matrix with at least one row and one feature column")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     if y.shape != (len(X),):
         raise ValueError(f"y must hold one label per row of X: {y.shape} for {len(X)} rows")
     if not np.isin(y, (0.0, 1.0)).all():

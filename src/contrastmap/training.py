@@ -255,10 +255,7 @@ def transform_vocabulary(contrast_map: MlpParams,
     words = [w for w, k in zip(table.words, keep) if k]
     if not words:
         raise ValueError("all transformed vectors degenerate")
-    result = EmbeddingTable(dimension=contrast_map.output_dim, words=words,
-                            matrix=out[keep])
-    result.skipped_rows = int(np.sum(~keep))
-    return result
+    return EmbeddingTable(words=words, matrix=out[keep])
 
 
 def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTable:
@@ -279,6 +276,4 @@ def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTabl
         block = found[start:start + step]
         matrix[start:start + step, :d] = raw.matrix[block]
         matrix[start:start + step, d:] = new.matrix[rows[block]]
-    table = EmbeddingTable(dimension=width, words=common, matrix=matrix)
-    table.skipped_rows = (len(raw) - len(common)) + (len(new) - len(common))
-    return table
+    return EmbeddingTable(words=common, matrix=matrix)

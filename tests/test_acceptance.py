@@ -280,8 +280,7 @@ def test_criterion_6_downstream_harness():
     data = load_bundled_corpus()
     result = run_downstream(world.table, concat, data, seed=9)
 
-    duplicate = EmbeddingTable(dimension=world.table.dimension,
-                               words=list(world.table.words),
+    duplicate = EmbeddingTable(words=list(world.table.words),
                                matrix=world.table.matrix.copy())
     rawraw = concat_embeddings(world.table, duplicate)
     control = run_downstream(world.table, rawraw, data, seed=9)

@@ -267,8 +267,11 @@ def test_bad_pairs_exit_2(tmp_path, capsys):
     json.dumps({"format_version": 1, "layer_dims": [20, True, 2],
                 "hidden_activation": "tanh", "weights": [[[0.1] * 20], [[0.1]] * 2],
                 "biases": [[0.0], [0.0] * 2]}),
+    # a valid model for 30-d vectors; the fixture's are 20-d
+    json.dumps({"format_version": 1, "layer_dims": [30, 5], "hidden_activation": "tanh",
+                "weights": [[[0.1] * 30] * 5], "biases": [[0.0] * 5]}),
 ], ids=["not-json", "json-list", "missing-keys", "dims-not-a-list", "dims-not-integers",
-        "dims-bools"])
+        "dims-bools", "input-dim-not-the-vectors"])
 def test_bad_model_file_exit_2(fixtures, tmp_path, capsys, model):
     path = tmp_path / "model.json"
     path.write_text(model)

@@ -15,7 +15,7 @@ from contrastmap.training import concat_embeddings
 
 def _table(entries):
     """A table with one row per (word, values) entry."""
-    return EmbeddingTable(dimension=len(entries[0][1]), words=[w for w, _ in entries],
+    return EmbeddingTable(words=[w for w, _ in entries],
                           matrix=np.array([v for _, v in entries], dtype=float))
 
 
@@ -106,7 +106,7 @@ def _reference_embed_document(table, tokens):
 def test_embed_document_matches_per_word_lookups():
     world = planted_world(n_words=300, dim=7, seed=4)
     keep = [i % 3 != 0 for i in range(300)]
-    table = EmbeddingTable(dimension=7, words=[w for w, k in zip(world.table.words, keep) if k],
+    table = EmbeddingTable(words=[w for w, k in zip(world.table.words, keep) if k],
                            matrix=world.table.matrix[keep])
     docs = [tokenize(text) for text, _ in sentiment_corpus(world, n_documents=50, seed=5)]
     docs += [[], ["w00000", "w00003", "unknown"], ["w00001"], ["w00001", "w00001", "w00002"]]
@@ -152,8 +152,7 @@ def corpus_setup():
     world = planted_world(n_words=200, dim=20, seed=1)
     docs = sentiment_corpus(world, n_documents=80, seed=2)
     data = TextDataset(records=docs, name="toy")
-    dup = EmbeddingTable(dimension=world.table.dimension,
-                         words=list(world.table.words),
+    dup = EmbeddingTable(words=list(world.table.words),
                          matrix=world.table.matrix.copy())
     rawraw = concat_embeddings(world.table, dup)
     return world.table, rawraw, data

@@ -102,11 +102,22 @@ def test_cosine_distance_extreme_magnitudes():
 
 
 def test_write_basic():
-    table = EmbeddingTable(dimension=2, words=["a"], matrix=np.array([[1.0, 0.0]]))
+    table = EmbeddingTable(words=["a"], matrix=np.array([[1.0, 0.0]]))
     out = io.StringIO()
     n = write_embedding_text(table, out)
     assert out.getvalue() == "1 2\na 1 0\n"
     assert n == len(out.getvalue())
+
+
+def test_table_is_its_words_and_its_matrix():
+    table = EmbeddingTable(words=["a", "b"], matrix=np.zeros((2, 5)))
+    assert table.dimension == 5 and len(table) == 2
+    with pytest.raises(ValueError, match="one row per word"):
+        EmbeddingTable(words=["a", "b"], matrix=np.zeros(2))
+    with pytest.raises(ValueError, match="one row per word"):
+        EmbeddingTable(words=["a", "b", "c"], matrix=np.zeros((1, 2)))
+    with pytest.raises(TypeError):
+        EmbeddingTable(words=["a"], matrix=np.zeros((1, 3)), dimension=3)
 
 
 def test_round_trip_small():
@@ -124,7 +135,7 @@ def test_round_trip_large_vocabulary():
     n, dim = 26264, 5
     words = [f"w{i}" for i in range(n)]
     matrix = rng.standard_normal((n, dim))
-    table = EmbeddingTable(dimension=dim, words=words, matrix=matrix)
+    table = EmbeddingTable(words=words, matrix=matrix)
     out = io.StringIO()
     write_embedding_text(table, out)
     again = parse_embedding_text(io.StringIO(out.getvalue()))
@@ -172,7 +183,7 @@ def test_parser_fuzz_never_violates_invariants(blob):
 
 def test_parse_peak_memory_stays_under_1_75_times_the_matrix(tmp_path):
     rng = np.random.default_rng(0)
-    table = EmbeddingTable(dimension=100, words=[f"w{i}" for i in range(3000)],
+    table = EmbeddingTable(words=[f"w{i}" for i in range(3000)],
                            matrix=rng.standard_normal((3000, 100)))
     path = tmp_path / "vectors.txt"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -247,7 +258,7 @@ def _reference_parse(stream):
         rows.append(vec)
     if not rows:
         raise EmbeddingParseError("no vectors")
-    return EmbeddingTable(dimension=dim, words=words, matrix=np.vstack(rows),
+    return EmbeddingTable(words=words, matrix=np.vstack(rows),
                           duplicate_warnings=duplicates, skipped_rows=skipped)
 
 
@@ -366,7 +377,7 @@ def test_write_matches_per_value_reference_on_edge_values():
                        [1.5, 100.0, -1e-300, 2.0 ** 60, 0.0],
                        [0.5, -0.0, 1e-4, 0.0, 1e15],
                        [np.nextafter(1e16, 0), -np.nextafter(1e-4, 1), 2.5, -7.0, 0.25]])
-    table = EmbeddingTable(dimension=5, words=["v1.0", "w", "1.0", "in", "edges"],
+    table = EmbeddingTable(words=["v1.0", "w", "1.0", "in", "edges"],
                            matrix=matrix)
     text, n = _write(write_embedding_text, table)
     assert (text, n) == _write(_reference_write, table)
@@ -377,7 +388,7 @@ def test_write_matches_per_value_reference_on_edge_values():
         "in 0.5 -0 0.0001 0 1000000000000000",
         "edges 9999999999999998 -0.00010000000000000002 2.5 -7 0.25"]
     # each switch value alone in an otherwise in-range row
-    table = EmbeddingTable(dimension=3, words=[f"s{i}" for i in range(12)],
+    table = EmbeddingTable(words=[f"s{i}" for i in range(12)],
                            matrix=np.array([[s * v, 2.5, -7.0] for v in _SWITCH_VALUES
                                             for s in (1.0, -1.0)]))
     assert _write(write_embedding_text, table) == _write(_reference_write, table)
@@ -394,8 +405,7 @@ _write_value = st.one_of(
 @given(st.integers(1, 50).flatmap(lambda d: st.lists(
     st.lists(_write_value, min_size=d, max_size=d), min_size=1, max_size=5)))
 def test_write_matches_per_value_reference(rows):
-    table = EmbeddingTable(dimension=len(rows[0]),
-                           words=[f"w{i}.0" for i in range(len(rows))],
+    table = EmbeddingTable(words=[f"w{i}.0" for i in range(len(rows))],
                            matrix=np.array(rows, dtype=np.float64))
     assert _write(write_embedding_text, table) == _write(_reference_write, table)
 
@@ -406,7 +416,7 @@ def test_write_matches_per_value_reference_on_other_layouts(layout):
     wide = rng.standard_normal((300, 12)) * 10.0 ** rng.integers(-6, 18, size=(300, 12))
     matrix = {"float32": wide.astype(np.float32), "fortran": np.asfortranarray(wide),
               "column-slice": wide[:, ::2]}[layout]
-    table = EmbeddingTable(dimension=matrix.shape[1], words=[f"w{i}" for i in range(300)],
+    table = EmbeddingTable(words=[f"w{i}" for i in range(300)],
                            matrix=matrix)
     assert _write(write_embedding_text, table) == _write(_reference_write, table)
 
@@ -424,7 +434,7 @@ def test_in_range_tables_never_take_the_per_value_paths(tmp_path, monkeypatch):
 
     paths = []
     for name, m in (("vectors.txt", matrix), ("zeros.txt", zeros)):
-        table = EmbeddingTable(dimension=30, words=[f"w{i}" for i in range(500)], matrix=m)
+        table = EmbeddingTable(words=[f"w{i}" for i in range(500)], matrix=m)
         paths.append(tmp_path / name)
         with monkeypatch.context() as patch:
             patch.setattr(embeddings, "repr", refuse, raising=False)

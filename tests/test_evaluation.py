@@ -21,7 +21,7 @@ from contrastmap.training import concat_embeddings, transform_vocabulary
 
 def _table(entries):
     """A table with one row per (word, values) entry."""
-    return EmbeddingTable(dimension=len(entries[0][1]), words=[w for w, _ in entries],
+    return EmbeddingTable(words=[w for w, _ in entries],
                           matrix=np.array([v for _, v in entries], dtype=float))
 
 
@@ -116,8 +116,7 @@ def _reference_shift_records(before, after, pairs):
 
 def _without_every(table, k, offset):
     keep = [i % k != offset for i in range(len(table))]
-    return EmbeddingTable(dimension=table.dimension,
-                          words=[w for w, f in zip(table.words, keep) if f],
+    return EmbeddingTable(words=[w for w, f in zip(table.words, keep) if f],
                           matrix=table.matrix[keep])
 
 

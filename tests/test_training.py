@@ -20,7 +20,7 @@ from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTE
 
 def _table(entries):
     """A table with one row per (word, values) entry."""
-    return EmbeddingTable(dimension=len(entries[0][1]), words=[w for w, _ in entries],
+    return EmbeddingTable(words=[w for w, _ in entries],
                           matrix=np.array([v for _, v in entries], dtype=float))
 
 
@@ -208,10 +208,10 @@ def test_concat_basic():
 
 def test_concat_matches_per_word_loop():
     rng = np.random.default_rng(3)
-    raw = EmbeddingTable(dimension=4, words=[f"w{i}" for i in range(30)],
+    raw = EmbeddingTable(words=[f"w{i}" for i in range(30)],
                          matrix=rng.standard_normal((30, 4)))
     picked = [i for i in range(40) if i % 3]
-    new = EmbeddingTable(dimension=2, words=[f"w{i}" for i in reversed(picked)],
+    new = EmbeddingTable(words=[f"w{i}" for i in reversed(picked)],
                          matrix=rng.standard_normal((len(picked), 2)))
     out = concat_embeddings(raw, new)
     common = [w for w in raw.words if w in new]
@@ -219,16 +219,15 @@ def test_concat_matches_per_word_loop():
                           np.array([new.matrix[new.words.index(w)] for w in common])], axis=1)
     assert out.words == common
     assert out.matrix.tobytes() == ref.tobytes()
-    assert out.skipped_rows == (30 - len(common)) + (len(picked) - len(common))
 
 
 def _raw_and_reordered_subset(rows, d_raw, d_new, seed):
     """A raw table and a ``new`` table over a shuffled strict subset of its words."""
     rng = np.random.default_rng(seed)
-    raw = EmbeddingTable(dimension=d_raw, words=[f"w{i}" for i in range(rows)],
+    raw = EmbeddingTable(words=[f"w{i}" for i in range(rows)],
                          matrix=rng.standard_normal((rows, d_raw)))
     subset = rng.permutation(rows)[:rows - rows // 7]
-    new = EmbeddingTable(dimension=d_new, words=[raw.words[i] for i in subset],
+    new = EmbeddingTable(words=[raw.words[i] for i in subset],
                          matrix=rng.standard_normal((len(subset), d_new)))
     return raw, new
 
@@ -244,7 +243,6 @@ def test_concat_matches_whole_table_gather_across_row_blocks():
     ref = np.concatenate([raw.matrix[found], new.matrix[index[found]]], axis=1)
     assert out.words == [w for w, f in zip(raw.words, found) if f]
     assert out.matrix.tobytes() == ref.tobytes()
-    assert out.skipped_rows == (len(raw) - len(out)) + (len(new) - len(out))
 
 
 def test_concat_peak_memory_stays_under_1_5_times_the_result():
@@ -456,7 +454,7 @@ def test_step_matches_allocating_reference_bit_for_bit(small_world, monkeypatch,
 @pytest.mark.parametrize("mode", [BASELINE, CLASSIFIER_SYSTEM])
 def test_relu_step_with_a_nan_input_row_matches_reference(small_world, monkeypatch, mode):
     world, _, triplets = small_world
-    table = EmbeddingTable(dimension=world.table.dimension, words=world.table.words,
+    table = EmbeddingTable(words=world.table.words,
                            matrix=world.table.matrix.copy())
     table.matrix[table.indices([triplets[3].anchor])[0]] = np.nan
     models, step, val_loss = _training_closures(monkeypatch, table, triplets, mode, "relu")
