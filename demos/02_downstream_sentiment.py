@@ -26,7 +26,8 @@ concat = concat_embeddings(world.table, new)
 data = load_bundled_corpus()
 print(f"corpus: {len(data)} documents")
 
-result = run_downstream(world.table, concat, data, seed=9)
+# each arm is passed as a loader of its table
+result = run_downstream(lambda: world.table, lambda: concat, data, seed=9)
 print(f"raw accuracy    {result.accuracy_raw:.3f}")
 print(f"concat accuracy {result.accuracy_concat:.3f} "
       f"({result.relative_gain:+.1%})")
@@ -35,7 +36,7 @@ print(f"concat accuracy {result.accuracy_concat:.3f} "
 # no information; its accuracy should track the raw arm.
 duplicate = EmbeddingTable(words=list(world.table.words),
                            matrix=world.table.matrix.copy())
-control = run_downstream(world.table, concat_embeddings(world.table, duplicate),
-                         data, seed=9)
+control = run_downstream(lambda: world.table,
+                         lambda: concat_embeddings(world.table, duplicate), data, seed=9)
 print(f"raw(+)raw control {control.accuracy_concat:.3f} "
       f"(raw arm {control.accuracy_raw:.3f})")

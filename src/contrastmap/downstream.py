@@ -1,5 +1,6 @@
 """Downstream text-classification harness: mean-of-embeddings documents,
-one logistic regression per embedding arm, shared split."""
+one logistic regression per embedding arm, shared split. Each arm's table
+is passed as a loader, so that only one table is held at a time."""
 from __future__ import annotations
 
 import csv
@@ -7,7 +8,7 @@ import hashlib
 import re
 from importlib import resources
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -107,17 +108,20 @@ def _stratified_split(labels: np.ndarray, test_fraction: float,
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
 
 
-def run_downstream(raw: EmbeddingTable, concat: EmbeddingTable,
+def run_downstream(load_raw: Callable[[], EmbeddingTable],
+                   load_concat: Callable[[], EmbeddingTable],
                    data: TextDataset, test_fraction: float = 0.25,
                    seed: int = 0) -> DownstreamResult:
-    """Train one linear classifier per arm on the same stratified split."""
+    """Train one linear classifier per arm on the same stratified split.
+
+    Each arm's table comes from a zero-argument loader, called once the
+    split is known to be sound; a table is released once its arm's
+    documents are embedded, before the next one loads.
+    """
     if not (0.0 < test_fraction < 0.5):
         raise ValueError("test_fraction must be in (0, 0.5)")
     labels = np.array([y for _, y in data.records])
     token_lists = [tokenize(text) for text, _ in data.records]
-    total_tokens = sum(len(t) for t in token_lists)
-    oov_tokens = sum(1 for toks in token_lists for t in toks if t not in raw)
-    oov_rate = oov_tokens / total_tokens if total_tokens else 0.0
 
     train_idx, test_idx = _stratified_split(labels, test_fraction, seed)
     for side in (train_idx, test_idx):
@@ -128,8 +132,16 @@ def run_downstream(raw: EmbeddingTable, concat: EmbeddingTable,
     ).hexdigest()
 
     accuracies = {}
-    for arm, table in (("raw", raw), ("concat", concat)):
-        X = np.array([embed_document(table, toks) for toks in token_lists])
+    for arm, load in (("raw", load_raw), ("concat", load_concat)):
+        table = load()
+        if arm == "raw":
+            total_tokens = sum(len(t) for t in token_lists)
+            oov_tokens = sum(1 for toks in token_lists for t in toks if t not in table)
+            oov_rate = oov_tokens / total_tokens if total_tokens else 0.0
+        X = np.empty((len(token_lists), table.dimension))
+        for i, toks in enumerate(token_lists):
+            X[i] = embed_document(table, toks)
+        del table
         w, b = train_linear(X[train_idx], labels[train_idx])
         p = _sigmoid(X[test_idx] @ w + b)
         pred = (p >= 0.5).astype(int)

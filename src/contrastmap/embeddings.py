@@ -13,8 +13,11 @@ whose number reader rounds correctly, so it gives the bits Python's ``float``
 gives. A row in any other form (ints, other spacing, tokens JSON does not
 know such as ``nan``) falls back to one ``np.array(tokens, dtype=float64)``
 call, which parses every token by Python's ``float`` rules. Each accepted
-row goes straight into one growing matrix, so a parse peaks near 1.5 times
-its matrix rather than holding every row twice.
+row goes straight into one matrix. Under a ``count dim`` header that matrix
+is allocated once for ``count`` rows and cut to the rows accepted, so a
+parse whose count is at least its rows peaks near 1.0 times its matrix.
+Without a header, or past a count that is too small, the matrix grows by
+half again as rows arrive, and a parse peaks under 1.75 times.
 Given a ``vocabulary``, it converts only the rows a caller will use:
 after the first accepted row (which fixes the dimension and is always kept),
 a row whose word is outside the vocabulary is passed over unconverted and
@@ -22,17 +25,19 @@ uncounted. The result is the full parse restricted to the
 vocabulary plus that first row, in file order and bit for bit.
 
 The writer prints the shortest round-trip form of each value, as ``repr``
-does, and prints integral values without their trailing ``.0``. A row whose
-values are all 0 or of magnitude in [1e-4, 1e16) is rendered by orjson's Ryu
-printer, which gives ``repr``'s text there; ``repr`` renders any other row,
-since outside that range the two choose different notations.
+does, and prints integral values without their trailing ``.0``. orjson's Ryu
+printer renders a row, which gives ``repr``'s text for 0 and for magnitudes
+in [1e-4, 1e16); ``repr`` renders the values outside that range, where the
+two choose different notations. A value's text does not depend on its row,
+so the rows of two tables side by side can be written without building
+their concatenation.
 """
 from __future__ import annotations
 
 import io
 import itertools
 from dataclasses import dataclass
-from typing import IO, Container, Iterable
+from typing import IO, Container, Iterable, Iterator, Sized
 
 import numpy as np
 import orjson
@@ -91,6 +96,19 @@ def _is_header(tokens: list[str]) -> bool:
     return all(t.isdigit() for t in tokens)
 
 
+def _allocated(count: str, dim: int, vocabulary: Container[str] | None) -> np.ndarray | None:
+    """An empty matrix for the ``count`` rows a header promises, but no more
+    than a sized ``vocabulary`` lets through (its words and the first row),
+    or None for a count no allocation can serve."""
+    try:
+        rows = int(count)
+        if isinstance(vocabulary, Sized):
+            rows = min(rows, len(vocabulary) + 1)
+        return np.empty((rows, dim))
+    except (ValueError, MemoryError):  # a digit int() does not read, or far too many rows
+        return None
+
+
 def _unusable(vec: np.ndarray) -> bool:
     """A non-finite value, or a norm of zero (also when tiny values underflow)."""
     with np.errstate(over="ignore"):  # huge finite values square to inf
@@ -126,7 +144,8 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                          vocabulary: Container[str] | None = None) -> EmbeddingTable:
     """Parse a text vector stream into an :class:`EmbeddingTable`.
 
-    An optional first line ``count dim`` (two bare integers) is skipped.
+    An optional first line ``count dim`` (two bare integers) is skipped;
+    its count only sizes the matrix, so a wrong count gives the same table.
     The dimension is inferred from the first content line. Rows with wrong
     arity, non-finite values or a zero norm (as ``np.linalg.norm`` computes
     it, so rows of tiny values whose norm underflows count) are skipped and
@@ -141,21 +160,22 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     duplicates = 0
     skipped = 0
     dim: int | None = None
+    count: str | None = None  # the header's row count
 
     def accepted_rows():
-        nonlocal duplicates, skipped, dim
+        nonlocal duplicates, skipped, dim, count
         for n, raw_line in enumerate(_as_lines(stream)):
             line = raw_line.rstrip("\r\n")
             head = line.split(None, 1)
             if not head or (dim is not None and vocabulary is not None
                             and head[0] not in vocabulary):
                 continue
+            if n == 0 and _is_header(line.split()):
+                count = head[0]
+                continue
             values = _json_floats(head[1]) if len(head) == 2 else None
             if values is None:  # left to the per-token conversion
-                tokens = line.split()
-                if n == 0 and _is_header(tokens):
-                    continue
-                values = tokens[1:]
+                values = line.split()[1:]
             try:
                 if not values or dim not in (None, len(values)):
                     raise ValueError("wrong arity")
@@ -181,9 +201,22 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     first = next(rows, None)  # fixes the dimension
     if first is None:
         raise EmbeddingParseError("no vectors")
-    # each row goes straight into one growing buffer: no row is held twice
-    matrix = np.fromiter(itertools.chain([first], rows),
-                         dtype=np.dtype((np.float64, (dim,))))
+    rows = itertools.chain([first], rows)
+    matrix = None if count is None else _allocated(count, dim, vocabulary)
+    if matrix is None:
+        # no usable header: each row goes straight into one growing buffer
+        matrix = np.fromiter(rows, dtype=np.dtype((np.float64, (dim,))))
+    else:
+        # rows past the header's count grow the matrix in place by half
+        # again, as np.fromiter grows it; it is cut in place to the rows accepted
+        filled = 0
+        for vec in rows:
+            if filled == len(matrix):
+                matrix.resize((filled + filled // 2 + 4, dim), refcheck=False)
+            matrix[filled] = vec
+            filled += 1
+        matrix.resize((filled, dim), refcheck=False)
+    seen.clear()  # the table builds its own index
     return EmbeddingTable(words=words, matrix=matrix,
                           duplicate_warnings=duplicates, skipped_rows=skipped)
 
@@ -193,34 +226,68 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
 _WRITE_BLOCK = 256
 
 
+def _repr_only(block: np.ndarray) -> np.ndarray:
+    """Where orjson's notation differs from ``repr``'s: all but 0 and [1e-4, 1e16)."""
+    magnitude = np.abs(block)
+    return ~((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
+
+
+def _block_texts(block: np.ndarray, end: str) -> Iterator[str]:
+    """Each row of ``block`` as the writer prints its values, space-separated, then ``end``."""
+    # C-contiguous float64 rows: orjson writes float32 in its own shortest form
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    other = _repr_only(block)
+    for row, out, mixed in zip(block, other, other.any(axis=1)):
+        values = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        if mixed:  # only the values outside the range go to repr
+            tokens = values.split(",")
+            for j in np.flatnonzero(out).tolist():
+                tokens[j] = repr(row.item(j))
+            values = " ".join(tokens)
+        else:
+            values = values.replace(",", " ")
+        yield (values + end).replace(".0 ", " ").replace(".0\n", "\n")
+
+
+def _row_texts(matrix: np.ndarray, rows: np.ndarray | None, end: str) -> Iterator[str]:
+    """The texts of row ``rows[i]`` of ``matrix`` (row i where ``rows`` is
+    None), gathered a block at a time; each block is freed before the next."""
+    n = len(matrix) if rows is None else len(rows)
+    for start in range(0, n, _WRITE_BLOCK):
+        stop = start + _WRITE_BLOCK
+        yield from _block_texts(matrix[start:stop] if rows is None else matrix[rows[start:stop]],
+                                end)
+
+
+def write_text_columns(words: list[str],
+                       columns: list[tuple[np.ndarray, np.ndarray | None]],
+                       stream: IO[str]) -> int:
+    """Write ``words`` in the text format with a ``count dim`` header; word
+    i's values are row ``rows[i]`` of each ``(matrix, rows)`` column in turn
+    (row i where ``rows`` is None), so a row-wise concatenation of tables is
+    written, byte for byte as :func:`write_embedding_text` writes it, unbuilt.
+
+    Returns the number of characters written.
+    """
+    header = f"{len(words)} {sum(m.shape[1] for m, _ in columns)}\n"
+    stream.write(header)
+    written = len(header)
+    ends = [" "] * (len(columns) - 1) + ["\n"]
+    texts = [_row_texts(m, rows, end) for (m, rows), end in zip(columns, ends)]
+    for word, *parts in zip(words, *texts):
+        line = word + " " + "".join(parts)
+        stream.write(line)
+        written += len(line)
+    return written
+
+
 def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:
     """Write ``table`` in the text format with a ``count dim`` header.
 
     Returns the number of characters written. Values round-trip exactly
     through :func:`parse_embedding_text`.
     """
-    written = 0
-    header = f"{len(table)} {table.dimension}\n"
-    stream.write(header)
-    written += len(header)
-    for start in range(0, len(table), _WRITE_BLOCK):
-        # C-contiguous float64 rows: orjson writes float32 in its own shortest form
-        block = np.ascontiguousarray(table.matrix[start:start + _WRITE_BLOCK],
-                                     dtype=np.float64)
-        # only 0 and magnitudes in [1e-4, 1e16) get the same notation from both
-        magnitude = np.abs(block)
-        ryu = ((magnitude == 0.0)
-               | ((magnitude >= 1e-4) & (magnitude < 1e16))).all(axis=1)
-        for word, row, fast in zip(table.words[start:start + _WRITE_BLOCK], block, ryu):
-            if fast:
-                values = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
-                values = values[1:-1].decode().replace(",", " ") + "\n"
-            else:
-                values = " ".join(map(repr, row.tolist())) + "\n"
-            line = word + " " + values.replace(".0 ", " ").replace(".0\n", "\n")
-            stream.write(line)
-            written += len(line)
-    return written
+    return write_text_columns(table.words, [(table.matrix, None)], stream)
 
 
 def _unit_max(u: np.ndarray) -> np.ndarray:

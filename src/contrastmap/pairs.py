@@ -67,7 +67,8 @@ class Triplet:
 
 
 def _valid_token(tok: str) -> bool:
-    return bool(tok) and not any(c.isspace() for c in tok)
+    """Non-empty and free of whitespace (``split`` and ``isspace`` agree on what that is)."""
+    return tok.split() == [tok]
 
 
 def load_pairs(stream: str | IO[str] | Iterable[str]) -> PairSet:

@@ -1,14 +1,16 @@
 """End-to-end training of the contrasting map and the classifier-head ablation,
-plus materialization of transformed and concatenated embedding tables."""
+plus materialization of transformed and concatenated embedding tables, and
+the concatenated table's text written without materializing it."""
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass
+from typing import IO
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, write_text_columns
 from .network import (DivergenceError, MlpParams, _backward,
                       _forward_cached, forward, init_optimizer,
                       init_params, logistic_loss, optimizer_step,
@@ -248,14 +250,23 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
 
 def transform_vocabulary(contrast_map: MlpParams,
                          table: EmbeddingTable) -> EmbeddingTable:
-    """Apply the map to every vector; near-zero outputs are dropped."""
+    """Apply the map to every vector; non-finite and near-zero outputs are dropped."""
     out = forward(contrast_map, table.matrix)
-    norms = np.linalg.norm(out, axis=1)
-    keep = norms >= 1e-12
+    with np.errstate(over="ignore"):  # huge finite outputs have an infinite norm
+        keep = np.isfinite(out).all(axis=1) & (np.linalg.norm(out, axis=1) >= 1e-12)
     words = [w for w, k in zip(table.words, keep) if k]
     if not words:
         raise ValueError("all transformed vectors degenerate")
     return EmbeddingTable(words=words, matrix=out[keep])
+
+
+def _common_rows(raw: EmbeddingTable, new: EmbeddingTable):
+    """Words in both tables, in ``raw``'s order, with their rows in ``raw`` and ``new``."""
+    rows = new.indices(raw.words)
+    found = np.flatnonzero(rows >= 0)
+    if not len(found):
+        raise ValueError("no common vocabulary")
+    return [raw.words[i] for i in found], found, rows[found]
 
 
 def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTable:
@@ -264,16 +275,21 @@ def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTabl
     The result is allocated once and filled in row blocks of about
     ``CONCAT_BLOCK_BYTES``, so the rows it gathers at once stay that small.
     """
-    rows = new.indices(raw.words)
-    found = np.flatnonzero(rows >= 0)
-    common = [raw.words[i] for i in found]
-    if not common:
-        raise ValueError("no common vocabulary")
+    common, found, rows = _common_rows(raw, new)
     d, width = raw.dimension, raw.dimension + new.dimension
     matrix = np.empty((len(common), width))
     step = max(1, CONCAT_BLOCK_BYTES // matrix[0].nbytes)
     for start in range(0, len(common), step):
-        block = found[start:start + step]
-        matrix[start:start + step, :d] = raw.matrix[block]
-        matrix[start:start + step, d:] = new.matrix[rows[block]]
+        matrix[start:start + step, :d] = raw.matrix[found[start:start + step]]
+        matrix[start:start + step, d:] = new.matrix[rows[start:start + step]]
     return EmbeddingTable(words=common, matrix=matrix)
+
+
+def write_concat_text(raw: EmbeddingTable, new: EmbeddingTable, stream: IO[str]) -> int:
+    """Write ``concat_embeddings(raw, new)`` in the text format, byte for byte,
+    without building it: each line joins the two tables' row texts.
+
+    Returns the number of characters written.
+    """
+    common, found, rows = _common_rows(raw, new)
+    return write_text_columns(common, [(raw.matrix, found), (new.matrix, rows)], stream)

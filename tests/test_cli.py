@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from contrastmap.pairs import load_pairs
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
 from contrastmap.embeddings import parse_embedding_text, write_embedding_text
 from contrastmap.evaluation import shift_report
-from contrastmap.network import init_params
+from contrastmap.network import init_params, save_params
 from contrastmap.pairs import write_pairs
 from contrastmap.training import concat_embeddings, transform_vocabulary
 
@@ -582,6 +583,67 @@ def test_downstream_command(pipeline, tmp_path):
                       "concat": str(out / "transform" / "concat.txt"),
                       "data": str(fixtures["corpus"]), "test_fraction": 0.25, "seed": 0},
                      ["raw", "concat", "data"])
+
+
+def _traced_run(args):
+    """Exit code and tracemalloc peak of one in-process CLI run."""
+    tracemalloc.start()
+    try:
+        code = run([*map(str, args), "--quiet"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+def test_transform_and_downstream_hold_one_table_at_a_time(tmp_path):
+    world = planted_world(n_words=2000, dim=100, seed=2)
+    files = {name: tmp_path / name for name in ("vectors.txt", "model.json", "corpus.csv")}
+    with open(files["vectors.txt"], "w", newline="\n") as f:
+        write_embedding_text(world.table, f)
+    with open(files["model.json"], "w", newline="\n") as f:
+        save_params(init_params([100, 16, 8], seed=1), f)
+    with open(files["corpus.csv"], "w", newline="\n") as f:
+        # every word occurs, so downstream parses both tables whole
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["text", "label"])
+        for i in range(0, 2000, 10):
+            writer.writerow([" ".join(world.table.words[i:i + 10]), (i // 10) % 2])
+    code, transform_peak = _traced_run(["transform", "--model", files["model.json"],
+                                        "--embeddings", files["vectors.txt"],
+                                        "--out", tmp_path / "transform"])
+    assert code == 0
+    concat_path = tmp_path / "transform" / "concat.txt"
+    code, downstream_peak = _traced_run(["downstream", "--raw", files["vectors.txt"],
+                                         "--concat", concat_path,
+                                         "--data", files["corpus.csv"],
+                                         "--out", tmp_path / "downstream"])
+    assert code == 0
+    concat = parse_embedding_text(concat_path.read_text())
+    assert len(concat) == 2000
+    both = world.table.matrix.nbytes + concat.matrix.nbytes
+    assert transform_peak < both
+    assert downstream_peak < both
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_transform_writes_no_overflowed_rows(tmp_path):
+    world = planted_world(n_words=100, dim=20, seed=3)
+    params = init_params([20, 8, 4], seed=0)
+    params.weights[-1][...] = 1e308
+    with open(tmp_path / "vectors.txt", "w", newline="\n") as f:
+        write_embedding_text(world.table, f)
+    with open(tmp_path / "model.json", "w", newline="\n") as f:
+        save_params(params, f)
+    assert run(["transform", "--model", str(tmp_path / "model.json"),
+                "--embeddings", str(tmp_path / "vectors.txt"),
+                "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    new = parse_embedding_text((tmp_path / "out" / "transformed.txt").read_text())
+    concat = parse_embedding_text((tmp_path / "out" / "concat.txt").read_text())
+    assert new.skipped_rows == concat.skipped_rows == 0
+    assert 0 < len(new) < 100 and concat.words == new.words
+    assert new.matrix.tobytes() == transform_vocabulary(params, world.table).matrix.tobytes()
 
 
 def test_stats_command(fixtures, tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the downstream text-classification harness."""
+import gc
 import io
+import weakref
 from importlib import resources
 
 import numpy as np
@@ -160,22 +162,22 @@ def corpus_setup():
 
 def test_run_downstream_deterministic(corpus_setup):
     raw, rawraw, data = corpus_setup
-    r1 = run_downstream(raw, rawraw, data, seed=3)
-    r2 = run_downstream(raw, rawraw, data, seed=3)
+    r1 = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
+    r2 = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
     assert r1 == r2
     assert r1.split_hash == r2.split_hash
 
 
 def test_run_downstream_redundant_control(corpus_setup):
     raw, rawraw, data = corpus_setup
-    result = run_downstream(raw, rawraw, data, seed=3)
+    result = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
     assert abs(result.accuracy_concat - result.accuracy_raw) <= 0.02 + 1e-9
     assert result.train_size + result.test_size == len(data)
 
 
 def test_run_downstream_gain_recomputable(corpus_setup):
     raw, rawraw, data = corpus_setup
-    result = run_downstream(raw, rawraw, data, seed=3)
+    result = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
     if result.accuracy_raw > 0:
         expected = (result.accuracy_concat - result.accuracy_raw) / result.accuracy_raw
         assert result.relative_gain == pytest.approx(expected)
@@ -184,7 +186,32 @@ def test_run_downstream_gain_recomputable(corpus_setup):
 def test_run_downstream_test_fraction_validated(corpus_setup):
     raw, rawraw, data = corpus_setup
     with pytest.raises(ValueError, match="test_fraction"):
-        run_downstream(raw, rawraw, data, test_fraction=0.7)
+        run_downstream(lambda: raw, lambda: rawraw, data, test_fraction=0.7)
+
+
+def test_run_downstream_loads_one_table_at_a_time(corpus_setup):
+    raw, rawraw, data = corpus_setup
+    loaded = []
+
+    def load(table):
+        def loader():
+            gc.collect()
+            assert all(ref() is None for ref in loaded), "an earlier table is still held"
+            fresh = EmbeddingTable(words=list(table.words), matrix=table.matrix.copy())
+            loaded.append(weakref.ref(fresh))
+            return fresh
+        return loader
+
+    result = run_downstream(load(raw), load(rawraw), data, seed=3)
+    assert len(loaded) == 2
+    assert result == run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
+    # a degenerate split is found before any table loads
+    one_class = TextDataset(records=[(t, 1) for t, _ in data.records[:-1]]
+                            + [data.records[-1][:1] + (0,)], name="skewed")
+    loaded.clear()
+    with pytest.raises(ValueError, match="degenerate split"):
+        run_downstream(load(raw), load(rawraw), one_class, seed=3)
+    assert loaded == []
 
 
 def test_bundled_corpus_loads():

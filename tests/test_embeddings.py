@@ -181,22 +181,59 @@ def test_parser_fuzz_never_violates_invariants(blob):
     assert np.all(np.linalg.norm(table.matrix, axis=1) > 0.0)
 
 
-def test_parse_peak_memory_stays_under_1_75_times_the_matrix(tmp_path):
-    rng = np.random.default_rng(0)
-    table = EmbeddingTable(words=[f"w{i}" for i in range(3000)],
-                           matrix=rng.standard_normal((3000, 100)))
-    path = tmp_path / "vectors.txt"
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        write_embedding_text(table, f)
+def _traced_parse(path, vocabulary=None):
+    """The table parsed from ``path`` and the parse's tracemalloc peak."""
     with open(path, encoding="utf-8") as f:
         tracemalloc.start()
         try:
-            parsed = parse_embedding_text(f)
+            parsed = parse_embedding_text(f, vocabulary=vocabulary)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    return parsed, peak
+
+
+def _written_table(path, rows, dim, header=True):
+    table = EmbeddingTable(words=[f"w{i}" for i in range(rows)],
+                           matrix=np.random.default_rng(0).standard_normal((rows, dim)))
+    text = _write(write_embedding_text, table)[0]
+    path.write_text(text if header else text.split("\n", 1)[1], encoding="utf-8")
+    return table
+
+
+def test_parse_peak_memory_stays_under_1_75_times_the_matrix(tmp_path):
+    # a headerless file: the matrix grows as rows arrive
+    table = _written_table(tmp_path / "vectors.txt", 3000, 100, header=False)
+    parsed, peak = _traced_parse(tmp_path / "vectors.txt")
     assert parsed.matrix.tobytes() == table.matrix.tobytes()
     assert peak < 1.75 * parsed.matrix.nbytes
+
+
+def test_parse_peak_memory_stays_under_1_15_times_the_matrix_with_a_header(tmp_path):
+    # the header's count sizes the matrix once; the rest is each word and its
+    # index entry, about 200 bytes a row, so the width is GloVe's 300
+    table = _written_table(tmp_path / "vectors.txt", 3000, 300)
+    parsed, peak = _traced_parse(tmp_path / "vectors.txt")
+    assert parsed.matrix.tobytes() == table.matrix.tobytes()
+    assert parsed.matrix.base is None  # no view into a larger buffer
+    assert peak < 1.15 * parsed.matrix.nbytes
+    # a vocabulary caps the rows allocated at its size plus the first row
+    parsed, peak = _traced_parse(tmp_path / "vectors.txt", vocabulary={"w5", "w9", "x"})
+    assert parsed.words == ["w0", "w5", "w9"]
+    assert peak < 0.05 * table.matrix.nbytes
+
+
+def test_parse_peak_memory_stays_under_1_75_times_the_matrix_past_a_small_count(tmp_path):
+    # rows past the header's count grow the matrix by half again, as a
+    # headerless parse does; one row short of the count grows it the most
+    table = _written_table(tmp_path / "vectors.txt", 3000, 100)
+    body = (tmp_path / "vectors.txt").read_text(encoding="utf-8").split("\n", 1)[1]
+    for count in (10, 2999):
+        (tmp_path / "vectors.txt").write_text(f"{count} 100\n" + body, encoding="utf-8")
+        parsed, peak = _traced_parse(tmp_path / "vectors.txt")
+        assert parsed.matrix.tobytes() == table.matrix.tobytes()
+        assert parsed.matrix.base is None  # no view into a larger buffer
+        assert peak < 1.75 * parsed.matrix.nbytes
 
 
 def test_indices():
@@ -346,6 +383,40 @@ def test_header_line_that_is_also_a_row_is_skipped_only_as_line_0():
     assert table.words == ["2", "3"] and table.matrix.tolist() == [[1.0], [1.5]]
 
 
+def _header_outcomes(count, header_dim, body, vocabulary):
+    """The parse of ``body`` under a ``count dim`` header (None: no header), and
+    under an empty first line, which keeps ``body``'s lines where they are but
+    sizes nothing."""
+    header = "" if count is None else f"{count} {header_dim}"
+    kwargs = {} if vocabulary is None else {"vocabulary": vocabulary}
+    return (_outcome(parse_embedding_text, header + "\n" + body, **kwargs),
+            _outcome(parse_embedding_text, "\n" + body, **kwargs))
+
+
+@settings(max_examples=300)
+@given(vector_streams, st.sampled_from([None, 0, 1, 2, 3, 5, 100, 10**12]),
+       st.integers(0, 9), st.none() | st.sets(st.sampled_from(WORDS)))
+@example("a 1 2\nb 3 4\nc 5 6\n", 2, 2, None)  # more rows than the count
+@example("a 1 2\nb 3 4\nc 5 6\n", 10**12, 2, None)  # a count no allocation serves
+@example("a 1 2\nb 3 4\nc 5 6\n", 10**12, 2, {"c"})  # capped by the vocabulary
+@example("a 1 2\nb nan 4\na 5 6\nc 1\n", 4, 7, None)  # fewer rows than the count
+def test_header_sized_parse_equals_the_headerless_parse(body, count, header_dim, vocabulary):
+    sized, unsized = _header_outcomes(count, header_dim, body, vocabulary)
+    assert sized == unsized
+
+
+def test_header_sized_parse_cases():
+    body = "".join(f"w{i} {i + 1} -{i}.5\n" for i in range(40)) + "w3 9 9\nx nan 1\n"
+    for count in (None, 0, 1, 39, 40, 41, 42, 1000, 10**12, 10**100):
+        for vocabulary in (None, {"w7", "w39", "x"}, set()):
+            sized, unsized = _header_outcomes(count, 2, body, vocabulary)
+            assert sized == unsized
+        assert sized[4:] == (0, 0)  # the last vocabulary holds none of the rejected rows
+    assert _header_outcomes(41, 2, body, None)[0][4:] == (1, 1)
+    # a header count int() cannot read is still a header
+    assert _header_outcomes("\u00b2", 2, body, None)[0][1] == [f"w{i}" for i in range(40)]
+
+
 def test_parse_with_vocabulary_cases():
     # "b" first occurs in an invalid row; its later valid row is the one kept
     text = "a 1 2\nb nan 1\nc 1 1\nb 3 4\nb 5 6\n"
@@ -454,3 +525,23 @@ def test_in_range_tables_never_take_the_per_value_paths(tmp_path, monkeypatch):
         parsed = parse_embedding_text(f)
     assert parsed.words == table.words
     assert parsed.matrix.tobytes() == matrix.tobytes()
+
+
+def test_rows_mixing_notations_repr_only_their_out_of_range_values(monkeypatch):
+    rng = np.random.default_rng(7)
+    matrix = rng.uniform(1e-3, 1e3, size=(600, 20)) * rng.choice([-1.0, 1.0], size=(600, 20))
+    for value, step in ((1e-5, 3), (-2.5e-7, 5), (1e17, 4), (-3e20, 9), (5e-324, 11),
+                        (0.0, 2), (-0.0, 6), (7.0, 8), (np.nextafter(1e16, 0), 13)):
+        matrix[::step, (step * 7) % 20] = value
+    table = EmbeddingTable(words=[f"w{i}.0" for i in range(600)], matrix=matrix)
+    magnitude = np.abs(matrix)
+    out_of_range = int(np.sum((magnitude != 0.0) & ((magnitude < 1e-4) | (magnitude >= 1e16))))
+    rendered = []
+
+    def counting_repr(value):
+        rendered.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(embeddings, "repr", counting_repr, raising=False)
+    assert _write(write_embedding_text, table) == _write(_reference_write, table)
+    assert len(rendered) == out_of_range

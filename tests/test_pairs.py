@@ -247,3 +247,11 @@ def test_both_orientations_anchor():
     train = PairSet(pairs=[_syn("w", "s"), _ant("w", "a"), _ant("s", "z")])
     anchors = {t.anchor for t in build_triplets(train, seed=0)}
     assert anchors == {"w", "s"}
+
+
+@settings(max_examples=500)
+@given(st.text() | st.text(st.characters(whitelist_categories=["Zs", "Zl", "Zp", "Cc", "Cf"])))
+def test_valid_token_matches_per_character_check(tok):
+    # the per-character check _valid_token replaced
+    assert _valid_token(tok) == (bool(tok) and not any(c.isspace() for c in tok))
+

@@ -1,21 +1,24 @@
 """Tests for end-to-end training, the classifier-head ablation, and the
 transformed / concatenated table plumbing."""
+import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contrastmap import training
-from contrastmap.embeddings import EmbeddingTable
-from contrastmap.network import (MlpParams, _row_cosines, _sigmoid,
+from contrastmap.embeddings import EmbeddingTable, write_embedding_text
+from contrastmap.network import (MlpParams, _row_cosines, _sigmoid, forward,
                                  init_params, pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
 from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTES, TrainConfig,
                                   _head_dims, concat_embeddings, resolve_triplets,
                                   train_baseline, train_classifier_system,
-                                  transform_vocabulary)
+                                  transform_vocabulary, write_concat_text)
 
 
 def _table(entries):
@@ -198,6 +201,21 @@ def test_transform_dimension_mismatch():
         transform_vocabulary(init_params([3, 2], seed=0), table)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_transform_drops_outputs_that_overflow():
+    world = planted_world(n_words=100, dim=20, seed=3)
+    params = init_params([20, 8, 4], seed=0)
+    params.weights[-1][...] = 1e308
+    out = transform_vocabulary(params, world.table)
+    assert 0 < len(out) < len(world.table)
+    assert np.all(np.isfinite(out.matrix))
+    full = forward(params, world.table.matrix)
+    kept = np.isfinite(full).all(axis=1)
+    assert out.words == [w for w, k in zip(world.table.words, kept) if k]
+    assert out.matrix.tobytes() == full[kept].tobytes()
+
+
 def test_concat_basic():
     raw = _table([("a", [1.0, 0.0])])
     new = _table([("a", [5.0])])
@@ -255,6 +273,57 @@ def test_concat_peak_memory_stays_under_1_5_times_the_result():
         tracemalloc.stop()
     assert len(out) == len(new)
     assert peak < 1.5 * out.matrix.nbytes
+
+
+def _concat_text_outcomes(raw, new):
+    built, streamed = io.StringIO(), io.StringIO()
+    n_built = write_embedding_text(concat_embeddings(raw, new), built)
+    n_streamed = write_concat_text(raw, new, streamed)
+    return (built.getvalue(), n_built), (streamed.getvalue(), n_streamed)
+
+
+# values that exercise both of the writer's notations and its integral and signed-zero forms
+_concat_value = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64),
+    st.floats(1e-4, 1e16),
+    st.integers(-10**6, 10**6).map(float),
+    st.sampled_from([0.0, -0.0, 1e-4, 1e16, 5e-324, 9999999999999998.0, 3.0]))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6), st.integers(1, 4), st.data())
+def test_concat_text_equals_the_written_concat_table(d_raw, d_new, data):
+    n_raw = data.draw(st.integers(1, 12))
+    raw_rows = data.draw(st.lists(st.lists(_concat_value, min_size=d_raw, max_size=d_raw),
+                                  min_size=n_raw, max_size=n_raw))
+    names = [f"w{i}.0" for i in range(n_raw)] + ["x", "y.0"]
+    new_words = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=14,
+                                   unique=True))
+    new_rows = data.draw(st.lists(st.lists(_concat_value, min_size=d_new, max_size=d_new),
+                                  min_size=len(new_words), max_size=len(new_words)))
+    raw = EmbeddingTable(words=names[:n_raw], matrix=np.array(raw_rows))
+    new = EmbeddingTable(words=new_words, matrix=np.array(new_rows))
+    if not set(raw.words) & set(new.words):
+        with pytest.raises(ValueError, match="no common vocabulary"):
+            write_concat_text(raw, new, io.StringIO())
+        return
+    built, streamed = _concat_text_outcomes(raw, new)
+    assert streamed == built
+
+
+@pytest.mark.parametrize("layout", ["float32", "fortran", "column-slice"])
+def test_concat_text_equals_the_written_concat_table_across_blocks(layout):
+    raw, new = _raw_and_reordered_subset(700, 24, 5, seed=8)
+    rng = np.random.default_rng(9)
+    scale = 10.0 ** rng.integers(-7, 19, size=raw.matrix.shape)
+    wide = np.ascontiguousarray((raw.matrix * scale)[:, ::-1])
+    wide[::5, 3] = 0.0
+    wide[::7, 4] = -0.0
+    matrix = {"float32": wide.astype(np.float32), "fortran": np.asfortranarray(wide),
+              "column-slice": np.concatenate([wide, wide], axis=1)[:, ::2]}[layout]
+    raw = EmbeddingTable(words=raw.words, matrix=matrix)
+    built, streamed = _concat_text_outcomes(raw, new)
+    assert streamed == built
 
 
 def test_layer_dims_must_start_with_embedding_dimension(small_world):
