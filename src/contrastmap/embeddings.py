@@ -8,16 +8,16 @@ binary Word2Vec format must be converted externally.
 A table is its words and its matrix, one row per word; its dimension is the
 matrix's width, and the constructor checks the two agree.
 
-The reader first tries each row's values as JSON floats through orjson,
-whose number reader rounds correctly, so it gives the bits Python's ``float``
-gives. A row in any other form (ints, other spacing, tokens JSON does not
-know such as ``nan``) falls back to one ``np.array(tokens, dtype=float64)``
-call, which parses every token by Python's ``float`` rules. Each accepted
-row goes straight into one matrix. Under a ``count dim`` header that matrix
-is allocated once for ``count`` rows and cut to the rows accepted, so a
-parse whose count is at least its rows peaks near 1.0 times its matrix.
-Without a header, or past a count that is too small, the matrix grows by
-half again as rows arrive, and a parse peaks under 1.75 times.
+The reader is one loop that stores each row straight into the next row of
+one matrix; an unusable row is overwritten by the next. orjson, whose number
+reader rounds as ``float`` does, reads a row of JSON floats: one with no
+``"``, ``[`` or ``{`` and one ``.`` per value (a JSON number holds one only
+if it is a float), or else whose values all load as floats. Any other row
+(ints, other spacing, ``nan``) converts token by token by ``float``'s rules.
+The first accepted row sizes the matrix: under a ``count dim`` header, for
+``count`` rows, cut to the rows accepted, so a parse whose count is at least
+its rows peaks near 1.0 times its matrix; without one, or past a count that
+is too small, it grows by half again as rows arrive and peaks under 1.75 times.
 Given a ``vocabulary``, it converts only the rows a caller will use:
 after the first accepted row (which fixes the dimension and is always kept),
 a row whose word is outside the vocabulary is passed over unconverted and
@@ -28,14 +28,14 @@ The writer prints the shortest round-trip form of each value, as ``repr``
 does, and prints integral values without their trailing ``.0``. orjson's Ryu
 printer renders a row, which gives ``repr``'s text for 0 and for magnitudes
 in [1e-4, 1e16); ``repr`` renders the values outside that range, where the
-two choose different notations. A value's text does not depend on its row,
-so the rows of two tables side by side can be written without building
-their concatenation.
+two choose different notations. Only rows holding an integral value have a
+``.0`` to cut. A value's text does not depend on its row, so the rows of
+two tables side by side can be written without building their concatenation.
 """
 from __future__ import annotations
 
 import io
-import itertools
+import struct
 from dataclasses import dataclass
 from typing import IO, Container, Iterable, Iterator, Sized
 
@@ -96,30 +96,26 @@ def _is_header(tokens: list[str]) -> bool:
     return all(t.isdigit() for t in tokens)
 
 
-def _allocated(count: str, dim: int, vocabulary: Container[str] | None) -> np.ndarray | None:
+def _allocated(count: str, dim: int, vocabulary: Container[str] | None) -> np.ndarray:
     """An empty matrix for the ``count`` rows a header promises, but no more
     than a sized ``vocabulary`` lets through (its words and the first row),
-    or None for a count no allocation can serve."""
+    or of no rows for a count no allocation can serve."""
     try:
         rows = int(count)
         if isinstance(vocabulary, Sized):
             rows = min(rows, len(vocabulary) + 1)
         return np.empty((rows, dim))
     except (ValueError, MemoryError):  # a digit int() does not read, or far too many rows
-        return None
+        return np.empty((0, dim))
 
 
-def _unusable(vec: np.ndarray) -> bool:
-    """A non-finite value, or a norm of zero (also when tiny values underflow)."""
-    with np.errstate(over="ignore"):  # huge finite values square to inf
-        if 0.0 < vec @ vec < np.inf:  # the dot np.linalg.norm takes: a usual row
-            return False
-        return not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0
-
-
-def _floats(values: list[str] | list[float]) -> np.ndarray:
-    """A row's values as float64; tokens convert by Python's ``float`` rules."""
-    return np.array(values, dtype=np.float64)
+def _floats(values: list[str] | list[float], matrix: np.ndarray, i: int) -> None:
+    """Store a row's values as row ``i`` of the C-contiguous float64 ``matrix``;
+    tokens convert by Python's ``float`` rules."""
+    if isinstance(values[0], str):
+        values = map(float, values)
+    # struct packs a list of floats two to three times faster than numpy assigns it
+    struct.pack_into(f"{matrix.shape[1]}d", matrix, i * matrix.strides[0], *values)
 
 
 def _json_floats(rest: str) -> list[float] | None:
@@ -137,6 +133,10 @@ def _json_floats(rest: str) -> list[float] | None:
         values = orjson.loads("[" + rest.rstrip().replace(" ", ",") + "]")
     except orjson.JSONDecodeError:
         return None
+    # without strings, arrays or objects the values are numbers, true, false and
+    # null; a JSON number holds at most one ".", and holds one only if it is a float
+    if rest.count(".") == len(values) and not ('"' in rest or "[" in rest or "{" in rest):
+        return values
     return values if {*map(type, values)} == {float} else None
 
 
@@ -159,13 +159,12 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
     seen: set[str] = set()
     duplicates = 0
     skipped = 0
-    dim: int | None = None
-    count: str | None = None  # the header's row count
-
-    def accepted_rows():
-        nonlocal duplicates, skipped, dim, count
-        for n, raw_line in enumerate(_as_lines(stream)):
-            line = raw_line.rstrip("\r\n")
+    dim: int | None = None  # fixed by the first accepted row
+    count = "0"  # the header's row count: without one, the matrix starts with no rows
+    matrix = np.empty((0, 0))
+    filled = 0  # rows accepted; row ``filled`` takes the next candidate
+    with np.errstate(over="ignore"):  # huge finite values square to inf
+        for n, line in enumerate(_as_lines(stream)):
             head = line.split(None, 1)
             if not head or (dim is not None and vocabulary is not None
                             and head[0] not in vocabulary):
@@ -176,46 +175,40 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
             values = _json_floats(head[1]) if len(head) == 2 else None
             if values is None:  # left to the per-token conversion
                 values = line.split()[1:]
+            if dim is None:
+                if not values:
+                    raise EmbeddingParseError("bad format")
+                if matrix.shape[1] != len(values):
+                    matrix = _allocated(count, len(values), vocabulary)
+            elif len(values) != dim:
+                skipped += 1
+                continue
+            if filled == len(matrix):  # grow in place by half again
+                matrix.resize((filled + filled // 2 + 4, len(values)), refcheck=False)
             try:
-                if not values or dim not in (None, len(values)):
-                    raise ValueError("wrong arity")
-                vec = _floats(values)
+                _floats(values, matrix, filled)
             except ValueError as exc:
                 if dim is None:  # no row has fixed the dimension yet
                     raise EmbeddingParseError("bad format") from exc
                 skipped += 1
                 continue
-            if _unusable(vec):
+            row = matrix[filled]
+            # the dot np.linalg.norm takes passes a usual row; the rest get its exact rule
+            if not 0.0 < row @ row < np.inf and (not np.all(np.isfinite(row))
+                                                 or np.linalg.norm(row) == 0.0):
                 skipped += 1  # a rejected first row leaves the dimension open
                 continue
-            dim = len(vec)
+            dim = len(values)
             word = head[0]
             if word in seen:
                 duplicates += 1
                 continue
             seen.add(word)
             words.append(word)
-            yield vec
-
-    rows = accepted_rows()
-    first = next(rows, None)  # fixes the dimension
-    if first is None:
-        raise EmbeddingParseError("no vectors")
-    rows = itertools.chain([first], rows)
-    matrix = None if count is None else _allocated(count, dim, vocabulary)
-    if matrix is None:
-        # no usable header: each row goes straight into one growing buffer
-        matrix = np.fromiter(rows, dtype=np.dtype((np.float64, (dim,))))
-    else:
-        # rows past the header's count grow the matrix in place by half
-        # again, as np.fromiter grows it; it is cut in place to the rows accepted
-        filled = 0
-        for vec in rows:
-            if filled == len(matrix):
-                matrix.resize((filled + filled // 2 + 4, dim), refcheck=False)
-            matrix[filled] = vec
             filled += 1
-        matrix.resize((filled, dim), refcheck=False)
+    if dim is None:
+        raise EmbeddingParseError("no vectors")
+    matrix.resize((filled, dim), refcheck=False)
     seen.clear()  # the table builds its own index
     return EmbeddingTable(words=words, matrix=matrix,
                           duplicate_warnings=duplicates, skipped_rows=skipped)
@@ -232,21 +225,28 @@ def _repr_only(block: np.ndarray) -> np.ndarray:
     return ~((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
 
 
+def _without_point_zero(text: str) -> str:
+    """``text`` with each integral value's trailing ``.0`` cut."""
+    return text.replace(".0 ", " ").replace(".0\n", "\n")
+
+
 def _block_texts(block: np.ndarray, end: str) -> Iterator[str]:
     """Each row of ``block`` as the writer prints its values, space-separated, then ``end``."""
     # C-contiguous float64 rows: orjson writes float32 in its own shortest form
     block = np.ascontiguousarray(block, dtype=np.float64)
     other = _repr_only(block)
-    for row, out, mixed in zip(block, other, other.any(axis=1)):
-        values = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    # only an integral value's shortest form ends in ".0", and never where repr prints it
+    integral = (block == np.trunc(block)).any(axis=1)
+    for row, out, mixed, whole in zip(block, other, other.any(axis=1), integral):
+        values = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
         if mixed:  # only the values outside the range go to repr
-            tokens = values.split(",")
+            tokens = values.decode().split(",")
             for j in np.flatnonzero(out).tolist():
                 tokens[j] = repr(row.item(j))
-            values = " ".join(tokens)
+            text = " ".join(tokens) + end
         else:
-            values = values.replace(",", " ")
-        yield (values + end).replace(".0 ", " ").replace(".0\n", "\n")
+            text = values.replace(b",", b" ").decode() + end
+        yield _without_point_zero(text) if whole else text
 
 
 def _row_texts(matrix: np.ndarray, rows: np.ndarray | None, end: str) -> Iterator[str]:

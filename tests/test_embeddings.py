@@ -11,6 +11,7 @@ from contrastmap import embeddings
 from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
                                     cosine_distance, parse_embedding_text,
                                     write_embedding_text)
+from contrastmap.training import concat_embeddings, write_concat_text
 
 
 def test_parse_basic():
@@ -336,7 +337,9 @@ _value = st.one_of(
     # tokens that JSON and float() read differently, or that only one reads
     st.sampled_from(["0", "-0", "0.0", "nan", "-inf", "1e400", "1e-400", "5e-324",
                      "1_000", "+.5", "abc", "١٢٣", "0x10", "true", "null", '"1"',
-                     "[1]", "0.5,2.5", "0e999999", "18446744073709551616", "1E5", "-0.0"]))
+                     "[1]", "0.5,2.5", "0e999999", "18446744073709551616", "1E5", "-0.0",
+                     # JSON values that hold a "." but are not floats
+                     '"1.5"', '"."', "[1.5]", '{"a":1.5}']))
 _row = st.tuples(st.sampled_from(WORDS), st.lists(_value, max_size=4)).map(
     lambda r: [r[0], *r[1]])
 _line = st.one_of(_row, _row, _row, st.just([]),
@@ -356,6 +359,7 @@ vector_streams = st.tuples(
 @example("a 0.5,2.5\nb 1.5 2.5\n")  # a comma is not a separator
 @example("a 1.5 2.5\nb 0.5,2.5 1.5\n")
 @example("a -0 1.5\nb 1.5 -0.0\n")  # the int -0 is read as -0.0
+@example('a 1.5 2.5\nb "1.5" "2.5"\nc [1.5] 2.5\nd {"a":1.5} "."\ne 0.5 1.5\n')  # one "." a value
 def test_parse_matches_per_token_reference(text):
     assert _outcome(parse_embedding_text, text) == _outcome(_reference_parse, text)
 
@@ -503,22 +507,32 @@ def test_in_range_tables_never_take_the_per_value_paths(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("per-value path taken")
 
+    strip = embeddings._without_point_zero
     paths = []
     for name, m in (("vectors.txt", matrix), ("zeros.txt", zeros)):
         table = EmbeddingTable(words=[f"w{i}" for i in range(500)], matrix=m)
         paths.append(tmp_path / name)
+        cut = []  # the rows whose ".0" the writer cuts
+
+        def counting_strip(text):
+            cut.append(text)
+            return strip(text)
+
         with monkeypatch.context() as patch:
             patch.setattr(embeddings, "repr", refuse, raising=False)
+            patch.setattr(embeddings, "_without_point_zero", counting_strip)
             with open(paths[-1], "w", encoding="utf-8", newline="\n") as f:
                 write_embedding_text(table, f)
         assert paths[-1].read_text(encoding="utf-8") == _write(_reference_write, table)[0]
+        # only rows holding an integral value: none of vectors.txt, 144 zero rows of zeros.txt
+        assert len(cut) == (0 if m is matrix else 144)
     # zeros are written as the JSON ints "0" and "-0", which the reader leaves to float()
     convert = embeddings._floats
 
-    def refuse_tokens(values):
+    def refuse_tokens(values, matrix, i):
         if any(isinstance(v, str) for v in values):
             raise AssertionError("per-token path taken")
-        return convert(values)
+        convert(values, matrix, i)
 
     monkeypatch.setattr(embeddings, "_floats", refuse_tokens)
     with open(paths[0], encoding="utf-8") as f:
@@ -545,3 +559,20 @@ def test_rows_mixing_notations_repr_only_their_out_of_range_values(monkeypatch):
     monkeypatch.setattr(embeddings, "repr", counting_repr, raising=False)
     assert _write(write_embedding_text, table) == _write(_reference_write, table)
     assert len(rendered) == out_of_range
+
+
+@pytest.mark.parametrize("raw_row, new_row", [
+    ([0.5, -1.25, 2.0], [0.75, 1.5]),  # the last raw column: ".0 " before the new part
+    ([0.5, -1.25, 2.5], [0.75, 3.0]),  # the last new column: ".0\n"
+    ([0.0, -0.0, 0.0], [-0.0, 0.0]),  # a row of only signed zeros
+    ([0.5, 1e15, 2.5], [0.75, 1.5]),
+    ([0.5, -1.25, 2.5], [np.nextafter(1e16, 0), 1.5]),
+], ids=["last-raw", "last-new", "signed-zeros", "1e15", "below-1e16"])
+def test_concat_text_cuts_the_point_zero_of_a_sole_integral_value(raw_row, new_row):
+    # each table's other rows hold no integral value, so only this row is cut
+    raw = EmbeddingTable(words=["a", "b", "c"],
+                         matrix=np.array([[0.25, 1.5, -2.5], raw_row, [-0.5, 3.25, 4.5]]))
+    new = EmbeddingTable(words=["c", "b"], matrix=np.array([[1.75, -0.125], new_row]))
+    written = io.StringIO()
+    n = write_concat_text(raw, new, written)
+    assert (written.getvalue(), n) == _write(_reference_write, concat_embeddings(raw, new))
