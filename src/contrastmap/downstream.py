@@ -116,7 +116,8 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
 
     Each arm's table comes from a zero-argument loader, called once the
     split is known to be sound; a table is released once its arm's
-    documents are embedded, before the next one loads.
+    documents are embedded, and their matrix once the arm is scored, before
+    the next one loads.
     """
     if not (0.0 < test_fraction < 0.5):
         raise ValueError("test_fraction must be in (0, 0.5)")
@@ -131,6 +132,10 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
         (",".join(map(str, train_idx)) + "|" + ",".join(map(str, test_idx))).encode()
     ).hexdigest()
 
+    # the train documents take the first rows, so the fit and the test scores
+    # read views of one document matrix
+    order = np.concatenate([train_idx, test_idx])
+    n_train = len(train_idx)
     accuracies = {}
     for arm, load in (("raw", load_raw), ("concat", load_concat)):
         table = load()
@@ -138,12 +143,13 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
             total_tokens = sum(len(t) for t in token_lists)
             oov_tokens = sum(1 for toks in token_lists for t in toks if t not in table)
             oov_rate = oov_tokens / total_tokens if total_tokens else 0.0
-        X = np.empty((len(token_lists), table.dimension))
-        for i, toks in enumerate(token_lists):
-            X[i] = embed_document(table, toks)
+        X = np.empty((len(order), table.dimension))
+        for row, doc in enumerate(order):
+            X[row] = embed_document(table, token_lists[doc])
         del table
-        w, b = train_linear(X[train_idx], labels[train_idx])
-        p = _sigmoid(X[test_idx] @ w + b)
+        w, b = train_linear(X[:n_train], labels[train_idx])
+        p = _sigmoid(X[n_train:] @ w + b)
+        del X  # before the next arm's loader runs
         pred = (p >= 0.5).astype(int)
         accuracies[arm] = float(np.mean(pred == labels[test_idx]))
 

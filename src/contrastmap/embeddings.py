@@ -298,6 +298,12 @@ def _unit_max(u: np.ndarray) -> np.ndarray:
     return u / scale
 
 
+def _scalable(norm):
+    """Whether a norm, or each of an array of norms, lies where the squares
+    inside ``np.linalg.norm`` neither go subnormal nor overflow."""
+    return (1e-150 < norm) & (norm < 1e150)
+
+
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine distance 1 - cos(u, v), in [0, 2].
 
@@ -314,10 +320,10 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     # Outside this range the squares inside norm() go subnormal (a vector
     # near 1e-160 loses precision or reads as zero) or overflow: divide by
     # the largest magnitude and measure again.
-    if not 1e-150 < nu < 1e150:
+    if not _scalable(nu):
         u = _unit_max(u)
         nu = np.linalg.norm(u)
-    if not 1e-150 < nv < 1e150:
+    if not _scalable(nv):
         v = _unit_max(v)
         nv = np.linalg.norm(v)
     d = 1.0 - float(np.dot(u, v)) / float(nu * nv)

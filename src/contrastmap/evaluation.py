@@ -10,7 +10,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .boosting import boosted_proba, train_boosted_trees
-from .embeddings import EmbeddingTable, cosine_distance
+from .embeddings import EmbeddingTable, _scalable, cosine_distance
 from .network import _labelled_matrix, _sigmoid, logistic_loss
 from .pairs import ANTONYM, SYNONYM, PairSet
 
@@ -21,6 +21,7 @@ LINEAR_DEFAULTS = {"l2": 1e-4}
 NEWTON_STEPS = 100  # a cap: the L2 logistic fits here stop within a few steps
 ARMIJO = 0.25       # share of the predicted decrease a Newton step must achieve
 HESSIAN_ROWS = 1024  # rows of X scaled at once for the Hessian: no (n, d) temporary
+GATHER_BYTES = 1 << 19  # table rows gathered per copy for pair distances and features
 BOOSTED_DEFAULTS = {"rounds": 200, "shrinkage": 0.1, "max_depth": 2}
 
 
@@ -91,13 +92,31 @@ def _pair_rows(tables: list[EmbeddingTable], pairs: PairSet):
     return found, syn, [(i[found], j[found]) for i, j in rows]
 
 
+def _row_distances(M: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``cosine_distance(M[left[k]], M[right[k]])`` for every ``k``, bit for bit.
+
+    Dots and norms are taken a block of rows at a time by ``np.vecdot``,
+    which forms each row's dot as ``np.dot`` does (and so needs numpy 2);
+    a row whose norm :func:`cosine_distance` would rescale goes through it.
+    """
+    d = np.empty(len(left))
+    step = max(1, GATHER_BYTES // max(M[0].nbytes, 1))
+    for lo in range(0, len(left), step):
+        U, V = M[left[lo:lo + step]], M[right[lo:lo + step]]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            nu, nv = np.sqrt(np.vecdot(U, U)), np.sqrt(np.vecdot(V, V))
+            block = np.clip(1.0 - np.vecdot(U, V) / (nu * nv), 0.0, 2.0)
+        for k in np.flatnonzero(~(_scalable(nu) & _scalable(nv))):
+            block[k] = cosine_distance(U[k], V[k])
+        d[lo:lo + step] = block
+    return d
+
+
 def _pair_distances(tables: list[EmbeddingTable], pairs: PairSet):
     """:func:`_pair_rows`, with each table's float64 cosine distances of the
     resolved pairs in place of its row indices."""
     found, syn, rows = _pair_rows(tables, pairs)
-    return found, syn, [np.array([cosine_distance(t.matrix[a], t.matrix[b])
-                                  for a, b in zip(i, j)])
-                        for t, (i, j) in zip(tables, rows)]
+    return found, syn, [_row_distances(t.matrix, i, j) for t, (i, j) in zip(tables, rows)]
 
 
 def _summary(fn, x: np.ndarray) -> float | None:
@@ -247,9 +266,14 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
         # the weights [w; w], where w is the fit on u + v at twice the penalty
         w, b = train_linear(M[left] + M[right], y, l2=2 * LINEAR_DEFAULTS["l2"])
         linear_pred = _sigmoid((M[left_test] + M[right_test]) @ w + b) >= 0.5
-        # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u]
-        Xtr = featurize_pair(M[np.column_stack([left, right]).ravel()],
-                             M[np.column_stack([right, left]).ravel()])
+        # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u], filled a
+        # block at a time into the one matrix the trees train on
+        first = np.column_stack([left, right]).ravel()
+        second = np.column_stack([right, left]).ravel()
+        Xtr = np.empty((len(first), 2 * table.dimension))
+        step = max(1, GATHER_BYTES // M[0].nbytes)
+        for lo in range(0, len(first), step):
+            Xtr[lo:lo + step] = featurize_pair(M[first[lo:lo + step]], M[second[lo:lo + step]])
         ytr = np.repeat(y, 2)
         trees = train_boosted_trees(Xtr, ytr, **boosted)
         accuracies[space] = {

@@ -17,7 +17,7 @@ class PairParseError(ValueError):
     """Raised when a pair stream yields no usable records."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPair:
     left: str
     right: str
@@ -59,7 +59,7 @@ class SplitResult:
     dropped_spanning: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triplet:
     anchor: str
     synonym: str

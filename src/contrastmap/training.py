@@ -21,6 +21,9 @@ from .pairs import Triplet
 BASELINE = "baseline"
 CLASSIFIER_SYSTEM = "classifier_system"
 CONCAT_BLOCK_BYTES = 1 << 22  # rows gathered per copy by concat_embeddings
+# rows per forward pass of transform_vocabulary; blocks this large map each
+# row to the bits of one whole-matrix pass (tested at 1 and 2 BLAS threads)
+TRANSFORM_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -250,14 +253,26 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
 
 def transform_vocabulary(contrast_map: MlpParams,
                          table: EmbeddingTable) -> EmbeddingTable:
-    """Apply the map to every vector; non-finite and near-zero outputs are dropped."""
-    out = forward(contrast_map, table.matrix)
-    with np.errstate(over="ignore"):  # huge finite outputs have an infinite norm
-        keep = np.isfinite(out).all(axis=1) & (np.linalg.norm(out, axis=1) >= 1e-12)
+    """Apply the map to every vector; non-finite and near-zero outputs are dropped.
+
+    The map runs over blocks of ``TRANSFORM_BLOCK_ROWS`` rows, the short tail
+    merged into the last block, into one output matrix, so no hidden layer
+    of the whole table is held.
+    """
+    n = len(table)
+    out = np.empty((n, contrast_map.output_dim))
+    keep = np.empty(n, dtype=bool)
+    starts = [*range(0, n - TRANSFORM_BLOCK_ROWS + 1, TRANSFORM_BLOCK_ROWS)] or [0]
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        block = out[lo:hi]
+        block[...] = forward(contrast_map, table.matrix[lo:hi])
+        with np.errstate(over="ignore"):  # huge finite outputs have an infinite norm
+            keep[lo:hi] = (np.isfinite(block).all(axis=1)
+                           & (np.linalg.norm(block, axis=1) >= 1e-12))
     words = [w for w, k in zip(table.words, keep) if k]
     if not words:
         raise ValueError("all transformed vectors degenerate")
-    return EmbeddingTable(words=words, matrix=out[keep])
+    return EmbeddingTable(words=words, matrix=out if len(words) == n else out[keep])
 
 
 def _common_rows(raw: EmbeddingTable, new: EmbeddingTable):

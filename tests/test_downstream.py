@@ -1,6 +1,7 @@
 """Tests for the downstream text-classification harness."""
 import gc
 import io
+import tracemalloc
 import weakref
 from importlib import resources
 
@@ -212,6 +213,30 @@ def test_run_downstream_loads_one_table_at_a_time(corpus_setup):
     with pytest.raises(ValueError, match="degenerate split"):
         run_downstream(load(raw), load(rawraw), one_class, seed=3)
     assert loaded == []
+
+
+def test_run_downstream_holds_one_document_matrix():
+    rng = np.random.default_rng(4)
+    words = [f"w{i}" for i in range(200)]
+    raw = EmbeddingTable(words=words, matrix=rng.standard_normal((200, 100)))
+    wide = EmbeddingTable(words=words, matrix=rng.standard_normal((200, 150)))
+    data = TextDataset(records=[(" ".join(rng.choice(words, 2)), i % 2) for i in range(8000)])
+    raw_docs, wide_docs = (len(data) * table.matrix[0].nbytes for table in (raw, wide))
+    held_at_load = []
+
+    def load_wide():
+        held_at_load.append(tracemalloc.get_traced_memory()[0])
+        return wide
+
+    tracemalloc.start()
+    try:
+        result = run_downstream(lambda: raw, load_wide, data, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == run_downstream(lambda: raw, lambda: wide, data, seed=3)
+    assert held_at_load[0] < raw_docs  # the raw arm's documents are released first
+    assert peak < raw_docs + wide_docs  # and the fit reads no copy of its rows
 
 
 def test_bundled_corpus_loads():

@@ -10,7 +10,7 @@ from contrastmap.embeddings import EmbeddingTable, cosine_distance
 from contrastmap import evaluation
 from contrastmap.boosting import boosted_proba, train_boosted_trees
 from contrastmap.evaluation import (BOOSTED_DEFAULTS, LINEAR_DEFAULTS, _pair_rows,
-                                    build_accuracy_table, classify_accuracy,
+                                    _row_distances, build_accuracy_table, classify_accuracy,
                                     distance_report, extreme_pairs,
                                     featurize_pair, shift_report, train_linear)
 from contrastmap.network import _sigmoid, init_params
@@ -148,6 +148,39 @@ def test_shift_report_records_recompute():
     report = shift_report(BASIC_TABLE, after, BASIC_PAIRS)
     for _, _, _, db, da, sh in report.records:
         assert sh == da - db
+
+
+def _scalar_distances(M, left, right):
+    return np.array([cosine_distance(M[i], M[j]) for i, j in zip(left, right)])
+
+
+@pytest.mark.parametrize("dim", [4, 40, 50, 300, 340])
+def test_row_distances_equal_the_scalar_distance_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    # rows of spread magnitudes; from 40 dimensions on, the pairs fill more than one block
+    M = rng.standard_normal((500, dim)) * 10.0 ** rng.integers(-8, 9, size=(500, 1))
+    left, right = rng.integers(0, 500, size=(2, 2000))
+    assert _row_distances(M, left, right).tobytes() == _scalar_distances(M, left, right).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows,pairs", [
+    ([[1.2775512486188477e-160], [1.2775512486188477e-160 / 128], [3.0]], [(0, 2), (1, 2)]),
+    ([[5e-324, 0.0], [0.0, 1e300], [1e200, 1e200], [1.0, 1.0], [1e-170, -1e-170],
+      [-2.0, 2.0], [0.6, 0.8]], [(0, 1), (2, 3), (4, 5), (6, 3), (3, 6), (2, 4)]),
+], ids=["one-dim", "two-dim"])
+def test_row_distances_rescale_extreme_magnitudes_as_the_scalar_distance(rows, pairs):
+    # the cases of test_cosine_distance_extreme_magnitudes, among rows in range
+    M = np.array(rows)
+    left, right = np.array(pairs).T
+    assert _row_distances(M, left, right).tobytes() == _scalar_distances(M, left, right).tobytes()
+
+
+@pytest.mark.parametrize("M", [np.array([[1.0, 2.0], [0.0, 0.0]]), np.zeros((2, 0))],
+                         ids=["zero-row", "no-columns"])
+def test_row_distances_reject_a_zero_norm_row(M):
+    with pytest.raises(ValueError, match="degenerate vector"):
+        _row_distances(M, np.array([0, 0]), np.array([0, 1]))
 
 
 def test_extreme_pairs_ordering_and_ties():

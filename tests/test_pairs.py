@@ -1,5 +1,6 @@
 """Tests for pair loading, component statistics, the leakage-free split,
 and triplet assembly."""
+import dataclasses
 import io
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from contrastmap.embeddings import _as_lines
 from contrastmap.pairs import (ANTONYM, RELATIONS, SYNONYM, LabeledPair, PairParseError,
-                               PairSet, _valid_token, build_triplets, component_stats,
+                               PairSet, Triplet, _valid_token, build_triplets, component_stats,
                                load_pairs, split_pairs, write_pairs)
 
 
@@ -255,3 +256,11 @@ def test_valid_token_matches_per_character_check(tok):
     # the per-character check _valid_token replaced
     assert _valid_token(tok) == (bool(tok) and not any(c.isspace() for c in tok))
 
+
+
+def test_pairs_and_triplets_carry_no_instance_dict():
+    # a world or a pair file holds tens of thousands of them
+    for record in (LabeledPair("a", "b", SYNONYM), Triplet("a", "b", "c")):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, dataclasses.fields(record)[0].name, "z")

@@ -2,21 +2,27 @@
 transformed / concatenated table plumbing."""
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contrastmap
 from contrastmap import training
 from contrastmap.embeddings import EmbeddingTable, write_embedding_text
 from contrastmap.network import (MlpParams, _row_cosines, _sigmoid, forward,
                                  init_params, pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
-from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTES, TrainConfig,
-                                  _head_dims, concat_embeddings, resolve_triplets,
+from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTES,
+                                  TRANSFORM_BLOCK_ROWS, TrainConfig, _head_dims,
+                                  concat_embeddings, resolve_triplets,
                                   train_baseline, train_classifier_system,
                                   transform_vocabulary, write_concat_text)
 
@@ -214,6 +220,60 @@ def test_transform_drops_outputs_that_overflow():
     kept = np.isfinite(full).all(axis=1)
     assert out.words == [w for w, k in zip(world.table.words, kept) if k]
     assert out.matrix.tobytes() == full[kept].tobytes()
+
+
+# Maps each table through transform_vocabulary and through one whole-matrix
+# forward pass, at every row count around the block edges, and prints each
+# case whose words or bits differ.
+_BLOCKED_TRANSFORM_CHECK = """
+import numpy as np
+from contrastmap.embeddings import EmbeddingTable
+from contrastmap.network import forward, init_params
+from contrastmap.synthetic import planted_world
+from contrastmap.training import transform_vocabulary
+
+criterion_3 = planted_world(n_words=5000, dim=50, seed=42).table.matrix
+vocab_cli = np.random.default_rng(5).standard_normal((5000, 300))
+for dims, matrix in (([50, 128, 64, 4], criterion_3), ([300, 128, 40], vocab_cli)):
+    params = init_params(dims, seed=7)
+    for n in (1, 1023, 1024, 1025, 2047, 2048, 3001, 5000):
+        table = EmbeddingTable([f"w{i}" for i in range(n)], matrix[:n])
+        out = transform_vocabulary(params, table)
+        if (out.words != table.words
+                or out.matrix.tobytes() != forward(params, matrix[:n]).tobytes()):
+            print(dims, n)
+"""
+
+
+# at most two threads, so this test never oversubscribes a two-core runner
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blocked_transform_equals_one_whole_matrix_pass(threads):
+    assert TRANSFORM_BLOCK_ROWS == 1024  # the row counts below straddle its edges
+    src = str(Path(contrastmap.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _BLOCKED_TRANSFORM_CHECK], env=env,
+                            capture_output=True, text=True, check=True, timeout=300)
+    assert result.stdout == ""
+
+
+def test_transform_holds_its_output_and_one_block():
+    # a hidden layer wider than the input: one whole-table forward pass would
+    # hold 2.56 times the raw table beside it
+    rng = np.random.default_rng(8)
+    table = EmbeddingTable([f"w{i}" for i in range(20000)], rng.standard_normal((20000, 100)))
+    params = init_params([100, 256, 8], seed=1)
+    tracemalloc.start()
+    try:
+        out = transform_vocabulary(params, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(table)
+    # the caller holds the raw table; the last block, which takes the short
+    # tail, has fewer than twice TRANSFORM_BLOCK_ROWS rows
+    block = 2 * TRANSFORM_BLOCK_ROWS * (256 + 8) * 8
+    assert peak < out.matrix.nbytes + block
 
 
 def test_concat_basic():
