@@ -118,14 +118,13 @@ class _Run:
 
         A ValueError raised while it is open, a bad encoding included, is
         re-raised with ``--<flag> <path>: `` in front, so the message names
-        the input. So is a TypeError: ``load_params`` raises one for a
-        malformed model document.
+        the input.
         """
         path = self.paths[name]
         try:
             with open(path, "r", encoding="utf-8-sig", newline=newline) as f:
                 yield f
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"--{name.replace('_', '-')} {path}: {exc}") from None
 
     def table(self, name: str, vocabulary=None):

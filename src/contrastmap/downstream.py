@@ -8,7 +8,7 @@ import hashlib
 import re
 from importlib import resources
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -51,9 +51,20 @@ class DownstreamResult:
                 "split_hash": self.split_hash}
 
 
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
+    """``csv.reader``'s rows; a row it cannot read, such as one with a field
+    over ``csv.field_size_limit()`` (131,072 characters by default), is a
+    ValueError naming its line."""
+    reader = csv.reader(lines)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+
+
 def load_text_csv(stream: str | IO[str], name: str = "") -> TextDataset:
     """Load a `text,label` CSV with standard double-quote escaping."""
-    reader = csv.reader(_as_lines(stream))
+    reader = _csv_rows(_as_lines(stream))
     try:
         header = next(reader)
     except StopIteration:

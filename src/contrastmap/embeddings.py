@@ -214,9 +214,15 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                           duplicate_warnings=duplicates, skipped_rows=skipped)
 
 
-# rows per range check in the writer: checked row by row, the check costs a
-# third of a row's write; a small block keeps the block's copies small
-_WRITE_BLOCK = 256
+# bytes of float64 table rows that every blocked copy of rows takes: the
+# writer's, the concat table's, and the pair distances' and features'
+GATHER_BYTES = 1 << 19
+
+
+def gather_rows(width: int) -> int:
+    """Rows of ``width`` values that one blocked copy of table rows takes:
+    ``GATHER_BYTES`` at float64 width, and at least one row."""
+    return max(1, GATHER_BYTES // (8 * max(width, 1)))
 
 
 def _repr_only(block: np.ndarray) -> np.ndarray:
@@ -251,10 +257,15 @@ def _block_texts(block: np.ndarray, end: str) -> Iterator[str]:
 
 def _row_texts(matrix: np.ndarray, rows: np.ndarray | None, end: str) -> Iterator[str]:
     """The texts of row ``rows[i]`` of ``matrix`` (row i where ``rows`` is
-    None), gathered a block at a time; each block is freed before the next."""
+    None), gathered :func:`gather_rows` rows at a time, so the range checks
+    run once per block, not once per row (a third of a row's write); each
+    block is freed before the next."""
+    if rows is not None and np.array_equal(rows, np.arange(len(matrix))):
+        rows = None  # every row in order: slice views, not gathered copies
     n = len(matrix) if rows is None else len(rows)
-    for start in range(0, n, _WRITE_BLOCK):
-        stop = start + _WRITE_BLOCK
+    step = gather_rows(matrix.shape[1])
+    for start in range(0, n, step):
+        stop = start + step
         yield from _block_texts(matrix[start:stop] if rows is None else matrix[rows[start:stop]],
                                 end)
 

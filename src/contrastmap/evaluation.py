@@ -10,7 +10,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .boosting import boosted_proba, train_boosted_trees
-from .embeddings import EmbeddingTable, _scalable, cosine_distance
+from .embeddings import EmbeddingTable, _scalable, cosine_distance, gather_rows
 from .network import _labelled_matrix, _sigmoid, logistic_loss
 from .pairs import ANTONYM, SYNONYM, PairSet
 
@@ -21,7 +21,6 @@ LINEAR_DEFAULTS = {"l2": 1e-4}
 NEWTON_STEPS = 100  # a cap: the L2 logistic fits here stop within a few steps
 ARMIJO = 0.25       # share of the predicted decrease a Newton step must achieve
 HESSIAN_ROWS = 1024  # rows of X scaled at once for the Hessian: no (n, d) temporary
-GATHER_BYTES = 1 << 19  # table rows gathered per copy for pair distances and features
 BOOSTED_DEFAULTS = {"rounds": 200, "shrinkage": 0.1, "max_depth": 2}
 
 
@@ -100,7 +99,7 @@ def _row_distances(M: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.nda
     a row whose norm :func:`cosine_distance` would rescale goes through it.
     """
     d = np.empty(len(left))
-    step = max(1, GATHER_BYTES // max(M[0].nbytes, 1))
+    step = gather_rows(M.shape[1])
     for lo in range(0, len(left), step):
         U, V = M[left[lo:lo + step]], M[right[lo:lo + step]]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -271,7 +270,7 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
         first = np.column_stack([left, right]).ravel()
         second = np.column_stack([right, left]).ravel()
         Xtr = np.empty((len(first), 2 * table.dimension))
-        step = max(1, GATHER_BYTES // M[0].nbytes)
+        step = gather_rows(table.dimension)
         for lo in range(0, len(first), step):
             Xtr[lo:lo + step] = featurize_pair(M[first[lo:lo + step]], M[second[lo:lo + step]])
         ytr = np.repeat(y, 2)

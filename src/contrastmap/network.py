@@ -314,8 +314,11 @@ def params_from_dict(doc: dict) -> MlpParams:
     dims = doc["layer_dims"]
     if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise ValueError(f"layer_dims must be a list of ints, got {dims!r}")
-    weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+    try:
+        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+    except TypeError as exc:  # not a list, or a JSON object among the numbers
+        raise ValueError(f"weights and biases must be lists of numbers: {exc}") from None
     if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
         raise ValueError("layer count mismatch")
     params = MlpParams(dims, None, doc["hidden_activation"])
@@ -330,8 +333,8 @@ def params_from_dict(doc: dict) -> MlpParams:
 
 
 def save_params(params: MlpParams, stream: IO[str]) -> None:
-    json.dump(params_to_dict(params), stream, sort_keys=True)
-    stream.write("\n")
+    # json.dumps encodes in C; json.dump runs the pure-Python encoder, chunk by chunk
+    stream.write(json.dumps(params_to_dict(params), sort_keys=True) + "\n")
 
 
 def load_params(stream: IO[str]) -> MlpParams:

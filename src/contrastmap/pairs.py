@@ -118,14 +118,10 @@ def load_pairs(stream: str | IO[str] | Iterable[str]) -> PairSet:
                    dropped_conflicts=dropped_conflicts, skipped_lines=skipped)
 
 
-def write_pairs(pairs: PairSet, stream: IO[str]) -> int:
+def write_pairs(pairs: PairSet, stream: IO[str]) -> None:
     """Write pairs as 3-column TSV; inverse of :func:`load_pairs`."""
-    written = 0
     for p in pairs:
-        line = f"{p.left}\t{p.right}\t{p.relation}\n"
-        stream.write(line)
-        written += len(line)
-    return written
+        stream.write(f"{p.left}\t{p.right}\t{p.relation}\n")
 
 
 class _UnionFind:

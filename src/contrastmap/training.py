@@ -10,7 +10,7 @@ from typing import IO
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, write_text_columns
+from .embeddings import EmbeddingTable, gather_rows, write_text_columns
 from .network import (DivergenceError, MlpParams, _backward,
                       _forward_cached, forward, init_optimizer,
                       init_params, logistic_loss, optimizer_step,
@@ -20,7 +20,6 @@ from .pairs import Triplet
 
 BASELINE = "baseline"
 CLASSIFIER_SYSTEM = "classifier_system"
-CONCAT_BLOCK_BYTES = 1 << 22  # rows gathered per copy by concat_embeddings
 # rows per forward pass of transform_vocabulary; blocks this large map each
 # row to the bits of one whole-matrix pass (tested at 1 and 2 BLAS threads)
 TRANSFORM_BLOCK_ROWS = 1024
@@ -287,13 +286,13 @@ def _common_rows(raw: EmbeddingTable, new: EmbeddingTable):
 def concat_embeddings(raw: EmbeddingTable, new: EmbeddingTable) -> EmbeddingTable:
     """Per-word concatenation [raw; new] over the common vocabulary.
 
-    The result is allocated once and filled in row blocks of about
-    ``CONCAT_BLOCK_BYTES``, so the rows it gathers at once stay that small.
+    The result is allocated once and filled :func:`gather_rows` rows at a
+    time, so the rows it gathers at once stay that small.
     """
     common, found, rows = _common_rows(raw, new)
     d, width = raw.dimension, raw.dimension + new.dimension
     matrix = np.empty((len(common), width))
-    step = max(1, CONCAT_BLOCK_BYTES // matrix[0].nbytes)
+    step = gather_rows(width)
     for start in range(0, len(common), step):
         matrix[start:start + step, :d] = raw.matrix[found[start:start + step]]
         matrix[start:start + step, d:] = new.matrix[rows[start:start + step]]

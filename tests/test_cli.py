@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contrastmap
+from contrastmap import cli
 from contrastmap.cli import run
 from contrastmap.pairs import load_pairs
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
@@ -271,8 +272,12 @@ def test_bad_pairs_exit_2(tmp_path, capsys):
     # a valid model for 30-d vectors; the fixture's are 20-d
     json.dumps({"format_version": 1, "layer_dims": [30, 5], "hidden_activation": "tanh",
                 "weights": [[[0.1] * 30] * 5], "biases": [[0.0] * 5]}),
+    json.dumps({"format_version": 1, "layer_dims": [20, 5], "hidden_activation": "tanh",
+                "weights": 5, "biases": [[0.0] * 5]}),
+    json.dumps({"format_version": 1, "layer_dims": [20, 5], "hidden_activation": "tanh",
+                "weights": [[{"a": 1}]], "biases": [[0.0] * 5]}),
 ], ids=["not-json", "json-list", "missing-keys", "dims-not-a-list", "dims-not-integers",
-        "dims-bools", "input-dim-not-the-vectors"])
+        "dims-bools", "input-dim-not-the-vectors", "weights-not-a-list", "weights-hold-an-object"])
 def test_bad_model_file_exit_2(fixtures, tmp_path, capsys, model):
     path = tmp_path / "model.json"
     path.write_text(model)
@@ -283,18 +288,34 @@ def test_bad_model_file_exit_2(fixtures, tmp_path, capsys, model):
     assert not (tmp_path / "out" / "transformed.txt").exists()
 
 
-@pytest.mark.parametrize("flag, content", [
-    ("--concat", b"word abc def\n"),
-    ("--raw", b"\xff\xfe not utf-8\n"),
-], ids=["bad-format", "not-utf-8"])
-def test_parse_errors_name_the_input(fixtures, tmp_path, capsys, flag, content):
+@pytest.mark.parametrize("flag, content, message", [
+    ("--concat", b"word abc def\n", "bad format"),
+    ("--raw", b"\xff\xfe not utf-8\n", "'utf-8' codec can't decode"),
+    # one field over csv.field_size_limit()'s default of 131,072 characters
+    ("--data", b'text,label\ngood,1\n"' + b"x" * 131073 + b'",0\n',
+     "CSV line 3: field larger than field limit (131072)"),
+], ids=["bad-format", "not-utf-8", "csv-field-over-the-limit"])
+def test_parse_errors_name_the_input(fixtures, tmp_path, capsys, flag, content, message):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(content)
-    inputs = {"--raw": fixtures["embeddings"], "--concat": fixtures["embeddings"], flag: bad}
+    inputs = {"--raw": fixtures["embeddings"], "--concat": fixtures["embeddings"],
+              "--data": fixtures["corpus"], flag: bad}
     code = run(["downstream", *[str(a) for kv in inputs.items() for a in kv],
-                "--data", str(fixtures["corpus"]), "--out", str(tmp_path / "out")])
+                "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"input-error: {flag} {bad}: ")
+    assert capsys.readouterr().err.startswith(f"input-error: {flag} {bad}: {message}")
+
+
+def test_type_error_while_an_input_is_open_propagates(fixtures, tmp_path, monkeypatch):
+    """Only a ValueError names the input and exits 2; a TypeError is a bug."""
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "parse_embedding_text", broken)
+    with pytest.raises(TypeError, match="a bug, not bad input"):
+        run(["downstream", "--raw", str(fixtures["embeddings"]),
+             "--concat", str(fixtures["embeddings"]), "--data", str(fixtures["corpus"]),
+             "--out", str(tmp_path / "out")])
 
 
 def _outputs(out):

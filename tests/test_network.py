@@ -1,13 +1,14 @@
 """Tests for the network core: init, forward, triplet loss, gradients,
 optimizer, pair head, and model serialization."""
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from contrastmap.network import (DivergenceError, MlpParams, _sigmoid, forward, init_optimizer,
-                                 init_params, load_params,
+                                 init_params, load_params, params_to_dict,
                                  optimizer_step, pair_head_logits,
                                  pair_head_loss_backward, save_params,
                                  triplet_backward, triplet_loss)
@@ -425,6 +426,19 @@ def test_model_round_trip():
     assert again.hidden_activation == params.hidden_activation
     assert all(np.array_equal(a, b) for a, b in zip(again.weights, params.weights))
     assert all(np.array_equal(a, b) for a, b in zip(again.biases, params.biases))
+
+
+@pytest.mark.parametrize("dims, activation", [([300, 128, 40], "tanh"), ([80, 32, 1], "relu")],
+                         ids=["map", "head"])
+def test_save_params_writes_the_json_dump_bytes(dims, activation):
+    params = init_params(dims, activation, seed=3)
+    params.biases[0][...] = np.linspace(-1.0, 1.0, dims[1])
+    params.flat[:4] = [1e-20, 1e16, -0.0, 5e-324]  # repr's exponent and signed-zero forms
+    out, reference = io.StringIO(), io.StringIO()
+    save_params(params, out)
+    json.dump(params_to_dict(params), reference, sort_keys=True)
+    reference.write("\n")
+    assert out.getvalue() == reference.getvalue()
 
 
 def test_model_load_validates_shapes():

@@ -14,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contrastmap
-from contrastmap import training
-from contrastmap.embeddings import EmbeddingTable, write_embedding_text
+from contrastmap import embeddings, training
+from contrastmap.embeddings import GATHER_BYTES, EmbeddingTable, gather_rows, write_embedding_text
 from contrastmap.network import (MlpParams, _row_cosines, _sigmoid, forward,
                                  init_params, pair_head_logits, pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
-from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, CONCAT_BLOCK_BYTES,
-                                  TRANSFORM_BLOCK_ROWS, TrainConfig, _head_dims,
-                                  concat_embeddings, resolve_triplets,
+from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, TRANSFORM_BLOCK_ROWS,
+                                  TrainConfig, _head_dims, concat_embeddings, resolve_triplets,
                                   train_baseline, train_classifier_system,
                                   transform_vocabulary, write_concat_text)
 
@@ -311,7 +310,7 @@ def _raw_and_reordered_subset(rows, d_raw, d_new, seed):
 
 
 def test_concat_matches_whole_table_gather_across_row_blocks():
-    block_rows = CONCAT_BLOCK_BYTES // (8 * (60 + 4))
+    block_rows = GATHER_BYTES // (8 * (60 + 4))
     raw, new = _raw_and_reordered_subset(4 * block_rows, 60, 4, seed=5)
     out = concat_embeddings(raw, new)
     assert 3 * block_rows < len(out) < 4 * block_rows  # the last block is partial
@@ -372,8 +371,13 @@ def test_concat_text_equals_the_written_concat_table(d_raw, d_new, data):
 
 
 @pytest.mark.parametrize("layout", ["float32", "fortran", "column-slice"])
-def test_concat_text_equals_the_written_concat_table_across_blocks(layout):
+def test_concat_text_equals_the_written_concat_table_across_blocks(layout, monkeypatch):
+    # blocks of 21 raw rows and 102 new rows: both columns cross several block
+    # edges, and both end on a partial block
+    monkeypatch.setattr(embeddings, "GATHER_BYTES", 4096)
     raw, new = _raw_and_reordered_subset(700, 24, 5, seed=8)
+    for width in (24, 5):
+        assert len(new) // gather_rows(width) >= 5 and len(new) % gather_rows(width)
     rng = np.random.default_rng(9)
     scale = 10.0 ** rng.integers(-7, 19, size=raw.matrix.shape)
     wide = np.ascontiguousarray((raw.matrix * scale)[:, ::-1])
