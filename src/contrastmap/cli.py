@@ -84,6 +84,10 @@ def _fixed(x: float | None, spec: str) -> str:
     return "none" if x is None else format(x, spec)
 
 
+class _NamedInputError(ValueError):
+    """A ValueError whose message starts with the input it came from."""
+
+
 # parsed-argument fields that steer the run but are not part of its config
 _NOT_CONFIG = ("out", "quiet", "subcommand", "func", "inputs")
 
@@ -113,19 +117,25 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
 
     @contextlib.contextmanager
-    def open(self, name: str, newline: str | None = None):
-        """Input ``name`` as text, with any UTF-8 byte-order mark dropped.
-
-        A ValueError raised while it is open, a bad encoding included, is
-        re-raised with ``--<flag> <path>: `` in front, so the message names
-        the input.
-        """
-        path = self.paths[name]
+    def naming(self, name: str):
+        """Re-raise a ValueError raised inside with ``--<flag> <path>: `` in
+        front, so the message names input ``name``; one that already names an
+        input passes unchanged."""
         try:
-            with open(path, "r", encoding="utf-8-sig", newline=newline) as f:
-                yield f
+            yield
+        except _NamedInputError:
+            raise
         except ValueError as exc:
-            raise ValueError(f"--{name.replace('_', '-')} {path}: {exc}") from None
+            raise _NamedInputError(
+                f"--{name.replace('_', '-')} {self.paths[name]}: {exc}") from None
+
+    @contextlib.contextmanager
+    def open(self, name: str, newline: str | None = None):
+        """Input ``name`` as text, with any UTF-8 byte-order mark dropped; a
+        ValueError raised while it is open, a bad encoding included, names it."""
+        with self.naming(name), open(self.paths[name], "r", encoding="utf-8-sig",
+                                     newline=newline) as f:
+            yield f
 
     def table(self, name: str, vocabulary=None):
         with self.open(name) as f:
@@ -320,10 +330,12 @@ def _cmd_downstream(args, run: _Run) -> None:
     with run.open("data", newline="") as f:
         data = load_text_csv(f, name=run.paths["data"].name)
     vocabulary = {t for text, _ in data.records for t in tokenize(text)}
-    # loaders, so that one table is held at a time
-    result = run_downstream(lambda: run.table("raw", vocabulary),
-                            lambda: run.table("concat", vocabulary),
-                            data, test_fraction=args.test_fraction, seed=args.seed)
+    # loaders, so that one table is held at a time; a split the documents
+    # cannot fill with both labels on each side is the data's error
+    with run.naming("data"):
+        result = run_downstream(lambda: run.table("raw", vocabulary),
+                                lambda: run.table("concat", vocabulary),
+                                data, test_fraction=args.test_fraction, seed=args.seed)
     run.write("downstream.json", _json, result.to_dict())
     run.log(f"downstream[{run.paths['data'].name}]: raw {result.accuracy_raw:.3f} -> "
             f"concat {result.accuracy_concat:.3f} "

@@ -116,7 +116,8 @@ def _stratified_split(labels: np.ndarray, test_fraction: float,
         n_test = int(round(len(idx) * test_fraction))
         test_idx.extend(perm[:n_test].tolist())
         train_idx.extend(perm[n_test:].tolist())
-    return np.array(sorted(train_idx)), np.array(sorted(test_idx))
+    return (np.array(sorted(train_idx), dtype=np.intp),  # index arrays, even when empty
+            np.array(sorted(test_idx), dtype=np.intp))
 
 
 def run_downstream(load_raw: Callable[[], EmbeddingTable],

@@ -226,9 +226,12 @@ def gather_rows(width: int) -> int:
 
 
 def _repr_only(block: np.ndarray) -> np.ndarray:
-    """Where orjson's notation differs from ``repr``'s: all but 0 and [1e-4, 1e16)."""
-    magnitude = np.abs(block)
-    return ~((magnitude == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
+    """Where orjson's notation differs from ``repr``'s: all but 0 and [1e-4, 1e16)
+    in magnitude, compared on ``block`` itself so that only bool masks are made."""
+    ryu = (block >= 1e-4) & (block < 1e16)
+    ryu |= (block <= -1e-4) & (block > -1e16)
+    ryu |= block == 0.0
+    return ~ryu
 
 
 def _without_point_zero(text: str) -> str:

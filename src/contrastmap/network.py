@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -317,7 +318,7 @@ def params_from_dict(doc: dict) -> MlpParams:
     try:
         weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-    except TypeError as exc:  # not a list, or a JSON object among the numbers
+    except (TypeError, OverflowError) as exc:  # not a list, an object, an int past float
         raise ValueError(f"weights and biases must be lists of numbers: {exc}") from None
     if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
         raise ValueError("layer count mismatch")
@@ -325,6 +326,12 @@ def params_from_dict(doc: dict) -> MlpParams:
     for i, (W, b) in enumerate(zip(params.weights, params.biases)):
         if weights[i].shape != W.shape or biases[i].shape != b.shape:
             raise ValueError(f"bad shape at layer {i}")
+        # the shapes fix the nesting; float64 conversion also reads "1" and true
+        other = {*map(type, chain.from_iterable(doc["weights"][i])),
+                 *map(type, doc["biases"][i])} - {int, float}
+        if other:
+            raise ValueError(f"weights and biases must be numbers, found "
+                             f"{', '.join(sorted(t.__name__ for t in other))} at layer {i}")
         if not np.all(np.isfinite(weights[i])) or not np.all(np.isfinite(biases[i])):
             raise ValueError(f"non-finite values at layer {i}")
         W[...] = weights[i]

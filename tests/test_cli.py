@@ -230,6 +230,54 @@ def test_train_dims_flags_fuzz(fixtures, dims_text, head_text):
         assert other not in err
 
 
+_fixture_word = st.integers(0, 125).map("w{:05d}".format)  # the fixture's 120 and a few more
+_pair_lines = st.lists(st.one_of(
+    st.tuples(_fixture_word, _fixture_word,
+              st.sampled_from(["synonym", "antonym", "Antonym\r", "other"])).map("\t".join),
+    st.text(max_size=30)), max_size=30).map("\n".join)
+_csv_cell = st.one_of(st.lists(_fixture_word, max_size=6).map(" ".join),
+                      st.sampled_from(["0", "1", " 1 ", "2", "", '"', '"a,""b"""']),
+                      st.text(max_size=12))
+_csv_document = st.tuples(st.lists(_fixture_word, max_size=6).map(" ".join),
+                          st.sampled_from(["0", "1"])).map(",".join)
+# two of three rows are documents, so that some datasets fill a split
+_csv_row = st.one_of(_csv_document, _csv_document,
+                     st.lists(_csv_cell, min_size=1, max_size=3).map(",".join))
+_csv_text = st.tuples(
+    st.sampled_from(["text,label\n", "text,label\n", "Text , LABEL\r\n", "label,text\n", ""]),
+    st.lists(_csv_row, min_size=8, max_size=30)).map(lambda p: p[0] + "\n".join(p[1]))
+
+
+def _run_on_text(args, flag, text):
+    """Exit code and stderr of ``run(args)`` with ``flag`` naming a file of ``text``."""
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        path = Path(tmp) / "input"
+        path.write_bytes(text.encode("utf-8"))
+        code = run([*args, flag, str(path), "--out", str(Path(tmp) / "out"), "--quiet"])
+    return code, stderr.getvalue(), path
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_lines | st.text())
+def test_split_on_malformed_pairs_exits_0_or_names_the_input(text):
+    code, err, path = _run_on_text(["split"], "--pairs", text)
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith(f"input-error: --pairs {path}: "), err
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_text | st.text())
+@example("text,label\n,0\n,1")  # a test side with no documents
+def test_downstream_on_malformed_data_exits_0_or_names_the_input(fixtures, text):
+    code, err, path = _run_on_text(["downstream", "--raw", str(fixtures["embeddings"]),
+                                    "--concat", str(fixtures["embeddings"])], "--data", text)
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith(f"input-error: --data {path}: "), err
+
+
 @pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
 def test_train_default_dims_must_contract(fixtures, tmp_path, capsys, mode):
     # the default map [m, 128, 40] does not contract 20-d vectors
@@ -276,8 +324,14 @@ def test_bad_pairs_exit_2(tmp_path, capsys):
                 "weights": 5, "biases": [[0.0] * 5]}),
     json.dumps({"format_version": 1, "layer_dims": [20, 5], "hidden_activation": "tanh",
                 "weights": [[{"a": 1}]], "biases": [[0.0] * 5]}),
+    # float64 conversion reads both as numbers
+    json.dumps({"format_version": 1, "layer_dims": [20, 5], "hidden_activation": "tanh",
+                "weights": [[[0.1] * 19 + ["1"]] * 5], "biases": [[0.0] * 5]}),
+    json.dumps({"format_version": 1, "layer_dims": [20, 5], "hidden_activation": "tanh",
+                "weights": [[[0.1] * 20] * 5], "biases": [[0.0] * 4 + [True]]}),
 ], ids=["not-json", "json-list", "missing-keys", "dims-not-a-list", "dims-not-integers",
-        "dims-bools", "input-dim-not-the-vectors", "weights-not-a-list", "weights-hold-an-object"])
+        "dims-bools", "input-dim-not-the-vectors", "weights-not-a-list", "weights-hold-an-object",
+        "weights-hold-strings", "biases-hold-booleans"])
 def test_bad_model_file_exit_2(fixtures, tmp_path, capsys, model):
     path = tmp_path / "model.json"
     path.write_text(model)
