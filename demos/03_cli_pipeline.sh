@@ -5,7 +5,11 @@
 # stage's run.json replaces any earlier one in the same directory.
 #
 # Run:  sh demos/03_cli_pipeline.sh
+# (from a checkout without an install: PYTHONPATH=src sh demos/03_cli_pipeline.sh)
 set -e
+
+# the installed `contrastmap` script runs this same module
+contrastmap() { python3 -m contrastmap.cli "$@"; }
 
 WORK="$(mktemp -d)"
 echo "working directory: $WORK"

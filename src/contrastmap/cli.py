@@ -28,7 +28,7 @@ from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig, _default_dims,
 from .training import concat_embeddings  # noqa: F401
 from .evaluation import (build_accuracy_table, distance_report, extreme_pairs,
                          shift_report)
-from .downstream import load_text_csv, run_downstream, tokenize
+from .downstream import ArmInputError, load_text_csv, run_downstream, tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -276,7 +276,8 @@ def _cmd_transform(args, run: _Run) -> None:
 
 def _cmd_eval_distances(args, run: _Run) -> None:
     pairs = run.pairs("pairs")
-    report = distance_report(run.table("embeddings", pairs.vocabulary()), pairs)
+    with run.naming("embeddings"):  # a table that resolves none of the pairs names itself
+        report = distance_report(run.table("embeddings", pairs.vocabulary()), pairs)
     run.write(f"distances_{args.label}.csv", report.write_csv)
     run.write(f"distances_{args.label}.json", _json,
               {"space": args.label, "pair_count": report.pair_count,
@@ -333,9 +334,13 @@ def _cmd_downstream(args, run: _Run) -> None:
     # loaders, so that one table is held at a time; a split the documents
     # cannot fill with both labels on each side is the data's error
     with run.naming("data"):
-        result = run_downstream(lambda: run.table("raw", vocabulary),
-                                lambda: run.table("concat", vocabulary),
-                                data, test_fraction=args.test_fraction, seed=args.seed)
+        try:
+            result = run_downstream(lambda: run.table("raw", vocabulary),
+                                    lambda: run.table("concat", vocabulary),
+                                    data, test_fraction=args.test_fraction, seed=args.seed)
+        except ArmInputError as exc:  # the arm's table, not the data, is at fault
+            with run.naming(exc.arm):
+                raise
     run.write("downstream.json", _json, result.to_dict())
     run.log(f"downstream[{run.paths['data'].name}]: raw {result.accuracy_raw:.3f} -> "
             f"concat {result.accuracy_concat:.3f} "

@@ -19,6 +19,14 @@ from .network import _sigmoid
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 
+class ArmInputError(ValueError):
+    """A ValueError that the table of one arm, ``arm`` ("raw" or "concat"), causes."""
+
+    def __init__(self, arm: str, message: str):
+        super().__init__(message)
+        self.arm = arm
+
+
 @dataclass
 class TextDataset:
     records: list[tuple[str, int]]
@@ -129,7 +137,8 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
     Each arm's table comes from a zero-argument loader, called once the
     split is known to be sound; a table is released once its arm's
     documents are embedded, and their matrix once the arm is scored, before
-    the next one loads.
+    the next one loads. An arm whose document means overflow raises
+    :class:`ArmInputError`.
     """
     if not (0.0 < test_fraction < 0.5):
         raise ValueError("test_fraction must be in (0, 0.5)")
@@ -156,9 +165,12 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
             oov_tokens = sum(1 for toks in token_lists for t in toks if t not in table)
             oov_rate = oov_tokens / total_tokens if total_tokens else 0.0
         X = np.empty((len(order), table.dimension))
-        for row, doc in enumerate(order):
-            X[row] = embed_document(table, token_lists[doc])
+        with np.errstate(over="ignore", invalid="ignore"):  # a mean may overflow
+            for row, doc in enumerate(order):
+                X[row] = embed_document(table, token_lists[doc])
         del table
+        if not np.isfinite(X).all():
+            raise ArmInputError(arm, "a document's mean vector overflows")
         w, b = train_linear(X[:n_train], labels[train_idx])
         p = _sigmoid(X[n_train:] @ w + b)
         del X  # before the next arm's loader runs

@@ -304,42 +304,35 @@ def write_embedding_text(table: EmbeddingTable, stream: IO[str]) -> int:
     return write_text_columns(table.words, [(table.matrix, None)], stream)
 
 
-def _unit_max(u: np.ndarray) -> np.ndarray:
-    """``u`` divided by its largest magnitude; raises for a zero vector."""
-    scale = float(np.max(np.abs(u))) if u.size else 0.0
-    if scale == 0.0:
-        raise ValueError("degenerate vector")
-    return u / scale
+def cosine_distance(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Cosine distance 1 - cos(u, v), in [0, 2]: a float for two vectors, and
+    the ``n`` distances of their rows for two aligned ``(n, d)`` blocks.
 
-
-def _scalable(norm):
-    """Whether a norm, or each of an array of norms, lies where the squares
-    inside ``np.linalg.norm`` neither go subnormal nor overflow."""
-    return (1e-150 < norm) & (norm < 1e150)
-
-
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine distance 1 - cos(u, v), in [0, 2].
-
-    Raises for zero-norm inputs ("degenerate vector") and dimension
-    mismatch; this is the exact metric, with no epsilon guard.
+    Raises for a zero-norm row ("degenerate vector") and for unequal shapes
+    ("dimension mismatch"); this is the exact metric, with no epsilon guard.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    with np.errstate(over="ignore"):  # an overflowing norm reads inf
-        nu = np.linalg.norm(u)
-        nv = np.linalg.norm(v)
-    # Outside this range the squares inside norm() go subnormal (a vector
-    # near 1e-160 loses precision or reads as zero) or overflow: divide by
-    # the largest magnitude and measure again.
-    if not _scalable(nu):
-        u = _unit_max(u)
-        nu = np.linalg.norm(u)
-    if not _scalable(nv):
-        v = _unit_max(v)
-        nv = np.linalg.norm(v)
-    d = 1.0 - float(np.dot(u, v)) / float(nu * nv)
-    return min(max(d, 0.0), 2.0)
-
+    blocks = [u, v] if u.ndim == 2 else [u.reshape(1, -1), v.reshape(1, -1)]
+    norms = []
+    for k, X in enumerate(blocks):
+        # np.vecdot (numpy 2) takes each row's dot as np.dot does, so a row's
+        # distance has the same bits in any block and as a single vector
+        with np.errstate(over="ignore"):  # an overflowing norm reads inf
+            norm = np.sqrt(np.vecdot(X, X))
+        # Outside this range the squares go subnormal (a vector near 1e-160
+        # loses precision or reads as zero) or overflow: divide the row by its
+        # largest magnitude and measure it again.
+        far = ~((1e-150 < norm) & (norm < 1e150))
+        if far.any():
+            scale = np.max(np.abs(X[far]), axis=-1, initial=0.0)
+            if not scale.all():
+                raise ValueError("degenerate vector")
+            X = blocks[k] = X.copy()  # the caller's rows are left as they are
+            X[far] /= scale[:, None]
+            norm[far] = np.sqrt(np.vecdot(X[far], X[far]))
+        norms.append(norm)
+    d = np.clip(1.0 - np.vecdot(*blocks) / (norms[0] * norms[1]), 0.0, 2.0)
+    return d if u.ndim == 2 else float(d[0])

@@ -10,7 +10,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .boosting import boosted_proba, train_boosted_trees
-from .embeddings import EmbeddingTable, _scalable, cosine_distance, gather_rows
+from .embeddings import EmbeddingTable, cosine_distance, gather_rows
 from .network import _labelled_matrix, _sigmoid, logistic_loss
 from .pairs import ANTONYM, SYNONYM, PairSet
 
@@ -92,22 +92,12 @@ def _pair_rows(tables: list[EmbeddingTable], pairs: PairSet):
 
 
 def _row_distances(M: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``cosine_distance(M[left[k]], M[right[k]])`` for every ``k``, bit for bit.
-
-    Dots and norms are taken a block of rows at a time by ``np.vecdot``,
-    which forms each row's dot as ``np.dot`` does (and so needs numpy 2);
-    a row whose norm :func:`cosine_distance` would rescale goes through it.
-    """
+    """``cosine_distance(M[left[k]], M[right[k]])`` for every ``k``, taken a
+    block of gathered rows at a time."""
     d = np.empty(len(left))
     step = gather_rows(M.shape[1])
     for lo in range(0, len(left), step):
-        U, V = M[left[lo:lo + step]], M[right[lo:lo + step]]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            nu, nv = np.sqrt(np.vecdot(U, U)), np.sqrt(np.vecdot(V, V))
-            block = np.clip(1.0 - np.vecdot(U, V) / (nu * nv), 0.0, 2.0)
-        for k in np.flatnonzero(~(_scalable(nu) & _scalable(nv))):
-            block[k] = cosine_distance(U[k], V[k])
-        d[lo:lo + step] = block
+        d[lo:lo + step] = cosine_distance(M[left[lo:lo + step]], M[right[lo:lo + step]])
     return d
 
 

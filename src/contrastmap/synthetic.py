@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -79,17 +80,12 @@ def planted_world(n_words: int = 5000, dim: int = 50, hidden_dim: int = 6,
         rows[blk] *= noise
         rows[blk] += (np.matmul(A, z[:, :, None])[..., 0]
                       + gain * np.matmul(B, carrier[:, :, None])[..., 0])
-    polarity = dict(zip(words, signs.tolist()))
+    signed = list(zip(words, signs.tolist()))
+    polarity = dict(signed)
     del bases, jitter, draws, signs, group
     table = EmbeddingTable(words=words, matrix=rows)
-
-    pair_list: list[LabeledPair] = []
-    for g_start in groups:
-        members = words[g_start:g_start + group_size]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                rel = SYNONYM if polarity[members[i]] == polarity[members[j]] else ANTONYM
-                pair_list.append(LabeledPair(members[i], members[j], rel))
+    pair_list = [LabeledPair(a, b, SYNONYM if s == t else ANTONYM) for g in groups
+                 for (a, s), (b, t) in combinations(signed[g:g + group_size], 2)]
     return PlantedWorld(table=table, pairs=PairSet(pairs=pair_list),
                         polarity=polarity, group_size=group_size)
 

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,43 @@ def test_downstream_on_malformed_data_exits_0_or_names_the_input(fixtures, text)
         assert err.startswith(f"input-error: --data {path}: "), err
 
 
+# values of both signs from the least subnormal to 1e308, most of them far
+# outside the range where a norm's squares neither underflow nor overflow
+_vector_value = st.tuples(st.sampled_from(["", "-"]), st.floats(5e-324, 1e308)).map(
+    lambda p: p[0] + repr(p[1]))
+_group_word = st.integers(0, 9).map("w{:05d}".format)  # the first two groups
+_vector_word = st.one_of(_group_word, _group_word, _fixture_word)
+_vector_line = st.integers(1, 4).map(lambda dim: st.tuples(
+    _vector_word, st.lists(_vector_value, min_size=dim, max_size=dim)).map(
+        lambda p: " ".join([p[0], *p[1]])))
+# the first line and three of four after it are vectors of the text's dimension
+_vector_text = _vector_line.flatmap(lambda line: st.tuples(line, st.lists(
+    st.one_of(line, line, line, st.text(max_size=30)), max_size=40))).map(
+        lambda p: "\n".join([p[0], *p[1]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_vector_text, _vector_text, st.text()))
+@example("w00000 1e308 -1e308\nw00001 5e-324 1e-200\nw00002 -1e300 1e-310\nw00003 3 4")
+def test_eval_distances_on_malformed_embeddings_exits_0_or_names_the_input(fixtures, text):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        path, out = Path(tmp) / "input", Path(tmp) / "out"
+        path.write_bytes(text.encode("utf-8"))
+        code = run(["eval-distances", "--pairs", str(fixtures["pairs"]),
+                    "--embeddings", str(path), "--out", str(out), "--quiet"])
+        summary = _strict_json(out / "distances_raw.json") if code == 0 else None
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith(f"input-error: --embeddings {path}: "), err
+        return
+    for key in ("syn_mean", "syn_std", "ant_mean", "ant_std"):
+        assert summary[key] is None or math.isfinite(summary[key]), summary
+    for key in ("syn_mean", "ant_mean"):
+        assert summary[key] is None or 0.0 <= summary[key] <= 2.0, summary
+
+
 @pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
 def test_train_default_dims_must_contract(fixtures, tmp_path, capsys, mode):
     # the default map [m, 128, 40] does not contract 20-d vectors
@@ -358,6 +396,22 @@ def test_parse_errors_name_the_input(fixtures, tmp_path, capsys, flag, content, 
                 "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"input-error: {flag} {bad}: {message}")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--concat", "--raw"])
+def test_downstream_names_the_table_whose_document_means_overflow(tmp_path, capsys, flag):
+    finite, huge, data = (tmp_path / name for name in ("finite.txt", "huge.txt", "data.csv"))
+    finite.write_text("w0 1 0\nw1 0 1\nw2 1 1\n")
+    huge.write_text("w0 1e308 -1e308\nw1 1e308 1e308\nw2 -1e308 1e308\n")
+    docs = ["w0 w1", "w1 w2", "w0 w2 w1", "w2 w0"]
+    data.write_text("text,label\n" + "".join(f"{d},{i % 2}\n" for i, d in enumerate(docs * 2)))
+    inputs = {"--raw": finite, "--concat": finite, flag: huge}
+    code = run(["downstream", *[str(a) for kv in inputs.items() for a in kv],
+                "--data", str(data), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (f"input-error: {flag} {huge}: "
+                                       "a document's mean vector overflows\n")
 
 
 def test_type_error_while_an_input_is_open_propagates(fixtures, tmp_path, monkeypatch):

@@ -88,8 +88,16 @@ def test_cosine_distance_canonical_values():
 def test_cosine_distance_errors():
     with pytest.raises(ValueError, match="degenerate vector"):
         cosine_distance([0, 0], [1, 0])
+    with pytest.raises(ValueError, match="degenerate vector"):
+        cosine_distance([1e200, 0], [0, 0])
+    with pytest.raises(ValueError, match="degenerate vector"):
+        cosine_distance([], [])
+    with pytest.raises(ValueError, match="degenerate vector"):
+        cosine_distance([[1, 0], [0, 0]], [[1, 0], [1, 0]])
     with pytest.raises(ValueError, match="mismatch"):
         cosine_distance([1, 0], [1, 0, 0])
+    with pytest.raises(ValueError, match="mismatch"):
+        cosine_distance([[1, 0]], [1, 0])
 
 
 @pytest.mark.filterwarnings("error")

@@ -89,7 +89,7 @@ def _reference_distance_report(table, pairs):
         if u is None or v is None:
             unresolved += 1
             continue
-        d = cosine_distance(u, v)
+        d = _reference_cosine_distance(u, v)
         counts, dists = (syn_counts, syn_d) if p.relation == SYNONYM else (ant_counts, ant_d)
         counts[min(int(d / 0.02), 99)] += 1
         dists.append(d)
@@ -109,7 +109,7 @@ def _reference_shift_records(before, after, pairs):
         if ub is None or vb is None or ua is None or va is None:
             unresolved += 1
             continue
-        db, da = cosine_distance(ub, vb), cosine_distance(ua, va)
+        db, da = _reference_cosine_distance(ub, vb), _reference_cosine_distance(ua, va)
         records.append((p.left, p.right, p.relation, db, da, da - db))
     return records, unresolved
 
@@ -150,8 +150,36 @@ def test_shift_report_records_recompute():
         assert sh == da - db
 
 
+def _reference_unit_max(u):
+    # frozen: the rescaling helper of the scalar cosine distance that the
+    # row-block one replaced
+    scale = float(np.max(np.abs(u))) if u.size else 0.0
+    if scale == 0.0:
+        raise ValueError("degenerate vector")
+    return u / scale
+
+
+def _reference_cosine_distance(u, v):
+    # frozen: the scalar cosine distance, one pair at a time
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    with np.errstate(over="ignore"):
+        nu = np.linalg.norm(u)
+        nv = np.linalg.norm(v)
+    if not (1e-150 < nu < 1e150):
+        u = _reference_unit_max(u)
+        nu = np.linalg.norm(u)
+    if not (1e-150 < nv < 1e150):
+        v = _reference_unit_max(v)
+        nv = np.linalg.norm(v)
+    d = 1.0 - float(np.dot(u, v)) / float(nu * nv)
+    return min(max(d, 0.0), 2.0)
+
+
 def _scalar_distances(M, left, right):
-    return np.array([cosine_distance(M[i], M[j]) for i, j in zip(left, right)])
+    return np.array([_reference_cosine_distance(M[i], M[j]) for i, j in zip(left, right)])
 
 
 @pytest.mark.parametrize("dim", [4, 40, 50, 300, 340])
@@ -161,6 +189,39 @@ def test_row_distances_equal_the_scalar_distance_bit_for_bit(dim):
     M = rng.standard_normal((500, dim)) * 10.0 ** rng.integers(-8, 9, size=(500, 1))
     left, right = rng.integers(0, 500, size=(2, 2000))
     assert _row_distances(M, left, right).tobytes() == _scalar_distances(M, left, right).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [1, 2, 4, 40, 50, 300, 340])
+def test_cosine_distance_of_row_blocks_equals_the_scalar_reference(dim):
+    rng = np.random.default_rng(100 + dim)
+    # rows from 1e-200 to 1e200: many norms leave (1e-150, 1e150), some overflow
+    M = rng.standard_normal((400, dim)) * 10.0 ** rng.integers(-200, 201, size=(400, 1))
+    left, right = rng.integers(0, 400, size=(2, 1500))
+    expected = _scalar_distances(M, left, right).tobytes()
+    assert cosine_distance(M[left], M[right]).tobytes() == expected
+    assert _row_distances(M, left, right).tobytes() == expected
+    singles = [cosine_distance(M[i], M[j]) for i, j in zip(left[:200], right[:200])]
+    assert all(type(d) is float for d in singles)
+    assert np.array(singles).tobytes() == expected[:200 * 8]
+
+
+_EXTREME_PAIRS = [
+    ([1.2775512486188477e-160], [3.0]), ([1.2775512486188477e-160 / 128], [3.0]),
+    ([5e-324, 0.0], [0.0, 1e300]), ([1e200, 1e200], [1.0, 1.0]),
+    ([1e-170, -1e-170], [-2.0, 2.0]), ([1e308, -1e308, 1e308], [1e308, 1e308, 5e-324]),
+    ([5e-324, -5e-324], [1e-300, 2e-300]), ([1e-150, 0.0], [0.0, 1e150]),
+    ([1.5e-150, 2.0], [-1e155, 3e-160]), ([7.0], [-1e-310]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u,v", _EXTREME_PAIRS)
+def test_cosine_distance_of_extreme_pairs_equals_the_scalar_reference(u, v):
+    expected = _reference_cosine_distance(u, v)
+    assert cosine_distance(u, v) == expected and type(cosine_distance(u, v)) is float
+    assert cosine_distance(np.array([u]), np.array([v])).tolist() == [expected]
+    assert cosine_distance(v, u) == _reference_cosine_distance(v, u)
 
 
 @pytest.mark.filterwarnings("error")
