@@ -3,6 +3,7 @@ pull synonyms together and push antonyms apart, and evaluate the result."""
 
 __version__ = "0.1.0"
 
+from .errors import InputError
 from .embeddings import (EmbeddingTable, cosine_distance, parse_embedding_text,
                          write_embedding_text)
 from .pairs import (LabeledPair, PairSet, SplitResult, Triplet, build_triplets,
@@ -23,6 +24,7 @@ from .synthetic import (PlantedWorld, planted_world, sentiment_corpus,
                         write_sentiment_csv)
 
 __all__ = [
+    "InputError",
     "EmbeddingTable", "cosine_distance", "parse_embedding_text",
     "write_embedding_text",
     "LabeledPair", "PairSet", "SplitResult", "Triplet", "build_triplets",

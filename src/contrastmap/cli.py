@@ -2,7 +2,7 @@
 
 Every subcommand confines its outputs to ``--out`` and writes a ``run.json``
 manifest with sha256 hashes of inputs and artifacts, so reruns can be
-audited byte for byte. Exit codes: 1 usage, 2 input/parse, 3 numeric failure.
+audited byte for byte. Exit codes: 1 usage, 2 input, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .embeddings import parse_embedding_text, write_embedding_text
+from .errors import InputError, blaming
 from .network import (MODEL_FORMAT_VERSION, DivergenceError, load_params,
                       save_params)
 from .pairs import (build_triplets, component_stats, load_pairs, split_pairs,
@@ -28,7 +29,7 @@ from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig, _default_dims,
 from .training import concat_embeddings  # noqa: F401
 from .evaluation import (build_accuracy_table, distance_report, extreme_pairs,
                          shift_report)
-from .downstream import ArmInputError, load_text_csv, run_downstream, tokenize
+from .downstream import load_text_csv, run_downstream, tokenize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,10 +85,6 @@ def _fixed(x: float | None, spec: str) -> str:
     return "none" if x is None else format(x, spec)
 
 
-class _NamedInputError(ValueError):
-    """A ValueError whose message starts with the input it came from."""
-
-
 # parsed-argument fields that steer the run but are not part of its config
 _NOT_CONFIG = ("out", "quiet", "subcommand", "func", "inputs")
 
@@ -117,24 +114,11 @@ class _Run:
         self.out.mkdir(parents=True, exist_ok=True)
 
     @contextlib.contextmanager
-    def naming(self, name: str):
-        """Re-raise a ValueError raised inside with ``--<flag> <path>: `` in
-        front, so the message names input ``name``; one that already names an
-        input passes unchanged."""
-        try:
-            yield
-        except _NamedInputError:
-            raise
-        except ValueError as exc:
-            raise _NamedInputError(
-                f"--{name.replace('_', '-')} {self.paths[name]}: {exc}") from None
-
-    @contextlib.contextmanager
     def open(self, name: str, newline: str | None = None):
-        """Input ``name`` as text, with any UTF-8 byte-order mark dropped; a
-        ValueError raised while it is open, a bad encoding included, names it."""
-        with self.naming(name), open(self.paths[name], "r", encoding="utf-8-sig",
-                                     newline=newline) as f:
+        """Input ``name`` as text, with any UTF-8 byte-order mark dropped; an
+        InputError raised while it is open, a bad encoding included, is its."""
+        with blaming(name), open(self.paths[name], "r", encoding="utf-8-sig",
+                                 newline=newline) as f:
             yield f
 
     def table(self, name: str, vocabulary=None):
@@ -194,13 +178,14 @@ def _cmd_split(args, run: _Run) -> None:
 
 def _cmd_stats(args, run: _Run) -> None:
     pairs = run.pairs("pairs")
-    summary = {
-        "pairs": len(pairs),
-        **component_stats(pairs),
-        "synonym_pairs": len(pairs.by_relation("synonym")),
-        "antonym_pairs": len(pairs.by_relation("antonym")),
-        "skipped_lines": pairs.skipped_lines,
-    }
+    with blaming("pairs"):  # no graph where every pair conflicts
+        summary = {
+            "pairs": len(pairs),
+            **component_stats(pairs),
+            "synonym_pairs": len(pairs.by_relation("synonym")),
+            "antonym_pairs": len(pairs.by_relation("antonym")),
+            "skipped_lines": pairs.skipped_lines,
+        }
     run.write("stats.json", _json, summary)
     run.log(f"stats: {summary['component_count']} components, giant share "
             f"{summary['giant_share_of_pairs']:.3f}")
@@ -239,19 +224,20 @@ def _cmd_train(args, run: _Run) -> None:
             head_dims = _head_dims(layer_dims[-1], head_dims)
         except ValueError as exc:  # its messages start with "head_dims"
             raise UsageError("--head-dims" + str(exc).removeprefix("head_dims")) from None
-    triplets = build_triplets(pairs, cap_per_anchor=args.cap_per_anchor,
-                              seed=args.seed)
+    with blaming("pairs"):  # pairs of one relation hold no triplet
+        triplets = build_triplets(pairs, cap_per_anchor=args.cap_per_anchor, seed=args.seed)
     train_config = TrainConfig(
         layer_dims=layer_dims, hidden_activation=args.activation,
         learning_rate=args.lr, batch_size=args.batch_size,
         max_epochs=args.epochs, early_stop_patience=args.patience,
         validation_fraction=args.val_fraction, seed=args.seed, mode=mode,
         head_dims=head_dims)
-    if mode == BASELINE:
-        params, report = train_baseline(table, triplets, train_config)
-    else:
-        params, head, report = train_classifier_system(table, triplets, train_config)
-        run.write("head.json", save_params, head)
+    with blaming("embeddings"):  # a table that resolves no triplet names itself
+        if mode == BASELINE:
+            params, report = train_baseline(table, triplets, train_config)
+        else:
+            params, head, report = train_classifier_system(table, triplets, train_config)
+            run.write("head.json", save_params, head)
     run.write("model.json", save_params, params)
     # wall_time is logged, not serialized: artifacts must be rerun-identical
     run.write("report.json", _json, report.to_dict(include_wall_time=False))
@@ -263,10 +249,11 @@ def _cmd_transform(args, run: _Run) -> None:
     with run.open("model") as f:
         params = load_params(f)
     table = run.table("embeddings")
-    if params.input_dim != table.dimension:
-        raise ValueError(f"--model {run.paths['model']}: input dimension {params.input_dim} "
-                         f"!= --embeddings dimension {table.dimension}")
-    new = transform_vocabulary(params, table)
+    with blaming("model"):  # a model that maps every vector to zero, say
+        if params.input_dim != table.dimension:
+            raise InputError(f"input dimension {params.input_dim} "
+                             f"!= --embeddings dimension {table.dimension}")
+        new = transform_vocabulary(params, table)
     run.write("transformed.txt", write_embedding_text, new)
     # written from the two tables' rows: the concatenated table is never built
     run.write("concat.txt", write_concat_text, table, new)
@@ -276,7 +263,7 @@ def _cmd_transform(args, run: _Run) -> None:
 
 def _cmd_eval_distances(args, run: _Run) -> None:
     pairs = run.pairs("pairs")
-    with run.naming("embeddings"):  # a table that resolves none of the pairs names itself
+    with blaming("embeddings"):  # a table that resolves none of the pairs names itself
         report = distance_report(run.table("embeddings", pairs.vocabulary()), pairs)
     run.write(f"distances_{args.label}.csv", report.write_csv)
     run.write(f"distances_{args.label}.json", _json,
@@ -292,8 +279,13 @@ def _shifts(run: _Run):
     """Shift report of the ``--pairs`` between ``--before`` and ``--after``."""
     pairs = run.pairs("pairs")
     vocabulary = pairs.vocabulary()
-    return shift_report(run.table("before", vocabulary),
-                        run.table("after", vocabulary), pairs)
+    before, after = run.table("before", vocabulary), run.table("after", vocabulary)
+    try:
+        return shift_report(before, after, pairs)
+    except InputError as exc:  # no pair resolves in both tables: the pair file's error
+        held = [sum(w in table for w in vocabulary) for table in (before, after)]
+        raise InputError(f"{exc}: --before holds {held[0]} and --after {held[1]} "
+                         f"of its {len(vocabulary)} words", "pairs") from None
 
 
 def _cmd_eval_shifts(args, run: _Run) -> None:
@@ -333,14 +325,10 @@ def _cmd_downstream(args, run: _Run) -> None:
     vocabulary = {t for text, _ in data.records for t in tokenize(text)}
     # loaders, so that one table is held at a time; a split the documents
     # cannot fill with both labels on each side is the data's error
-    with run.naming("data"):
-        try:
-            result = run_downstream(lambda: run.table("raw", vocabulary),
-                                    lambda: run.table("concat", vocabulary),
-                                    data, test_fraction=args.test_fraction, seed=args.seed)
-        except ArmInputError as exc:  # the arm's table, not the data, is at fault
-            with run.naming(exc.arm):
-                raise
+    with blaming("data"):
+        result = run_downstream(lambda: run.table("raw", vocabulary),
+                                lambda: run.table("concat", vocabulary),
+                                data, test_fraction=args.test_fraction, seed=args.seed)
     run.write("downstream.json", _json, result.to_dict())
     run.log(f"downstream[{run.paths['data'].name}]: raw {result.accuracy_raw:.3f} -> "
             f"concat {result.accuracy_concat:.3f} "
@@ -424,8 +412,10 @@ def run(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:  # parse errors are ValueErrors
-        print(f"input-error: {exc}", file=sys.stderr)
+    except (InputError, OSError) as exc:
+        name = getattr(exc, "input", None)  # an InputError comes once the job is set up
+        where = f"--{name.replace('_', '-')} {job.paths[name]}: " if name else ""
+        print(f"input-error: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DivergenceError, ArithmeticError) as exc:
         print(f"numeric-error: {exc}", file=sys.stderr)

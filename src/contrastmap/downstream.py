@@ -7,24 +7,17 @@ import csv
 import hashlib
 import re
 from importlib import resources
-from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator
+from dataclasses import asdict, dataclass
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, _as_lines
+from .errors import InputError
 from .evaluation import train_linear
 from .network import _sigmoid
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
-
-
-class ArmInputError(ValueError):
-    """A ValueError that the table of one arm, ``arm`` ("raw" or "concat"), causes."""
-
-    def __init__(self, arm: str, message: str):
-        super().__init__(message)
-        self.arm = arm
 
 
 @dataclass
@@ -49,47 +42,28 @@ class DownstreamResult:
     split_hash: str
 
     def to_dict(self) -> dict:
-        return {"dataset": self.dataset_name,
-                "accuracy_raw": self.accuracy_raw,
-                "accuracy_concat": self.accuracy_concat,
-                "relative_gain": self.relative_gain,
-                "train_size": self.train_size,
-                "test_size": self.test_size,
-                "oov_rate": self.oov_rate,
-                "split_hash": self.split_hash}
-
-
-def _csv_rows(lines: Iterable[str]) -> Iterator[list[str]]:
-    """``csv.reader``'s rows; a row it cannot read, such as one with a field
-    over ``csv.field_size_limit()`` (131,072 characters by default), is a
-    ValueError naming its line."""
-    reader = csv.reader(lines)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
+        doc = asdict(self)
+        doc["dataset"] = doc.pop("dataset_name")
+        return doc
 
 
 def load_text_csv(stream: str | IO[str], name: str = "") -> TextDataset:
-    """Load a `text,label` CSV with standard double-quote escaping."""
-    reader = _csv_rows(_as_lines(stream))
+    """Load a `text,label` CSV with standard double-quote escaping. A row
+    ``csv.reader`` cannot read, such as one with a field over
+    ``csv.field_size_limit()`` (131,072 characters by default), is an
+    InputError naming its line."""
+    reader = csv.reader(_as_lines(stream))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("missing header") from None
-    if [c.strip().lower() for c in header] != ["text", "label"]:
-        raise ValueError("missing header: expected 'text,label'")
-    records: list[tuple[str, int]] = []
-    skipped = 0
-    for row in reader:
-        if len(row) != 2 or row[1].strip() not in ("0", "1"):
-            skipped += 1
-            continue
-        records.append((row[0], int(row[1].strip())))
-    labels = {y for _, y in records}
-    if labels != {0, 1}:
-        raise ValueError("dataset must contain both labels")
-    return TextDataset(records=records, name=name, skipped_rows=skipped)
+        rows = list(reader)
+    except csv.Error as exc:
+        raise InputError(f"CSV line {reader.line_num}: {exc}") from None
+    if not rows or [c.strip().lower() for c in rows[0]] != ["text", "label"]:
+        raise InputError("missing header: expected 'text,label'")
+    records = [(row[0], int(row[1].strip())) for row in rows[1:]
+               if len(row) == 2 and row[1].strip() in ("0", "1")]
+    if {y for _, y in records} != {0, 1}:
+        raise InputError("dataset must contain both labels")
+    return TextDataset(records=records, name=name, skipped_rows=len(rows) - 1 - len(records))
 
 
 def load_bundled_corpus() -> TextDataset:
@@ -137,8 +111,8 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
     Each arm's table comes from a zero-argument loader, called once the
     split is known to be sound; a table is released once its arm's
     documents are embedded, and their matrix once the arm is scored, before
-    the next one loads. An arm whose document means overflow raises
-    :class:`ArmInputError`.
+    the next one loads. An arm whose document means overflow raises an
+    :class:`InputError` naming the arm, ``"raw"`` or ``"concat"``.
     """
     if not (0.0 < test_fraction < 0.5):
         raise ValueError("test_fraction must be in (0, 0.5)")
@@ -148,7 +122,7 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
     train_idx, test_idx = _stratified_split(labels, test_fraction, seed)
     for side in (train_idx, test_idx):
         if len(set(labels[side].tolist())) < 2:
-            raise ValueError("degenerate split: one side is single-class")
+            raise InputError("degenerate split: one side is single-class")
     split_hash = hashlib.sha256(
         (",".join(map(str, train_idx)) + "|" + ",".join(map(str, test_idx))).encode()
     ).hexdigest()
@@ -170,18 +144,15 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
                 X[row] = embed_document(table, token_lists[doc])
         del table
         if not np.isfinite(X).all():
-            raise ArmInputError(arm, "a document's mean vector overflows")
+            raise InputError("a document's mean vector overflows", arm)
         w, b = train_linear(X[:n_train], labels[train_idx])
         p = _sigmoid(X[n_train:] @ w + b)
         del X  # before the next arm's loader runs
-        pred = (p >= 0.5).astype(int)
-        accuracies[arm] = float(np.mean(pred == labels[test_idx]))
+        accuracies[arm] = float(np.mean((p >= 0.5) == labels[test_idx]))
 
-    acc_raw = accuracies["raw"]
-    acc_concat = accuracies["concat"]
+    acc_raw, acc_concat = accuracies["raw"], accuracies["concat"]
     gain = (acc_concat - acc_raw) / acc_raw if acc_raw > 0 else 0.0
-    return DownstreamResult(dataset_name=data.name,
-                            accuracy_raw=acc_raw, accuracy_concat=acc_concat,
-                            relative_gain=gain,
+    return DownstreamResult(dataset_name=data.name, accuracy_raw=acc_raw,
+                            accuracy_concat=acc_concat, relative_gain=gain,
                             train_size=len(train_idx), test_size=len(test_idx),
                             oov_rate=oov_rate, split_hash=split_hash)

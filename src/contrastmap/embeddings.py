@@ -10,10 +10,11 @@ matrix's width, and the constructor checks the two agree.
 
 The reader is one loop that stores each row straight into the next row of
 one matrix; an unusable row is overwritten by the next. orjson, whose number
-reader rounds as ``float`` does, reads a row of JSON floats: one with no
+reader rounds as ``float`` does, reads a row of JSON numbers: one with no
 ``"``, ``[`` or ``{`` and one ``.`` per value (a JSON number holds one only
-if it is a float), or else whose values all load as floats. Any other row
-(ints, other spacing, ``nan``) converts token by token by ``float``'s rules.
+if it is a float), or else whose values all load as floats or ints, with no
+``-0`` among them. Any other row (a ``-0``, other spacing, ``nan``) converts
+token by token by ``float``'s rules.
 The first accepted row sizes the matrix: under a ``count dim`` header, for
 ``count`` rows, cut to the rows accepted, so a parse whose count is at least
 its rows peaks near 1.0 times its matrix; without one, or past a count that
@@ -42,9 +43,7 @@ from typing import IO, Container, Iterable, Iterator, Sized
 import numpy as np
 import orjson
 
-
-class EmbeddingParseError(ValueError):
-    """Raised when a vector stream cannot be parsed at all."""
+from .errors import InputError
 
 
 @dataclass
@@ -91,9 +90,7 @@ def _as_lines(stream: str | IO[str] | Iterable[str]) -> Iterable[str]:
 
 
 def _is_header(tokens: list[str]) -> bool:
-    if len(tokens) != 2:
-        return False
-    return all(t.isdigit() for t in tokens)
+    return len(tokens) == 2 and all(t.isdigit() for t in tokens)
 
 
 def _allocated(count: str, dim: int, vocabulary: Container[str] | None) -> np.ndarray:
@@ -109,7 +106,7 @@ def _allocated(count: str, dim: int, vocabulary: Container[str] | None) -> np.nd
         return np.empty((0, dim))
 
 
-def _floats(values: list[str] | list[float], matrix: np.ndarray, i: int) -> None:
+def _floats(values: list[str] | list[float | int], matrix: np.ndarray, i: int) -> None:
     """Store a row's values as row ``i`` of the C-contiguous float64 ``matrix``;
     tokens convert by Python's ``float`` rules."""
     if isinstance(values[0], str):
@@ -118,14 +115,15 @@ def _floats(values: list[str] | list[float], matrix: np.ndarray, i: int) -> None
     struct.pack_into(f"{matrix.shape[1]}d", matrix, i * matrix.strides[0], *values)
 
 
-def _json_floats(rest: str) -> list[float] | None:
-    """The values of ``rest`` if it is JSON floats split by single spaces, else None.
+def _json_floats(rest: str) -> list[float | int] | None:
+    """The values of ``rest`` if it is JSON numbers split by single spaces, else None.
 
-    Every JSON float is a valid ``float`` literal, and orjson rounds it as
-    ``float`` does, so a result converts to the bits ``rest.split()`` does.
-    Anything else (ints, where ``-0`` would lose its sign, other JSON values,
-    a comma that ``split`` would not split at, any other spacing) is None
-    and left to the per-token conversion.
+    Every JSON number is a valid ``float`` literal, and orjson rounds a float
+    as ``float`` does; an int it returns converts to the float ``float`` reads
+    from its text, except ``-0``, whose sign the int drops. So a result
+    converts to the bits ``rest.split()`` does. Anything else (a ``-0``,
+    other JSON values, a comma that ``split`` would not split at, any other
+    spacing) is None and left to the per-token conversion.
     """
     if "," in rest:
         return None
@@ -137,7 +135,8 @@ def _json_floats(rest: str) -> list[float] | None:
     # null; a JSON number holds at most one ".", and holds one only if it is a float
     if rest.count(".") == len(values) and not ('"' in rest or "[" in rest or "{" in rest):
         return values
-    return values if {*map(type, values)} == {float} else None
+    exact = {*map(type, values)} <= {float, int} and "-0" not in rest.split()
+    return values if exact else None
 
 
 def parse_embedding_text(stream: str | IO[str] | Iterable[str],
@@ -177,7 +176,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                 values = line.split()[1:]
             if dim is None:
                 if not values:
-                    raise EmbeddingParseError("bad format")
+                    raise InputError("bad format")
                 if matrix.shape[1] != len(values):
                     matrix = _allocated(count, len(values), vocabulary)
             elif len(values) != dim:
@@ -189,7 +188,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                 _floats(values, matrix, filled)
             except ValueError as exc:
                 if dim is None:  # no row has fixed the dimension yet
-                    raise EmbeddingParseError("bad format") from exc
+                    raise InputError("bad format") from exc
                 skipped += 1
                 continue
             row = matrix[filled]
@@ -207,7 +206,7 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
             words.append(word)
             filled += 1
     if dim is None:
-        raise EmbeddingParseError("no vectors")
+        raise InputError("no vectors")
     matrix.resize((filled, dim), refcheck=False)
     seen.clear()  # the table builds its own index
     return EmbeddingTable(words=words, matrix=matrix,

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Callable
 
 import numpy as np
 
 from .boosting import boosted_proba, train_boosted_trees
 from .embeddings import EmbeddingTable, cosine_distance, gather_rows
+from .errors import InputError, blaming
 from .network import _labelled_matrix, _sigmoid, logistic_loss
 from .pairs import ANTONYM, SYNONYM, PairSet
 
@@ -64,8 +65,7 @@ class AccuracyTable:
     config: dict
 
     def to_dict(self) -> dict:
-        return {"accuracies": self.accuracies, "counts": self.counts,
-                "config": self.config}
+        return asdict(self)
 
     def format_text(self) -> str:
         lines = [f"{'space':<14}{'linear':>10}{'boosted':>10}"]
@@ -86,7 +86,7 @@ def _pair_rows(tables: list[EmbeddingTable], pairs: PairSet):
     rows = [(t.indices(lefts), t.indices(rights)) for t in tables]
     found = np.logical_and.reduce([(i >= 0) & (j >= 0) for i, j in rows])
     if not found.any():
-        raise ValueError("no resolvable pairs")
+        raise InputError("no resolvable pairs")
     syn = np.array([p.relation == SYNONYM for p in pairs])[found]
     return found, syn, [(i[found], j[found]) for i, j in rows]
 
@@ -233,27 +233,36 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
                          boosted_config: dict | None = None) -> AccuracyTable:
     """3 spaces x 2 classifiers on the leakage-free split.
 
-    Any train/test vocabulary overlap aborts. The linear classifier is a
-    logistic regression on ``u + v``, each train pair counted once per order;
-    its score does not change when a pair is swapped. Whether u and v agree
-    or oppose along a direction, which tells synonyms from antonyms, is not
+    Bad data raises an :class:`InputError` naming the argument at fault: a
+    train/test vocabulary overlap, unresolvable pairs, train pairs of one
+    relation, or a table whose ``u + v`` overflows. The linear classifier, a
+    logistic regression on ``u + v`` with each train pair counted once per
+    order, scores a pair the same in either order. Whether u and v agree or
+    oppose along a direction, which tells synonyms from antonyms, is not
     linear in their sum, so its accuracy stays near chance where the boosted
-    trees' does not. The trees train on the order-augmented rows ``[u; v]``
-    and ``[v; u]`` of each pair, and their test predictions are
-    order-averaged by :func:`classify_accuracy`.
+    trees' does not; they train on the rows ``[u; v]`` and ``[v; u]`` of
+    each pair, order-averaged at test time by :func:`classify_accuracy`.
     """
-    if train_pairs.vocabulary() & test_pairs.vocabulary():
-        raise ValueError("leakage")
+    shared = train_pairs.vocabulary() & test_pairs.vocabulary()
+    if shared:
+        raise InputError(f"leakage: {min(shared)!r} is in both pair sets", "test_pairs")
     boosted = {**BOOSTED_DEFAULTS, **(boosted_config or {})}
     accuracies: dict[str, dict[str, float]] = {}
     counts: dict[str, dict[str, int]] = {}
-    for space, table in (("raw", raw), ("new", new), ("concatenated", concat)):
+    for space, name, table in (("raw", "raw", raw), ("new", "new", new),
+                               ("concatenated", "concat", concat)):
         M = table.matrix
-        _, y, ((left, right),) = _pair_rows([table], train_pairs)
-        _, y_test, ((left_test, right_test),) = _pair_rows([table], test_pairs)
-        # the full-width fit on both orders [u; v] and [v; u] of every pair has
-        # the weights [w; w], where w is the fit on u + v at twice the penalty
-        w, b = train_linear(M[left] + M[right], y, l2=2 * LINEAR_DEFAULTS["l2"])
+        with blaming("test_pairs"):
+            _, y_test, ((left_test, right_test),) = _pair_rows([table], test_pairs)
+        with blaming("train_pairs"):  # none resolve, or all are of one relation
+            _, y, ((left, right),) = _pair_rows([table], train_pairs)
+            with np.errstate(over="ignore"):
+                sums = M[left] + M[right]
+            if not np.isfinite(sums).all():  # values near the float64 limit
+                raise InputError("a train pair's u + v overflows", name)
+            # the full-width fit on both orders [u; v] and [v; u] of every pair has
+            # the weights [w; w], where w is the fit on u + v at twice the penalty
+            w, b = train_linear(sums, y, l2=2 * LINEAR_DEFAULTS["l2"])
         linear_pred = _sigmoid((M[left_test] + M[right_test]) @ w + b) >= 0.5
         # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u], filled a
         # block at a time into the one matrix the trees train on

@@ -17,6 +17,8 @@ from typing import IO
 
 import numpy as np
 
+from .errors import InputError
+
 COSINE_EPS = 1e-12
 MODEL_FORMAT_VERSION = 1
 
@@ -235,8 +237,8 @@ def _labelled_matrix(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"y must hold one label per row of X: {y.shape} for {len(X)} rows")
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("y must hold labels in {0, 1}")
-    if y.min() == y.max():
-        raise ValueError("single-class input")
+    if y.min() == y.max():  # a pair file of one relation, say
+        raise InputError("single-class input")
     return X, y
 
 
@@ -304,39 +306,40 @@ def params_to_dict(params: MlpParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> MlpParams:
+    """The net a model document describes; any other document raises InputError."""
     if not isinstance(doc, dict):
-        raise ValueError(f"model is a JSON {type(doc).__name__}, not an object")
+        raise InputError(f"model is a JSON {type(doc).__name__}, not an object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version {doc.get('format_version')!r}")
+        raise InputError(f"unsupported model format_version {doc.get('format_version')!r}")
     missing = [k for k in ("layer_dims", "hidden_activation", "weights", "biases")
                if k not in doc]
     if missing:
-        raise ValueError(f"model lacks {', '.join(missing)}")
-    dims = doc["layer_dims"]
-    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
-        raise ValueError(f"layer_dims must be a list of ints, got {dims!r}")
+        raise InputError(f"model lacks {', '.join(missing)}")
+    dims, activation = doc["layer_dims"], doc["hidden_activation"]
+    if not (isinstance(dims, list) and len(dims) > 1
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise InputError(f"layer_dims must be a list of two or more positive ints, got {dims!r}")
+    if activation not in ACTIVATIONS:
+        raise InputError(f"unknown activation {activation!r}")
     try:
         weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
         biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-    except (TypeError, OverflowError) as exc:  # not a list, an object, an int past float
-        raise ValueError(f"weights and biases must be lists of numbers: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, a string, an int past float
+        raise InputError(f"weights and biases must be lists of numbers: {exc}") from None
     if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
-        raise ValueError("layer count mismatch")
-    params = MlpParams(dims, None, doc["hidden_activation"])
-    for i, (W, b) in enumerate(zip(params.weights, params.biases)):
-        if weights[i].shape != W.shape or biases[i].shape != b.shape:
-            raise ValueError(f"bad shape at layer {i}")
+        raise InputError("layer count mismatch")
+    for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
+        if weights[i].shape != (fan_out, fan_in) or biases[i].shape != (fan_out,):
+            raise InputError(f"bad shape at layer {i}")
         # the shapes fix the nesting; float64 conversion also reads "1" and true
         other = {*map(type, chain.from_iterable(doc["weights"][i])),
                  *map(type, doc["biases"][i])} - {int, float}
         if other:
-            raise ValueError(f"weights and biases must be numbers, found "
+            raise InputError(f"weights and biases must be numbers, found "
                              f"{', '.join(sorted(t.__name__ for t in other))} at layer {i}")
         if not np.all(np.isfinite(weights[i])) or not np.all(np.isfinite(biases[i])):
-            raise ValueError(f"non-finite values at layer {i}")
-        W[...] = weights[i]
-        b[...] = biases[i]
-    return params
+            raise InputError(f"non-finite values at layer {i}")
+    return MlpParams(dims, np.concatenate([a.ravel() for a in weights + biases]), activation)
 
 
 def save_params(params: MlpParams, stream: IO[str]) -> None:
@@ -345,4 +348,8 @@ def save_params(params: MlpParams, stream: IO[str]) -> None:
 
 
 def load_params(stream: IO[str]) -> MlpParams:
-    return params_from_dict(json.load(stream))
+    try:
+        doc = json.load(stream)
+    except ValueError as exc:  # not JSON; an int of over 4,300 digits is one too
+        raise InputError(str(exc)) from None
+    return params_from_dict(doc)

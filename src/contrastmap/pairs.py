@@ -7,14 +7,11 @@ from typing import IO, Iterable
 import numpy as np
 
 from .embeddings import _as_lines
+from .errors import InputError
 
 SYNONYM = "synonym"
 ANTONYM = "antonym"
 RELATIONS = (SYNONYM, ANTONYM)
-
-
-class PairParseError(ValueError):
-    """Raised when a pair stream yields no usable records."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,7 +109,7 @@ def load_pairs(stream: str | IO[str] | Iterable[str]) -> PairSet:
             entries[key] = None
             dropped_conflicts += 2
     if not entries:
-        raise PairParseError("no pairs")
+        raise InputError("no pairs")
     return PairSet(pairs=[p for p in entries.values() if p is not None],
                    dropped_duplicates=dropped_duplicates,
                    dropped_conflicts=dropped_conflicts, skipped_lines=skipped)
@@ -146,7 +143,7 @@ def component_stats(pairs: PairSet) -> dict:
     """Statistics of the word graph whose edges are the pairs: its word count,
     its component count and the share of pairs in the largest component."""
     if not pairs:
-        raise ValueError("empty graph")
+        raise InputError("empty graph")
     uf = _UnionFind()
     for p in pairs:
         uf.union(p.left, p.right)
@@ -210,7 +207,7 @@ def build_triplets(train: PairSet, cap_per_anchor: int = 20,
         target.setdefault(p.right, set()).add(p.left)
     anchors = sorted(set(syn) & set(ant))
     if not anchors:
-        raise ValueError("no triplets")
+        raise InputError("no triplets")
     rng = np.random.default_rng(seed)
     triplets: list[Triplet] = []
     for w in anchors:

@@ -11,6 +11,7 @@ from typing import IO
 import numpy as np
 
 from .embeddings import EmbeddingTable, gather_rows, write_text_columns
+from .errors import InputError
 from .network import (DivergenceError, MlpParams, _backward,
                       _forward_cached, forward, init_optimizer,
                       init_params, logistic_loss, optimizer_step,
@@ -88,7 +89,7 @@ def resolve_triplets(table: EmbeddingTable, triplets: list[Triplet]):
                      table.indices([t.antonym for t in triplets])])
     resolved = (rows >= 0).all(axis=0)
     if not resolved.any():
-        raise ValueError("no resolvable triplets")
+        raise InputError("no resolvable triplets")
     return tuple(rows[:, resolved]), len(triplets) - int(np.count_nonzero(resolved))
 
 
@@ -270,7 +271,7 @@ def transform_vocabulary(contrast_map: MlpParams,
                            & (np.linalg.norm(block, axis=1) >= 1e-12))
     words = [w for w, k in zip(table.words, keep) if k]
     if not words:
-        raise ValueError("all transformed vectors degenerate")
+        raise InputError("all transformed vectors degenerate")
     return EmbeddingTable(words=words, matrix=out if len(words) == n else out[keep])
 
 

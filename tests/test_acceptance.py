@@ -13,12 +13,13 @@ import os
 import numpy as np
 import pytest
 
+from contrastmap import InputError
 from contrastmap.boosting import (_tree_predict, boosted_proba, logistic_loss,
                                   train_boosted_trees)
 from contrastmap.cli import run as cli_run
 from contrastmap.downstream import load_bundled_corpus, run_downstream
-from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
-                                    parse_embedding_text, write_embedding_text)
+from contrastmap.embeddings import (EmbeddingTable, parse_embedding_text,
+                                    write_embedding_text)
 from contrastmap.evaluation import build_accuracy_table
 from contrastmap.network import (MlpParams, init_params, load_params,
                                  pair_head_loss_backward, save_params,
@@ -371,7 +372,7 @@ def test_criterion_7_determinism_and_formats(tmp_path):
             "utf-8", errors="replace")
         try:
             t = parse_embedding_text(blob)
-        except EmbeddingParseError:
+        except InputError:
             continue
         if (len(t.words) != len(set(t.words))
                 or t.matrix.shape != (len(t.words), t.dimension)

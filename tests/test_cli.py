@@ -316,6 +316,98 @@ def test_eval_distances_on_malformed_embeddings_exits_0_or_names_the_input(fixtu
         assert summary[key] is None or 0.0 <= summary[key] <= 2.0, summary
 
 
+_odd_value = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                      st.sampled_from(["1.5", "nan", [0.5], [], {"a": 1}, 10**400]))
+
+
+@st.composite
+def _model_documents(draw):
+    """A model document for the fixture's 20-d vectors, valid or with one fault:
+    a ragged row, a weight or bias that is not a number, a nested list, wrong
+    dims or an unknown activation; zero weights are valid but map to nothing."""
+    dims = draw(st.sampled_from([[20, 4], [20, 3, 2]]))
+    scale = draw(st.sampled_from([0.1, 0.1, 0.1, 0.0]))  # 0.0 maps every vector to zero
+    weights = [[[scale] * i for _ in range(o)] for i, o in zip(dims, dims[1:])]
+    biases = [[0.0] * o for o in dims[1:]]
+    doc = {"format_version": 1, "layer_dims": dims, "hidden_activation": "tanh",
+           "weights": weights, "biases": biases}
+    layer = draw(st.integers(0, len(dims) - 2))
+    row = weights[layer][draw(st.integers(0, dims[layer + 1] - 1))]
+    fault = draw(st.sampled_from(["none", "ragged", "value", "nested", "bias", "dims",
+                                  "activation"]))
+    if fault == "ragged":
+        del row[draw(st.integers(0, len(row) - 1))]
+    elif fault == "value":
+        row[draw(st.integers(0, len(row) - 1))] = draw(_odd_value)
+    elif fault == "nested":
+        weights[layer] = [weights[layer]]
+    elif fault == "bias":
+        biases[layer][0] = draw(_odd_value)
+    elif fault == "dims":
+        doc["layer_dims"] = draw(st.lists(st.one_of(st.integers(-2, 30), _odd_value),
+                                          max_size=4))
+    elif fault == "activation":
+        doc["hidden_activation"] = draw(st.one_of(st.sampled_from(["relu", "sigmoid"]),
+                                                  _odd_value))
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_model_documents())
+def test_transform_on_malformed_models_exits_0_or_names_the_model(fixtures, doc):
+    code, err, path = _run_on_text(["transform", "--embeddings", str(fixtures["embeddings"])],
+                                   "--model", json.dumps(doc))
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith(f"input-error: --model {path}: "), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["--before", "--after"]), st.one_of(_vector_text, st.text()))
+def test_eval_shifts_on_malformed_tables_exits_0_or_names_an_input(fixtures, flag, text):
+    other = "--after" if flag == "--before" else "--before"
+    code, err, path = _run_on_text(["eval-shifts", "--pairs", str(fixtures["pairs"]),
+                                    other, str(fixtures["embeddings"])], flag, text)
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith((f"input-error: {flag} {path}: ",
+                               f"input-error: --pairs {fixtures['pairs']}: ")), err
+
+
+# train words from the first 70 of the fixture's 120, test words from the last
+# 60 and a few it lacks, so that some files leak; either may hold one relation
+_relations = st.sampled_from([["synonym", "antonym"], ["synonym", "antonym"],
+                              ["synonym"], ["antonym"]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 69), min_size=6, max_size=24, unique=True),
+       st.lists(st.integers(60, 125), min_size=2, max_size=16, unique=True),
+       _relations, _relations)
+def test_eval_classifiers_on_odd_pair_files_exits_0_or_names_an_input(
+        pipeline, train_ids, test_ids, train_relations, test_relations):
+    out, fixtures = pipeline["out"], pipeline["fixtures"]
+    texts = {flag: "".join(f"w{a:05d}\tw{b:05d}\t{relations[k % len(relations)]}\n"
+                           for k, (a, b) in enumerate(zip(ids[::2], ids[1::2])))
+             for flag, ids, relations in (("--train-pairs", train_ids, train_relations),
+                                          ("--test-pairs", test_ids, test_relations))}
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+        args = ["eval-classifiers", "--raw", str(fixtures["embeddings"]),
+                "--new", str(out / "transform" / "transformed.txt"),
+                "--concat", str(out / "transform" / "concat.txt"), "--rounds", "2"]
+        for flag, text in texts.items():
+            path = Path(tmp) / flag.strip("-")
+            path.write_text(text)
+            args += [flag, str(path)]
+        code = run([*args, "--out", str(Path(tmp) / "out"), "--quiet"])
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith(tuple(f"input-error: {flag} {Path(tmp) / flag.strip('-')}: "
+                                    for flag in texts)), err
+
+
 @pytest.mark.parametrize("mode", ["baseline", "classifier-system"])
 def test_train_default_dims_must_contract(fixtures, tmp_path, capsys, mode):
     # the default map [m, 128, 40] does not contract 20-d vectors
@@ -414,6 +506,23 @@ def test_downstream_names_the_table_whose_document_means_overflow(tmp_path, caps
                                        "a document's mean vector overflows\n")
 
 
+@pytest.mark.parametrize("flag", ["--raw", "--new", "--concat"])
+def test_eval_classifiers_names_the_table_whose_pair_sums_overflow(tmp_path, capsys, flag):
+    small, huge, train, test = (tmp_path / name for name in
+                                ("small.txt", "huge.txt", "train.tsv", "test.tsv"))
+    small.write_text("".join(f"w{i} {i % 3 - 1} {i % 5 - 2} 1\n" for i in range(16)))
+    huge.write_text("".join(f"w{i} 1e308 -1e308 1e308\n" for i in range(16)))
+    relations = ["synonym", "antonym"]
+    train.write_text("".join(f"w{i}\tw{i + 1}\t{relations[i // 2 % 2]}\n" for i in range(0, 8, 2)))
+    test.write_text("".join(f"w{i}\tw{i + 1}\t{relations[i // 2 % 2]}\n" for i in range(8, 16, 2)))
+    tables = {"--raw": small, "--new": small, "--concat": small, flag: huge}
+    assert run(["eval-classifiers", *[str(a) for kv in tables.items() for a in kv],
+                "--train-pairs", str(train), "--test-pairs", str(test), "--rounds", "2",
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"input-error: {flag} {huge}: "
+                                       "a train pair's u + v overflows\n")
+
+
 def test_type_error_while_an_input_is_open_propagates(fixtures, tmp_path, monkeypatch):
     """Only a ValueError names the input and exits 2; a TypeError is a bug."""
     def broken(*args, **kwargs):
@@ -424,6 +533,58 @@ def test_type_error_while_an_input_is_open_propagates(fixtures, tmp_path, monkey
         run(["downstream", "--raw", str(fixtures["embeddings"]),
              "--concat", str(fixtures["embeddings"]), "--data", str(fixtures["corpus"]),
              "--out", str(tmp_path / "out")])
+
+
+def test_value_error_in_a_fit_is_a_bug_not_bad_input(fixtures, tmp_path, monkeypatch, capsys):
+    """A bare ValueError, such as numpy's for mismatched shapes, propagates:
+    it neither exits 2 nor blames the input that was open."""
+    def broken(*args, **kwargs):
+        raise ValueError("matmul: Input operand 1 has a mismatch")
+
+    monkeypatch.setattr(contrastmap.downstream, "train_linear", broken)
+    with pytest.raises(ValueError, match="matmul") as raised:
+        run(["downstream", "--raw", str(fixtures["embeddings"]),
+             "--concat", str(fixtures["embeddings"]), "--data", str(fixtures["corpus"]),
+             "--out", str(tmp_path / "out")])
+    assert type(raised.value) is ValueError and "--data" not in str(raised.value)
+    assert "input-error" not in capsys.readouterr().err
+
+
+def test_train_names_pairs_of_one_relation(fixtures, tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("w00000\tw00001\tsynonym\nw00001\tw00002\tsynonym\n")
+    assert run(["train", "--embeddings", str(fixtures["embeddings"]), "--pairs", str(pairs),
+                "--dims", "20,4", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"input-error: --pairs {pairs}: no triplets\n"
+
+
+def test_train_names_a_table_that_resolves_no_triplet(tmp_path, capsys):
+    embeddings, pairs = tmp_path / "embeddings.txt", tmp_path / "pairs.tsv"
+    embeddings.write_text("a 1 0\nb 0 1\nx 1 1\n")  # no "c"
+    pairs.write_text("a\tb\tsynonym\na\tc\tantonym\n")
+    assert run(["train", "--embeddings", str(embeddings), "--pairs", str(pairs),
+                "--dims", "2,1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"input-error: --embeddings {embeddings}: "
+                                       "no resolvable triplets\n")
+
+
+def test_stats_names_pairs_that_all_conflict(tmp_path, capsys):
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text("a\tb\tsynonym\nb\ta\tantonym\n")
+    assert run(["stats", "--pairs", str(pairs), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"input-error: --pairs {pairs}: empty graph\n"
+
+
+@pytest.mark.parametrize("command", ["eval-shifts", "eval-extremes"])
+def test_shift_commands_name_the_pairs_that_resolve_nowhere(tmp_path, capsys, command):
+    before, after, pairs = (tmp_path / name for name in ("before.txt", "after.txt", "pairs.tsv"))
+    before.write_text("a 1 0\nb 0 1\nc 1 1\n")
+    after.write_text("x 1 0\na 0 1\n")  # "x" is kept as the first row, but is no pair's
+    pairs.write_text("a\tb\tsynonym\nb\tc\tantonym\n")
+    assert run([command, "--before", str(before), "--after", str(after),
+                "--pairs", str(pairs), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"input-error: --pairs {pairs}: no resolvable pairs: "
+                                       "--before holds 3 and --after 1 of its 3 words\n")
 
 
 def _outputs(out):
@@ -790,3 +951,18 @@ def test_outputs_confined_to_out(fixtures, tmp_path):
     assert run(["split", "--pairs", str(fixtures["pairs"]),
                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert _sha256(fixtures["pairs"]) == before  # inputs untouched
+
+
+def test_demo_03_runs_from_a_checkout(tmp_path):
+    """The shell demo drives every stage through ``python3 -m contrastmap.cli``;
+    any stage that fails, or prints a traceback, stops it."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "TMPDIR": str(tmp_path)}
+    done = subprocess.run(["sh", str(root / "demos" / "03_cli_pipeline.sh")], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    table = done.stdout.split("accuracy table:\n", 1)[1]
+    assert table.startswith(f"{'space':<14}{'linear':>10}{'boosted':>10}\n")
+    assert [line.split()[0] for line in table.splitlines()[1:4]] == ["raw", "new",
+                                                                      "concatenated"]

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from contrastmap import embeddings
-from contrastmap.embeddings import (EmbeddingParseError, EmbeddingTable,
-                                    cosine_distance, parse_embedding_text,
-                                    write_embedding_text)
+from contrastmap import InputError, embeddings
+from contrastmap.embeddings import (EmbeddingTable, cosine_distance,
+                                    parse_embedding_text, write_embedding_text)
 from contrastmap.training import concat_embeddings, write_concat_text
 
 
@@ -30,7 +29,7 @@ def test_parse_header_and_duplicate():
 
 
 def test_parse_sole_zero_norm_row_is_no_vectors():
-    with pytest.raises(EmbeddingParseError, match="no vectors"):
+    with pytest.raises(InputError, match="no vectors"):
         parse_embedding_text("cat 0 0 0")
 
 
@@ -44,14 +43,14 @@ def test_zero_norm_rule_is_the_same_for_the_first_row():
 
 
 def test_parse_empty_stream():
-    with pytest.raises(EmbeddingParseError, match="no vectors"):
+    with pytest.raises(InputError, match="no vectors"):
         parse_embedding_text("")
 
 
 def test_parse_bad_first_line():
-    with pytest.raises(EmbeddingParseError, match="bad format"):
+    with pytest.raises(InputError, match="bad format"):
         parse_embedding_text("justoneword")
-    with pytest.raises(EmbeddingParseError, match="bad format"):
+    with pytest.raises(InputError, match="bad format"):
         parse_embedding_text("word abc def")
 
 
@@ -182,7 +181,7 @@ def test_cosine_symmetry_and_scale_invariance(v, rnd, c):
 def test_parser_fuzz_never_violates_invariants(blob):
     try:
         table = parse_embedding_text(blob)
-    except EmbeddingParseError:
+    except InputError:
         return
     assert len(table.words) == len(set(table.words))
     assert table.matrix.shape == (len(table.words), table.dimension)
@@ -271,11 +270,11 @@ def _reference_parse(stream):
             continue
         if dim is None:
             if len(tokens) < 2:
-                raise EmbeddingParseError("bad format")
+                raise InputError("bad format")
             try:
                 vec = np.array([float(t) for t in tokens[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise EmbeddingParseError("bad format") from exc
+                raise InputError("bad format") from exc
             dim = len(tokens) - 1
             if not np.all(np.isfinite(vec)) or np.linalg.norm(vec) == 0.0:
                 skipped += 1
@@ -303,7 +302,7 @@ def _reference_parse(stream):
         words.append(tokens[0])
         rows.append(vec)
     if not rows:
-        raise EmbeddingParseError("no vectors")
+        raise InputError("no vectors")
     return EmbeddingTable(words=words, matrix=np.vstack(rows),
                           duplicate_warnings=duplicates, skipped_rows=skipped)
 
@@ -327,7 +326,7 @@ def _reference_write(table, stream):
 def _outcome(parse, text, **kwargs):
     try:
         t = parse(text, **kwargs)
-    except EmbeddingParseError as exc:
+    except InputError as exc:
         return ("error", str(exc))
     return (t.dimension, t.words, t.matrix.shape, t.matrix.tobytes(),
             t.skipped_rows, t.duplicate_warnings)
@@ -440,7 +439,7 @@ def test_parse_with_vocabulary_cases():
     table = parse_embedding_text("3 2\nz 0 0\ny nan 1\na 1 2\nq 1 1\n", vocabulary={"q"})
     assert table.words == ["a", "q"] and table.skipped_rows == 2
     assert parse_embedding_text("a 1 2\nb 1 1\n", vocabulary=set()).words == ["a"]
-    with pytest.raises(EmbeddingParseError, match="bad format"):
+    with pytest.raises(InputError, match="bad format"):
         parse_embedding_text("z 0 0\nq abc 1\n", vocabulary={"a"})
 
 
@@ -534,19 +533,32 @@ def test_in_range_tables_never_take_the_per_value_paths(tmp_path, monkeypatch):
         assert paths[-1].read_text(encoding="utf-8") == _write(_reference_write, table)[0]
         # only rows holding an integral value: none of vectors.txt, 144 zero rows of zeros.txt
         assert len(cut) == (0 if m is matrix else 144)
-    # zeros are written as the JSON ints "0" and "-0", which the reader leaves to float()
+    # zeros are written as the JSON ints "0" and "-0"; orjson reads the int 0,
+    # which loses the sign of -0, so only the rows holding "-0" go to float()
     convert = embeddings._floats
+    per_token = []
 
-    def refuse_tokens(values, matrix, i):
+    def recording_tokens(values, matrix, i):
         if any(isinstance(v, str) for v in values):
-            raise AssertionError("per-token path taken")
+            per_token.append(i)
         convert(values, matrix, i)
 
-    monkeypatch.setattr(embeddings, "_floats", refuse_tokens)
-    with open(paths[0], encoding="utf-8") as f:
-        parsed = parse_embedding_text(f)
-    assert parsed.words == table.words
-    assert parsed.matrix.tobytes() == matrix.tobytes()
+    monkeypatch.setattr(embeddings, "_floats", recording_tokens)
+    for path, m in zip(paths, (matrix, zeros)):
+        per_token.clear()
+        with open(path, encoding="utf-8") as f:
+            parsed = parse_embedding_text(f)
+        assert parsed.words == table.words
+        assert parsed.matrix.tobytes() == m.tobytes()
+        assert per_token == ([] if m is matrix else list(range(1, 500, 7)))
+
+
+@pytest.mark.parametrize("token", ["0", "-0", "7", "9007199254740993", "18446744073709551615",
+                                   "18446744073709551616", "true", "null"])
+def test_integral_tokens_read_as_float_reads_them(token):
+    # a row of ints takes the orjson path, except where "-0" would lose its sign
+    text = f"a 1.5 2.5 3.5\nb 1 {token} 2\nc {token} 0.5 -0.25\n"
+    assert _outcome(parse_embedding_text, text) == _outcome(_reference_parse, text)
 
 
 def test_rows_mixing_notations_repr_only_their_out_of_range_values(monkeypatch):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contrastmap.embeddings import _as_lines
-from contrastmap.pairs import (ANTONYM, RELATIONS, SYNONYM, LabeledPair, PairParseError,
+from contrastmap import InputError
+from contrastmap.pairs import (ANTONYM, RELATIONS, SYNONYM, LabeledPair,
                                PairSet, Triplet, _valid_token, build_triplets, component_stats,
                                load_pairs, split_pairs, write_pairs)
 
@@ -75,7 +76,7 @@ def _reference_load_pairs(stream):
             dropped_conflicts += 2
     pairs = [seen[k] for k in order if k not in conflicted]
     if not pairs and not conflicted:
-        raise PairParseError("no pairs")
+        raise InputError("no pairs")
     return PairSet(pairs=pairs, dropped_duplicates=dropped_duplicates,
                    dropped_conflicts=dropped_conflicts, skipped_lines=skipped)
 
@@ -94,15 +95,15 @@ def test_load_pairs_matches_reference_loader(lines):
     text = "\n".join(lines)
     try:
         want = _reference_load_pairs(text)
-    except PairParseError as exc:
-        with pytest.raises(PairParseError, match=str(exc)):
+    except InputError as exc:
+        with pytest.raises(InputError, match=str(exc)):
             load_pairs(text)
         return
     assert load_pairs(text) == want
 
 
 def test_load_empty_errors():
-    with pytest.raises(PairParseError, match="no pairs"):
+    with pytest.raises(InputError, match="no pairs"):
         load_pairs("# nothing here\n")
 
 
