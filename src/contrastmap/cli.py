@@ -127,7 +127,10 @@ class _Run:
 
     def pairs(self, name: str):
         with self.open(name) as f:
-            return load_pairs(f)
+            pairs = load_pairs(f)
+        if not pairs:  # load_pairs keeps an empty set when every pair conflicts
+            raise InputError("no pairs: every pair conflicts", name)
+        return pairs
 
     def write(self, name: str, render, *values) -> None:
         """Write ``render(*values, stream)`` to ``--out``/name and hash it."""
@@ -178,14 +181,13 @@ def _cmd_split(args, run: _Run) -> None:
 
 def _cmd_stats(args, run: _Run) -> None:
     pairs = run.pairs("pairs")
-    with blaming("pairs"):  # no graph where every pair conflicts
-        summary = {
-            "pairs": len(pairs),
-            **component_stats(pairs),
-            "synonym_pairs": len(pairs.by_relation("synonym")),
-            "antonym_pairs": len(pairs.by_relation("antonym")),
-            "skipped_lines": pairs.skipped_lines,
-        }
+    summary = {
+        "pairs": len(pairs),
+        **component_stats(pairs),
+        "synonym_pairs": len(pairs.by_relation("synonym")),
+        "antonym_pairs": len(pairs.by_relation("antonym")),
+        "skipped_lines": pairs.skipped_lines,
+    }
     run.write("stats.json", _json, summary)
     run.log(f"stats: {summary['component_count']} components, giant share "
             f"{summary['giant_share_of_pairs']:.3f}")

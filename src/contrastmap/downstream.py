@@ -90,16 +90,14 @@ def embed_document(table: EmbeddingTable, tokens: Iterable[str]) -> np.ndarray:
 def _stratified_split(labels: np.ndarray, test_fraction: float,
                       seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
+    train, test = [], []  # each class's index array
     for cls in (0, 1):
-        idx = np.nonzero(labels == cls)[0]
+        idx = np.flatnonzero(labels == cls)
         perm = idx[rng.permutation(len(idx))]
         n_test = int(round(len(idx) * test_fraction))
-        test_idx.extend(perm[:n_test].tolist())
-        train_idx.extend(perm[n_test:].tolist())
-    return (np.array(sorted(train_idx), dtype=np.intp),  # index arrays, even when empty
-            np.array(sorted(test_idx), dtype=np.intp))
+        test.append(perm[:n_test])
+        train.append(perm[n_test:])
+    return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
 def run_downstream(load_raw: Callable[[], EmbeddingTable],

@@ -192,9 +192,8 @@ def parse_embedding_text(stream: str | IO[str] | Iterable[str],
                 skipped += 1
                 continue
             row = matrix[filled]
-            # the dot np.linalg.norm takes passes a usual row; the rest get its exact rule
-            if not 0.0 < row @ row < np.inf and (not np.all(np.isfinite(row))
-                                                 or np.linalg.norm(row) == 0.0):
+            dot = row @ row  # np.linalg.norm(row) is its sqrt, so it is 0 where this is
+            if not 0.0 < dot < np.inf and (dot == 0.0 or not np.all(np.isfinite(row))):
                 skipped += 1  # a rejected first row leaves the dimension open
                 continue
             dim = len(values)

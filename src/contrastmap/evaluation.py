@@ -227,6 +227,16 @@ def classify_accuracy(proba: Callable[[np.ndarray], np.ndarray], U: np.ndarray,
     return float(np.mean((p >= 0.5) == np.asarray(labels)))
 
 
+def _pair_sums(M: np.ndarray, left: np.ndarray, right: np.ndarray, side: str, name: str):
+    """``M[left] + M[right]``; an :class:`InputError` naming the table ``name``
+    where a ``side`` pair's sum overflows, as values near the float64 limit can."""
+    with np.errstate(over="ignore"):
+        sums = M[left] + M[right]
+    if not np.isfinite(sums).all():
+        raise InputError(f"a {side} pair's u + v overflows", name)
+    return sums
+
+
 def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
                          concat: EmbeddingTable, train_pairs: PairSet,
                          test_pairs: PairSet,
@@ -256,14 +266,11 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
             _, y_test, ((left_test, right_test),) = _pair_rows([table], test_pairs)
         with blaming("train_pairs"):  # none resolve, or all are of one relation
             _, y, ((left, right),) = _pair_rows([table], train_pairs)
-            with np.errstate(over="ignore"):
-                sums = M[left] + M[right]
-            if not np.isfinite(sums).all():  # values near the float64 limit
-                raise InputError("a train pair's u + v overflows", name)
             # the full-width fit on both orders [u; v] and [v; u] of every pair has
             # the weights [w; w], where w is the fit on u + v at twice the penalty
-            w, b = train_linear(sums, y, l2=2 * LINEAR_DEFAULTS["l2"])
-        linear_pred = _sigmoid((M[left_test] + M[right_test]) @ w + b) >= 0.5
+            w, b = train_linear(_pair_sums(M, left, right, "train", name), y,
+                                l2=2 * LINEAR_DEFAULTS["l2"])
+        linear_pred = _sigmoid(_pair_sums(M, left_test, right_test, "test", name) @ w + b) >= 0.5
         # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u], filled a
         # block at a time into the one matrix the trees train on
         first = np.column_stack([left, right]).ravel()

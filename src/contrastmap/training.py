@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO
 
 import numpy as np
@@ -65,16 +65,9 @@ class TrainReport:
     dropped_unresolvable: int = 0
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
-        doc = {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "stopped_epoch": self.stopped_epoch,
-            "triplet_total": self.triplet_total,
-            "triplet_validation": self.triplet_validation,
-            "dropped_unresolvable": self.dropped_unresolvable,
-        }
-        if include_wall_time:
-            doc["wall_time"] = self.wall_time
+        doc = asdict(self)
+        if not include_wall_time:
+            del doc["wall_time"]
         return doc
 
 

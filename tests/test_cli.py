@@ -506,12 +506,21 @@ def test_downstream_names_the_table_whose_document_means_overflow(tmp_path, caps
                                        "a document's mean vector overflows\n")
 
 
-@pytest.mark.parametrize("flag", ["--raw", "--new", "--concat"])
-def test_eval_classifiers_names_the_table_whose_pair_sums_overflow(tmp_path, capsys, flag):
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag, side", [
+    ("--raw", "train"), ("--new", "train"), ("--concat", "train"),
+    ("--raw", "test"), ("--new", "test"), ("--concat", "test"),
+], ids=["--raw", "--new", "--concat", "--raw-test-side", "--new-test-side",
+        "--concat-test-side"])
+def test_eval_classifiers_names_the_table_whose_pair_sums_overflow(tmp_path, capsys, flag,
+                                                                   side):
     small, huge, train, test = (tmp_path / name for name in
                                 ("small.txt", "huge.txt", "train.tsv", "test.tsv"))
     small.write_text("".join(f"w{i} {i % 3 - 1} {i % 5 - 2} 1\n" for i in range(16)))
-    huge.write_text("".join(f"w{i} 1e308 -1e308 1e308\n" for i in range(16)))
+    # every word is huge for the train side, only the test pairs' words for the test side
+    first_huge = {"train": 0, "test": 8}[side]
+    huge.write_text("".join(small.read_text().splitlines(keepends=True)[:first_huge]
+                            + [f"w{i} 1e308 -1e308 1e308\n" for i in range(first_huge, 16)]))
     relations = ["synonym", "antonym"]
     train.write_text("".join(f"w{i}\tw{i + 1}\t{relations[i // 2 % 2]}\n" for i in range(0, 8, 2)))
     test.write_text("".join(f"w{i}\tw{i + 1}\t{relations[i // 2 % 2]}\n" for i in range(8, 16, 2)))
@@ -520,7 +529,7 @@ def test_eval_classifiers_names_the_table_whose_pair_sums_overflow(tmp_path, cap
                 "--train-pairs", str(train), "--test-pairs", str(test), "--rounds", "2",
                 "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (f"input-error: {flag} {huge}: "
-                                       "a train pair's u + v overflows\n")
+                                       f"a {side} pair's u + v overflows\n")
 
 
 def test_type_error_while_an_input_is_open_propagates(fixtures, tmp_path, monkeypatch):
@@ -572,7 +581,34 @@ def test_stats_names_pairs_that_all_conflict(tmp_path, capsys):
     pairs = tmp_path / "pairs.tsv"
     pairs.write_text("a\tb\tsynonym\nb\ta\tantonym\n")
     assert run(["stats", "--pairs", str(pairs), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"input-error: --pairs {pairs}: empty graph\n"
+    assert capsys.readouterr().err == (f"input-error: --pairs {pairs}: "
+                                       "no pairs: every pair conflicts\n")
+
+
+# the input flags of each command that reads a pair file
+_PAIR_COMMANDS = {
+    "split": ["--pairs"], "stats": ["--pairs"], "train": ["--embeddings", "--pairs"],
+    "eval-distances": ["--embeddings", "--pairs"],
+    "eval-shifts": ["--before", "--after", "--pairs"],
+    "eval-extremes": ["--before", "--after", "--pairs"],
+    "eval-classifiers": ["--raw", "--new", "--concat", "--train-pairs", "--test-pairs"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in _PAIR_COMMANDS.items()
+                                           for f in flags if f.endswith("pairs")])
+def test_pair_file_whose_every_pair_conflicts_is_named(fixtures, tmp_path, capsys,
+                                                       command, flag):
+    conflicting = tmp_path / "conflicting.tsv"
+    conflicting.write_text("w00000\tw00001\tsynonym\nw00001\tw00000\tantonym\n")
+    args = [command, "--out", str(tmp_path / "out")]
+    for f in _PAIR_COMMANDS[command]:
+        valid = fixtures["pairs"] if f.endswith("pairs") else fixtures["embeddings"]
+        args += [f, str(conflicting if f == flag else valid)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (f"input-error: {flag} {conflicting}: "
+                                       "no pairs: every pair conflicts\n")
+    assert not any((tmp_path / "out").iterdir())  # no split files, no manifest
 
 
 @pytest.mark.parametrize("command", ["eval-shifts", "eval-extremes"])
@@ -951,6 +987,26 @@ def test_outputs_confined_to_out(fixtures, tmp_path):
     assert run(["split", "--pairs", str(fixtures["pairs"]),
                 "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert _sha256(fixtures["pairs"]) == before  # inputs untouched
+
+
+@pytest.mark.parametrize("demo, lines", [
+    ("01_planted_pipeline.py", [f"{'space':<14}{'linear':>10}{'boosted':>10}", "raw ", "new ",
+                                "concatenated "]),
+    ("02_downstream_sentiment.py", ["corpus: 200 documents", "raw accuracy ",
+                                    "concat accuracy ", "raw(+)raw control "]),
+])
+def test_python_demo_runs_from_a_checkout(tmp_path, demo, lines):
+    """The library demos run as the README shows and print their tables."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "demos" / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    out = done.stdout.splitlines()
+    assert lines[0] in out
+    table = out[out.index(lines[0]):][:len(lines)]
+    assert len(table) == len(lines) and all(map(str.startswith, table, lines)), done.stdout
 
 
 def test_demo_03_runs_from_a_checkout(tmp_path):

@@ -8,7 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from contrastmap.downstream import (TextDataset, embed_document,
+from contrastmap.downstream import (TextDataset, _stratified_split, embed_document,
                                     load_bundled_corpus, load_text_csv,
                                     run_downstream, tokenize)
 from contrastmap.embeddings import EmbeddingTable
@@ -167,6 +167,34 @@ def test_run_downstream_deterministic(corpus_setup):
     r2 = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
     assert r1 == r2
     assert r1.split_hash == r2.split_hash
+
+
+def _reference_split(labels, test_fraction, seed):
+    """Per-class index lists, sorted into arrays: the reference that
+    ``_stratified_split`` must equal, array for array."""
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for cls in (0, 1):
+        idx = np.nonzero(labels == cls)[0]
+        perm = idx[rng.permutation(len(idx))]
+        n_test = int(round(len(idx) * test_fraction))
+        test_idx.extend(perm[:n_test].tolist())
+        train_idx.extend(perm[n_test:].tolist())
+    return (np.array(sorted(train_idx), dtype=np.intp),
+            np.array(sorted(test_idx), dtype=np.intp))
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.25, 0.49])
+@pytest.mark.parametrize("n, p_one", [(0, 0.5), (1, 0.5), (7, 0.0), (9, 1.0), (40, 0.5),
+                                      (257, 0.2)])
+def test_stratified_split_matches_the_list_reference(n, p_one, fraction):
+    for seed in range(5):
+        labels = (np.random.default_rng(100 + seed).random(n) < p_one).astype(np.int64)
+        want = _reference_split(labels, fraction, seed)
+        for g, w in zip(_stratified_split(labels, fraction, seed), want):
+            assert g.dtype == w.dtype == np.intp
+            assert np.array_equal(g, w)
+            assert ",".join(map(str, g)) == ",".join(map(str, w))  # the split_hash text
 
 
 def test_run_downstream_redundant_control(corpus_setup):

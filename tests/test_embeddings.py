@@ -387,6 +387,22 @@ def test_parse_with_vocabulary_is_restricted_full_parse(text, vocabulary):
     assert restricted.matrix.tobytes() == table.matrix[keep].tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("values", [
+    "1e-200 1e-200",         # each square underflows: the dot is 0
+    "1e-160 0",              # a subnormal square: the dot is not 0
+    "5e-324 -5e-324",        # subnormal values
+    "2.2250738585072014e-308 1e-300",
+    "1e200 1e200",           # the dot is inf, but the row is finite and kept
+    "-1e300 1e-300",
+    "inf 1", "-inf 1", "nan 1", "1e400 0",
+    "0 0", "-0.0 0.0", "-0 -0", "0.0 -0.0",
+])
+def test_rows_at_the_dot_limits_follow_the_norm_rule(values):
+    for text in (f"a {values}\nb 1 2\n", f"a 1 2\nb {values}\nc 3 4\n"):
+        assert _outcome(parse_embedding_text, text) == _outcome(_reference_parse, text)
+
+
 def test_header_line_that_is_also_a_row_is_skipped_only_as_line_0():
     text = "2 1\n2 1\n3 1.5\n"
     assert _outcome(parse_embedding_text, text) == _outcome(_reference_parse, text)

@@ -437,6 +437,15 @@ def test_wall_time_excluded_on_request(small_world):
     assert "wall_time" in report.to_dict()
 
 
+def test_report_dict_keeps_its_keys(small_world):
+    world, _, triplets = small_world
+    _, report = train_baseline(world.table, triplets, _small_config(max_epochs=1))
+    keys = {"train_losses", "val_losses", "stopped_epoch", "triplet_total",
+            "triplet_validation", "dropped_unresolvable"}
+    assert set(report.to_dict(include_wall_time=False)) == keys
+    assert set(report.to_dict()) == keys | {"wall_time"}
+
+
 def test_training_peak_memory_follows_the_batch_not_the_triplet_count():
     world = planted_world(2000, 50, seed=1)
     triplets = build_triplets(split_pairs(world.pairs).train, seed=2)
