@@ -29,7 +29,7 @@ from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig, _default_dims,
 from .training import concat_embeddings  # noqa: F401
 from .evaluation import (build_accuracy_table, distance_report, extreme_pairs,
                          shift_report)
-from .downstream import load_text_csv, run_downstream, tokenize
+from .downstream import load_text_csv, run_downstream
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -285,7 +285,7 @@ def _shifts(run: _Run):
     try:
         return shift_report(before, after, pairs)
     except InputError as exc:  # no pair resolves in both tables: the pair file's error
-        held = [sum(w in table for w in vocabulary) for table in (before, after)]
+        held = [(table.indices(vocabulary) >= 0).sum() for table in (before, after)]
         raise InputError(f"{exc}: --before holds {held[0]} and --after {held[1]} "
                          f"of its {len(vocabulary)} words", "pairs") from None
 
@@ -324,12 +324,11 @@ def _cmd_eval_classifiers(args, run: _Run) -> None:
 def _cmd_downstream(args, run: _Run) -> None:
     with run.open("data", newline="") as f:
         data = load_text_csv(f, name=run.paths["data"].name)
-    vocabulary = {t for text, _ in data.records for t in tokenize(text)}
-    # loaders, so that one table is held at a time; a split the documents
-    # cannot fill with both labels on each side is the data's error
+    # loaders of the corpus words, so that one table is held at a time; a split
+    # the documents cannot fill with both labels on each side is the data's error
     with blaming("data"):
-        result = run_downstream(lambda: run.table("raw", vocabulary),
-                                lambda: run.table("concat", vocabulary),
+        result = run_downstream(lambda words: run.table("raw", words),
+                                lambda words: run.table("concat", words),
                                 data, test_fraction=args.test_fraction, seed=args.seed)
     run.write("downstream.json", _json, result.to_dict())
     run.log(f"downstream[{run.paths['data'].name}]: raw {result.accuracy_raw:.3f} -> "

@@ -8,12 +8,12 @@ import hashlib
 import re
 from importlib import resources
 from dataclasses import asdict, dataclass
-from typing import IO, Callable, Iterable
+from typing import IO, Callable, Collection
 
 import numpy as np
 
 from .embeddings import EmbeddingTable, _as_lines
-from .errors import InputError
+from .errors import InputError, blaming
 from .evaluation import train_linear
 from .network import _sigmoid
 
@@ -78,13 +78,13 @@ def tokenize(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
 
 
-def embed_document(table: EmbeddingTable, tokens: Iterable[str]) -> np.ndarray:
-    """Mean of in-vocabulary token vectors; the zero vector when all are OOV."""
-    idx = table.indices(tokens)
-    idx = idx[idx >= 0]
-    if idx.size == 0:
-        return np.zeros(table.dimension)
-    return np.mean(table.matrix[idx], axis=0)
+def embed_document(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mean of the rows of ``matrix`` at a document's token rows, in token
+    order, skipping the -1 of an OOV token; the zero vector when all are OOV."""
+    rows = rows[rows >= 0]
+    if rows.size == 0:
+        return np.zeros(matrix.shape[1])
+    return np.mean(matrix[rows], axis=0)
 
 
 def _stratified_split(labels: np.ndarray, test_fraction: float,
@@ -100,22 +100,24 @@ def _stratified_split(labels: np.ndarray, test_fraction: float,
     return np.sort(np.concatenate(train)), np.sort(np.concatenate(test))
 
 
-def run_downstream(load_raw: Callable[[], EmbeddingTable],
-                   load_concat: Callable[[], EmbeddingTable],
+def run_downstream(load_raw: Callable[[Collection[str]], EmbeddingTable],
+                   load_concat: Callable[[Collection[str]], EmbeddingTable],
                    data: TextDataset, test_fraction: float = 0.25,
                    seed: int = 0) -> DownstreamResult:
     """Train one linear classifier per arm on the same stratified split.
 
-    Each arm's table comes from a zero-argument loader, called once the
-    split is known to be sound; a table is released once its arm's
-    documents are embedded, and their matrix once the arm is scored, before
-    the next one loads. An arm whose document means overflow raises an
-    :class:`InputError` naming the arm, ``"raw"`` or ``"concat"``.
+    Each document is tokenized once; each arm's loader is passed the corpus
+    words once the split is known to be sound, and each word is looked up
+    once per arm. A table is released once its arm's documents are embedded,
+    and their matrix once the arm is scored, before the next one loads. An
+    arm whose document means, or the squares of its fit's features, overflow
+    raises an :class:`InputError` naming the arm, ``"raw"`` or ``"concat"``.
     """
     if not (0.0 < test_fraction < 0.5):
         raise ValueError("test_fraction must be in (0, 0.5)")
     labels = np.array([y for _, y in data.records])
-    token_lists = [tokenize(text) for text, _ in data.records]
+    words: dict[str, int] = {}  # each corpus word's id, in first-use order
+    docs = [[words.setdefault(t, len(words)) for t in tokenize(text)] for text, _ in data.records]
 
     train_idx, test_idx = _stratified_split(labels, test_fraction, seed)
     for side in (train_idx, test_idx):
@@ -131,19 +133,20 @@ def run_downstream(load_raw: Callable[[], EmbeddingTable],
     n_train = len(train_idx)
     accuracies = {}
     for arm, load in (("raw", load_raw), ("concat", load_concat)):
-        table = load()
+        table = load(words)
+        rows = table.indices(words)  # -1 for an OOV word
         if arm == "raw":
-            total_tokens = sum(len(t) for t in token_lists)
-            oov_tokens = sum(1 for toks in token_lists for t in toks if t not in table)
-            oov_rate = oov_tokens / total_tokens if total_tokens else 0.0
+            oov = rows[[t for doc in docs for t in doc]] < 0  # one entry per token
+            oov_rate = int(oov.sum()) / len(oov) if len(oov) else 0.0
         X = np.empty((len(order), table.dimension))
         with np.errstate(over="ignore", invalid="ignore"):  # a mean may overflow
             for row, doc in enumerate(order):
-                X[row] = embed_document(table, token_lists[doc])
+                X[row] = embed_document(table.matrix, rows[docs[doc]])
         del table
-        if not np.isfinite(X).all():
-            raise InputError("a document's mean vector overflows", arm)
-        w, b = train_linear(X[:n_train], labels[train_idx])
+        with blaming(arm):  # a document's mean, or the squares of the fit, overflow
+            if not np.isfinite(X).all():
+                raise InputError("a document's mean vector overflows")
+            w, b = train_linear(X[:n_train], labels[train_idx])
         p = _sigmoid(X[n_train:] @ w + b)
         del X  # before the next arm's loader runs
         accuracies[arm] = float(np.mean((p >= 0.5) == labels[test_idx]))

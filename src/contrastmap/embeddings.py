@@ -51,9 +51,9 @@ class EmbeddingTable:
     """Immutable word -> dense vector table: ``words[i]`` owns ``matrix[i]``.
 
     Vectors are stored row-wise in a single 2-D float64 matrix with one row
-    per word; the constructor rejects any other shape. ``indices`` and ``in``
-    match words exactly, case included. ``duplicate_warnings`` and
-    ``skipped_rows`` count what a parse dropped.
+    per word; the constructor rejects any other shape. ``indices``, the one
+    word lookup, matches words exactly, case included. ``duplicate_warnings``
+    and ``skipped_rows`` count what a parse dropped.
     """
 
     words: list[str]
@@ -73,9 +73,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
 
     def indices(self, words: Iterable[str]) -> np.ndarray:
         """Row index of each word, -1 where the word is absent."""

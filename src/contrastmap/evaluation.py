@@ -194,9 +194,12 @@ def train_linear(X: np.ndarray, y: np.ndarray,
         s = p * (1.0 - p)
         root = np.sqrt(s)
         H = np.zeros((d + 1, d + 1))  # the bias is the last row and column
-        for lo in range(0, n, HESSIAN_ROWS):  # X.T S X, a block of X * root at a time
-            Xs = X[lo:lo + HESSIAN_ROWS] * root[lo:lo + HESSIAN_ROWS, None]
-            H[:d, :d] += Xs.T @ Xs
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for lo in range(0, n, HESSIAN_ROWS):  # X.T S X, a block of X * root at a time
+                Xs = X[lo:lo + HESSIAN_ROWS] * root[lo:lo + HESSIAN_ROWS, None]
+                H[:d, :d] += Xs.T @ Xs
+        if not np.isfinite(H).all():  # features near 1e154 and above
+            raise InputError("the squares of the linear fit's features overflow")
         H[:d, d] = H[d, :d] = X.T @ s
         H[d, d] = s.sum()
         H /= n
@@ -245,13 +248,14 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
 
     Bad data raises an :class:`InputError` naming the argument at fault: a
     train/test vocabulary overlap, unresolvable pairs, train pairs of one
-    relation, or a table whose ``u + v`` overflows. The linear classifier, a
-    logistic regression on ``u + v`` with each train pair counted once per
-    order, scores a pair the same in either order. Whether u and v agree or
-    oppose along a direction, which tells synonyms from antonyms, is not
-    linear in their sum, so its accuracy stays near chance where the boosted
-    trees' does not; they train on the rows ``[u; v]`` and ``[v; u]`` of
-    each pair, order-averaged at test time by :func:`classify_accuracy`.
+    relation, or a table whose ``u + v``, its square in the fit or a test score
+    overflows. The linear classifier, a logistic regression on ``u + v`` with
+    each train pair counted once per order, scores a pair the same in either
+    order. Whether u and v agree or oppose along a direction, which tells
+    synonyms from antonyms, is not linear in their sum, so its accuracy stays
+    near chance where the boosted trees' does not; they train on the rows
+    ``[u; v]`` and ``[v; u]`` of each pair, order-averaged at test time by
+    :func:`classify_accuracy`.
     """
     shared = train_pairs.vocabulary() & test_pairs.vocabulary()
     if shared:
@@ -264,13 +268,18 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
         M = table.matrix
         with blaming("test_pairs"):
             _, y_test, ((left_test, right_test),) = _pair_rows([table], test_pairs)
-        with blaming("train_pairs"):  # none resolve, or all are of one relation
+        with blaming("train_pairs"):  # none resolve, or, before the fit, all of one relation
             _, y, ((left, right),) = _pair_rows([table], train_pairs)
+            sums, _ = _labelled_matrix(_pair_sums(M, left, right, "train", name), y)
+        with blaming(name):  # the squares of its pair sums, or a test pair's score, overflow
             # the full-width fit on both orders [u; v] and [v; u] of every pair has
             # the weights [w; w], where w is the fit on u + v at twice the penalty
-            w, b = train_linear(_pair_sums(M, left, right, "train", name), y,
-                                l2=2 * LINEAR_DEFAULTS["l2"])
-        linear_pred = _sigmoid(_pair_sums(M, left_test, right_test, "test", name) @ w + b) >= 0.5
+            w, b = train_linear(sums, y, l2=2 * LINEAR_DEFAULTS["l2"])
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                z = _pair_sums(M, left_test, right_test, "test", name) @ w + b
+            if not np.isfinite(z).all():
+                raise InputError("a test pair's linear score overflows")
+        linear_pred = _sigmoid(z) >= 0.5
         # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u], filled a
         # block at a time into the one matrix the trees train on
         first = np.column_stack([left, right]).ravel()

@@ -279,12 +279,12 @@ def test_criterion_6_downstream_harness():
     concat = concat_embeddings(world.table, new)
 
     data = load_bundled_corpus()
-    result = run_downstream(lambda: world.table, lambda: concat, data, seed=9)
+    result = run_downstream(lambda _: world.table, lambda _: concat, data, seed=9)
 
     duplicate = EmbeddingTable(words=list(world.table.words),
                                matrix=world.table.matrix.copy())
     rawraw = concat_embeddings(world.table, duplicate)
-    control = run_downstream(lambda: world.table, lambda: rawraw, data, seed=9)
+    control = run_downstream(lambda _: world.table, lambda _: rawraw, data, seed=9)
 
     _verdict(6, "downstream harness", [
         (f"concat accuracy {result.accuracy_concat:.3f} >= raw "

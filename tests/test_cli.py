@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import contrastmap
 from contrastmap import cli
 from contrastmap.cli import run
+from contrastmap.downstream import load_text_csv
 from contrastmap.pairs import load_pairs
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
 from contrastmap.embeddings import parse_embedding_text, write_embedding_text
@@ -27,6 +28,11 @@ from contrastmap.evaluation import shift_report
 from contrastmap.network import init_params, save_params
 from contrastmap.pairs import write_pairs
 from contrastmap.training import concat_embeddings, transform_vocabulary
+
+
+# a child Python process turns every warning, numpy's RuntimeWarnings included,
+# into an exception, so that one ends the run with a traceback
+STRICT_WARNINGS = {"PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
 
 
 def _sha256(path):
@@ -491,36 +497,56 @@ def test_parse_errors_name_the_input(fixtures, tmp_path, capsys, flag, content, 
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flag", ["--concat", "--raw"])
-def test_downstream_names_the_table_whose_document_means_overflow(tmp_path, capsys, flag):
+@pytest.mark.parametrize("flag, rows, message", [
+    ("--concat", "w0 1e308 -1e308\nw1 1e308 1e308\nw2 -1e308 1e308\n",
+     "a document's mean vector overflows"),
+    ("--raw", "w0 1e308 -1e308\nw1 1e308 1e308\nw2 -1e308 1e308\n",
+     "a document's mean vector overflows"),
+    # finite means whose squares overflow in the fit
+    ("--raw", "w0 1e200 -2e200\nw1 3e200 1e200\nw2 -2e200 3e200\n",
+     "the squares of the linear fit's features overflow"),
+], ids=["--concat", "--raw", "--raw-squares"])
+def test_downstream_names_the_table_whose_document_means_overflow(tmp_path, capsys, flag,
+                                                                  rows, message):
     finite, huge, data = (tmp_path / name for name in ("finite.txt", "huge.txt", "data.csv"))
     finite.write_text("w0 1 0\nw1 0 1\nw2 1 1\n")
-    huge.write_text("w0 1e308 -1e308\nw1 1e308 1e308\nw2 -1e308 1e308\n")
+    huge.write_text(rows)
     docs = ["w0 w1", "w1 w2", "w0 w2 w1", "w2 w0"]
     data.write_text("text,label\n" + "".join(f"{d},{i % 2}\n" for i, d in enumerate(docs * 2)))
     inputs = {"--raw": finite, "--concat": finite, flag: huge}
     code = run(["downstream", *[str(a) for kv in inputs.items() for a in kv],
                 "--data", str(data), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err == (f"input-error: {flag} {huge}: "
-                                       "a document's mean vector overflows\n")
+    assert capsys.readouterr().err == f"input-error: {flag} {huge}: {message}\n"
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("flag, side", [
-    ("--raw", "train"), ("--new", "train"), ("--concat", "train"),
-    ("--raw", "test"), ("--new", "test"), ("--concat", "test"),
+@pytest.mark.parametrize("flag, side, message", [
+    ("--raw", "train", "a train pair's u + v overflows"),
+    ("--new", "train", "a train pair's u + v overflows"),
+    ("--concat", "train", "a train pair's u + v overflows"),
+    ("--raw", "test", "a test pair's u + v overflows"),
+    ("--new", "test", "a test pair's u + v overflows"),
+    ("--concat", "test", "a test pair's u + v overflows"),
+    # finite sums whose squares overflow in the fit
+    ("--raw", "squares", "the squares of the linear fit's features overflow"),
+    # finite test sums whose scores under the small train pairs' fit overflow
+    ("--new", "score", "a test pair's linear score overflows"),
 ], ids=["--raw", "--new", "--concat", "--raw-test-side", "--new-test-side",
-        "--concat-test-side"])
+        "--concat-test-side", "--raw-squares", "--new-test-score"])
 def test_eval_classifiers_names_the_table_whose_pair_sums_overflow(tmp_path, capsys, flag,
-                                                                   side):
+                                                                   side, message):
     small, huge, train, test = (tmp_path / name for name in
                                 ("small.txt", "huge.txt", "train.tsv", "test.tsv"))
     small.write_text("".join(f"w{i} {i % 3 - 1} {i % 5 - 2} 1\n" for i in range(16)))
-    # every word is huge for the train side, only the test pairs' words for the test side
-    first_huge = {"train": 0, "test": 8}[side]
+    # every word is huge for the train sides, only the test pairs' words for the
+    # test sides; its values are +-1e308, or 1-3 times 1e200 or 1e307, whose sums
+    # stay finite
+    first_huge = {"train": 0, "test": 8, "squares": 0, "score": 8}[side]
+    value = {"squares": "{}e200", "score": "{}e307"}.get(side, "1e308")
     huge.write_text("".join(small.read_text().splitlines(keepends=True)[:first_huge]
-                            + [f"w{i} 1e308 -1e308 1e308\n" for i in range(first_huge, 16)]))
+                            + [f"w{i} {value.format(i % 3 + 1)} -{value.format(i % 2 + 1)} "
+                               f"{value.format(i % 3 + 1)}\n" for i in range(first_huge, 16)]))
     relations = ["synonym", "antonym"]
     train.write_text("".join(f"w{i}\tw{i + 1}\t{relations[i // 2 % 2]}\n" for i in range(0, 8, 2)))
     test.write_text("".join(f"w{i}\tw{i + 1}\t{relations[i // 2 % 2]}\n" for i in range(8, 16, 2)))
@@ -528,8 +554,7 @@ def test_eval_classifiers_names_the_table_whose_pair_sums_overflow(tmp_path, cap
     assert run(["eval-classifiers", *[str(a) for kv in tables.items() for a in kv],
                 "--train-pairs", str(train), "--test-pairs", str(test), "--rounds", "2",
                 "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (f"input-error: {flag} {huge}: "
-                                       f"a {side} pair's u + v overflows\n")
+    assert capsys.readouterr().err == f"input-error: {flag} {huge}: {message}\n"
 
 
 def test_type_error_while_an_input_is_open_propagates(fixtures, tmp_path, monkeypatch):
@@ -557,6 +582,25 @@ def test_value_error_in_a_fit_is_a_bug_not_bad_input(fixtures, tmp_path, monkeyp
              "--out", str(tmp_path / "out")])
     assert type(raised.value) is ValueError and "--data" not in str(raised.value)
     assert "input-error" not in capsys.readouterr().err
+
+
+def test_downstream_tokenizes_each_document_once(fixtures, tmp_path, monkeypatch):
+    """One run tokenizes each document once, from whichever module calls it."""
+    tokenize, texts = contrastmap.downstream.tokenize, []
+
+    def counted(text):
+        texts.append(text)
+        return tokenize(text)
+
+    for module in (contrastmap.downstream, cli):
+        if getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counted)
+    assert run(["downstream", "--raw", str(fixtures["embeddings"]),
+                "--concat", str(fixtures["embeddings"]), "--data", str(fixtures["corpus"]),
+                "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    with open(fixtures["corpus"], encoding="utf-8", newline="") as f:
+        documents = [text for text, _ in load_text_csv(f).records]
+    assert sorted(texts) == sorted(documents)
 
 
 def test_train_names_pairs_of_one_relation(fixtures, tmp_path, capsys):
@@ -729,11 +773,12 @@ def test_transform_command(pipeline):
 
 def _digests_at_blas_threads(args, out, threads):
     """Run the CLI with ``args`` in a fresh process at ``threads`` OpenBLAS
-    threads, writing to ``out``; the sha256 of each output it records."""
+    threads, where a warning fails the run, writing to ``out``; the sha256 of
+    each output it records."""
     args = list(args)
     args[args.index("--out") + 1] = str(out)
     src = str(Path(contrastmap.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+    env = dict(os.environ, **STRICT_WARNINGS, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-m", "contrastmap.cli", *args], env=env,
                    check=True, timeout=300)
@@ -996,9 +1041,10 @@ def test_outputs_confined_to_out(fixtures, tmp_path):
                                     "concat accuracy ", "raw(+)raw control "]),
 ])
 def test_python_demo_runs_from_a_checkout(tmp_path, demo, lines):
-    """The library demos run as the README shows and print their tables."""
+    """The library demos run as the README shows, warn nothing and print their
+    tables."""
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    env = {**os.environ, **STRICT_WARNINGS, "PYTHONPATH": str(root / "src")}
     done = subprocess.run([sys.executable, str(root / "demos" / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -1011,9 +1057,10 @@ def test_python_demo_runs_from_a_checkout(tmp_path, demo, lines):
 
 def test_demo_03_runs_from_a_checkout(tmp_path):
     """The shell demo drives every stage through ``python3 -m contrastmap.cli``;
-    any stage that fails, or prints a traceback, stops it."""
+    any stage that fails, warns or prints a traceback stops it."""
     root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "TMPDIR": str(tmp_path)}
+    env = {**os.environ, **STRICT_WARNINGS, "PYTHONPATH": str(root / "src"),
+           "TMPDIR": str(tmp_path)}
     done = subprocess.run(["sh", str(root / "demos" / "03_cli_pipeline.sh")], cwd=root,
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

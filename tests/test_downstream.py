@@ -1,5 +1,6 @@
 """Tests for the downstream text-classification harness."""
 import gc
+import hashlib
 import io
 import tracemalloc
 import weakref
@@ -8,10 +9,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from contrastmap.downstream import (TextDataset, _stratified_split, embed_document,
-                                    load_bundled_corpus, load_text_csv,
+from contrastmap import downstream
+from contrastmap.downstream import (DownstreamResult, TextDataset, _stratified_split,
+                                    embed_document, load_bundled_corpus, load_text_csv,
                                     run_downstream, tokenize)
 from contrastmap.embeddings import EmbeddingTable
+from contrastmap.evaluation import train_linear
+from contrastmap.network import _sigmoid
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
 from contrastmap.training import concat_embeddings
 
@@ -72,24 +76,28 @@ def test_tokenize():
     assert tokenize("co-operate 2x") == ["co", "operate", "2x"]
 
 
+def _embed(table, tokens):
+    return embed_document(table.matrix, table.indices(tokens))
+
+
 def test_embed_document_mean():
     table = _table([("a", [2, 4]), ("b", [2, 0])])
-    assert np.allclose(embed_document(table, ["a", "a"]), [2, 4])
+    assert np.allclose(_embed(table, ["a", "a"]), [2, 4])
     table2 = _table([("a", [0, 2]), ("b", [2, 0])])
-    vec = embed_document(table2, ["a", "b"])
+    vec = _embed(table2, ["a", "b"])
     assert np.allclose(vec, [1, 1])
 
 
 def test_embed_document_all_oov():
     table = _table([("a", [1, 0])])
-    vec = embed_document(table, ["x", "y"])
+    vec = _embed(table, ["x", "y"])
     assert vec.shape == (2,) and np.all(vec == 0.0)
 
 
 def test_embed_document_permutation_invariant():
     table = _table([("a", [1, 0]), ("b", [0, 1]), ("c", [2, 2])])
-    v1 = embed_document(table, ["a", "b", "c"])
-    v2 = embed_document(table, ["c", "a", "b"])
+    v1 = _embed(table, ["a", "b", "c"])
+    v2 = _embed(table, ["c", "a", "b"])
     assert np.array_equal(v1, v2)
 
 
@@ -115,7 +123,7 @@ def test_embed_document_matches_per_word_lookups():
     docs += [[], ["w00000", "w00003", "unknown"], ["w00001"], ["w00001", "w00001", "w00002"]]
     oov_docs = 0
     for tokens in docs:
-        vec = embed_document(table, tokens)
+        vec = _embed(table, tokens)
         ref_vec, ref_oov = _reference_embed_document(table, tokens)
         assert vec.tobytes() == ref_vec.tobytes()
         oov_docs += ref_oov
@@ -163,8 +171,8 @@ def corpus_setup():
 
 def test_run_downstream_deterministic(corpus_setup):
     raw, rawraw, data = corpus_setup
-    r1 = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
-    r2 = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
+    r1 = run_downstream(lambda _: raw, lambda _: rawraw, data, seed=3)
+    r2 = run_downstream(lambda _: raw, lambda _: rawraw, data, seed=3)
     assert r1 == r2
     assert r1.split_hash == r2.split_hash
 
@@ -199,14 +207,14 @@ def test_stratified_split_matches_the_list_reference(n, p_one, fraction):
 
 def test_run_downstream_redundant_control(corpus_setup):
     raw, rawraw, data = corpus_setup
-    result = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
+    result = run_downstream(lambda _: raw, lambda _: rawraw, data, seed=3)
     assert abs(result.accuracy_concat - result.accuracy_raw) <= 0.02 + 1e-9
     assert result.train_size + result.test_size == len(data)
 
 
 def test_run_downstream_gain_recomputable(corpus_setup):
     raw, rawraw, data = corpus_setup
-    result = run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
+    result = run_downstream(lambda _: raw, lambda _: rawraw, data, seed=3)
     if result.accuracy_raw > 0:
         expected = (result.accuracy_concat - result.accuracy_raw) / result.accuracy_raw
         assert result.relative_gain == pytest.approx(expected)
@@ -215,7 +223,7 @@ def test_run_downstream_gain_recomputable(corpus_setup):
 def test_run_downstream_test_fraction_validated(corpus_setup):
     raw, rawraw, data = corpus_setup
     with pytest.raises(ValueError, match="test_fraction"):
-        run_downstream(lambda: raw, lambda: rawraw, data, test_fraction=0.7)
+        run_downstream(lambda _: raw, lambda _: rawraw, data, test_fraction=0.7)
 
 
 def test_run_downstream_loads_one_table_at_a_time(corpus_setup):
@@ -223,7 +231,7 @@ def test_run_downstream_loads_one_table_at_a_time(corpus_setup):
     loaded = []
 
     def load(table):
-        def loader():
+        def loader(words):
             gc.collect()
             assert all(ref() is None for ref in loaded), "an earlier table is still held"
             fresh = EmbeddingTable(words=list(table.words), matrix=table.matrix.copy())
@@ -233,7 +241,7 @@ def test_run_downstream_loads_one_table_at_a_time(corpus_setup):
 
     result = run_downstream(load(raw), load(rawraw), data, seed=3)
     assert len(loaded) == 2
-    assert result == run_downstream(lambda: raw, lambda: rawraw, data, seed=3)
+    assert result == run_downstream(lambda _: raw, lambda _: rawraw, data, seed=3)
     # a degenerate split is found before any table loads
     one_class = TextDataset(records=[(t, 1) for t, _ in data.records[:-1]]
                             + [data.records[-1][:1] + (0,)], name="skewed")
@@ -252,19 +260,101 @@ def test_run_downstream_holds_one_document_matrix():
     raw_docs, wide_docs = (len(data) * table.matrix[0].nbytes for table in (raw, wide))
     held_at_load = []
 
-    def load_wide():
+    def load_wide(words):
         held_at_load.append(tracemalloc.get_traced_memory()[0])
         return wide
 
     tracemalloc.start()
     try:
-        result = run_downstream(lambda: raw, load_wide, data, seed=3)
+        result = run_downstream(lambda _: raw, load_wide, data, seed=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result == run_downstream(lambda: raw, lambda: wide, data, seed=3)
+    assert result == run_downstream(lambda _: raw, lambda _: wide, data, seed=3)
     assert held_at_load[0] < raw_docs  # the raw arm's documents are released first
     assert peak < raw_docs + wide_docs  # and the fit reads no copy of its rows
+
+
+def _reference_run_downstream(raw, concat, data, test_fraction, seed):
+    """The per-document path that run_downstream replaced: a token list per
+    document, ``t not in table`` for the OOV count and one lookup per token
+    per arm. Returns the result and each arm's document matrix, train
+    documents first."""
+    labels = np.array([y for _, y in data.records])
+    token_lists = [tokenize(text) for text, _ in data.records]
+    train_idx, test_idx = _stratified_split(labels, test_fraction, seed)
+    split_hash = hashlib.sha256(
+        (",".join(map(str, train_idx)) + "|" + ",".join(map(str, test_idx))).encode()
+    ).hexdigest()
+    order = np.concatenate([train_idx, test_idx])
+    n_train = len(train_idx)
+    accuracies, matrices = {}, {}
+    for arm, table in (("raw", raw), ("concat", concat)):
+        index = {w: i for i, w in enumerate(table.words)}  # what `t in table` read
+        if arm == "raw":
+            total_tokens = sum(len(t) for t in token_lists)
+            oov_tokens = sum(1 for toks in token_lists for t in toks if t not in index)
+            oov_rate = oov_tokens / total_tokens if total_tokens else 0.0
+        X = np.empty((len(order), table.dimension))
+        for row, doc in enumerate(order):  # embed_document(table, tokens)
+            idx = np.array([index.get(t, -1) for t in token_lists[doc]], dtype=np.intp)
+            idx = idx[idx >= 0]
+            X[row] = np.mean(table.matrix[idx], axis=0) if idx.size else np.zeros(table.dimension)
+        w, b = train_linear(X[:n_train], labels[train_idx])
+        p = _sigmoid(X[n_train:] @ w + b)
+        accuracies[arm] = float(np.mean((p >= 0.5) == labels[test_idx]))
+        matrices[arm] = X
+    acc_raw, acc_concat = accuracies["raw"], accuracies["concat"]
+    gain = (acc_concat - acc_raw) / acc_raw if acc_raw > 0 else 0.0
+    return DownstreamResult(dataset_name=data.name, accuracy_raw=acc_raw,
+                            accuracy_concat=acc_concat, relative_gain=gain,
+                            train_size=n_train, test_size=len(test_idx),
+                            oov_rate=oov_rate, split_hash=split_hash), matrices
+
+
+@pytest.mark.parametrize("seed, test_fraction", [(0, 0.25), (1, 0.25), (5, 0.4)])
+def test_run_downstream_equals_the_per_document_path(monkeypatch, seed, test_fraction):
+    world = planted_world(n_words=120, dim=6, seed=8)
+    rng = np.random.default_rng(seed)
+    # the raw table lacks every third word and holds an upper-case one, which
+    # no token matches; the concat table lacks a different set
+    raw_rows = [i for i in range(120) if i % 3]
+    raw = EmbeddingTable(words=[world.table.words[i] for i in raw_rows] + ["W00001"],
+                         matrix=np.vstack([world.table.matrix[raw_rows], np.ones((1, 6))]))
+    concat_rows = [i for i in range(120) if i % 5]
+    concat = EmbeddingTable(words=[world.table.words[i] for i in concat_rows],
+                            matrix=rng.standard_normal((len(concat_rows), 9)))
+    docs = sentiment_corpus(world, n_documents=40, seed=seed + 1)
+    docs += [("", 0), ("!!! ... ?", 1),                      # no tokens
+             ("zzz qqq unknown", 0), ("w00000 w00003", 1),   # every token OOV in raw
+             ("w00001 w00001 W00001 w00001", 0),             # repeated, and in two cases
+             ("W00002 w00002 w00004 W00004", 1)]
+    data = TextDataset(records=docs, name="edges")
+    embedded = []  # every document vector, in the order run_downstream embeds them
+
+    def recording(*args):
+        embedded.append(embed_document(*args))
+        return embedded[-1]
+
+    monkeypatch.setattr(downstream, "embed_document", recording)
+    passed = []  # the words each loader is passed
+
+    def loader(table):
+        def load(words):
+            passed.append(list(words))
+            return table
+        return load
+
+    result = run_downstream(loader(raw), loader(concat), data, test_fraction, seed)
+    want, matrices = _reference_run_downstream(raw, concat, data, test_fraction, seed)
+    assert result == want
+    corpus_words = list(dict.fromkeys(t for text, _ in docs for t in tokenize(text)))
+    assert passed == [corpus_words, corpus_words]
+    assert result.oov_rate > 0
+    n = len(docs)
+    assert len(embedded) == 2 * n
+    assert np.array(embedded[:n]).tobytes() == matrices["raw"].tobytes()
+    assert np.array(embedded[n:]).tobytes() == matrices["concat"].tobytes()
 
 
 def test_bundled_corpus_loads():

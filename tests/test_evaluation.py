@@ -475,6 +475,8 @@ def test_train_linear_single_class():
     (np.ones((3, 1)), [[0.0, 1.0, 1.0]], 1e-4, "y must hold one label per row"),
     ([[1.0], [np.nan], [0.0]], [0.0, 1.0, 1.0], 1e-4, "X must be finite"),
     ([[1.0], [np.inf], [0.0]], [0.0, 1.0, 1.0], 1e-4, "X must be finite"),
+    ([[1e200], [3e200], [-2e200]], [0.0, 1.0, 1.0], 1e-4,
+     "the squares of the linear fit's features overflow"),
     (np.ones((0, 2)), [], 1e-4, "X must be a matrix with at least one row"),
     (np.ones((3, 0)), [0.0, 1.0, 1.0], 1e-4, "X must be a matrix .* one feature column"),
     (np.ones(3), [0.0, 1.0, 1.0], 1e-4, "X must be a matrix"),
@@ -482,7 +484,7 @@ def test_train_linear_single_class():
     (np.ones((3, 1)), [0.0, 1.0, 1.0], -1e-4, "l2 must be finite and > 0"),
     (np.ones((3, 1)), [0.0, 1.0, 1.0], np.nan, "l2 must be finite and > 0"),
 ], ids=["label-2", "label-nan", "short-labels", "label-matrix", "nan-feature",
-        "inf-feature", "no-rows", "no-columns", "vector-features",
+        "inf-feature", "squares-overflow", "no-rows", "no-columns", "vector-features",
         "l2-0", "l2-negative", "l2-nan"])
 def test_train_linear_rejects_bad_arguments(features, labels, l2, message):
     with pytest.raises(ValueError, match=message):

@@ -124,7 +124,7 @@ def test_resolve_triplets_matches_per_triplet_loop(small_world):
     indices, vectors, dropped = [], [], 0
     for t in mixed:  # the per-triplet lookups resolve_triplets used to do
         words = (t.anchor, t.synonym, t.antonym)
-        if not all(w in world.table for w in words):
+        if not all(w in world.table.words for w in words):
             dropped += 1
         else:
             indices.append([world.table.words.index(w) for w in words])
@@ -291,7 +291,7 @@ def test_concat_matches_per_word_loop():
     new = EmbeddingTable(words=[f"w{i}" for i in reversed(picked)],
                          matrix=rng.standard_normal((len(picked), 2)))
     out = concat_embeddings(raw, new)
-    common = [w for w in raw.words if w in new]
+    common = [w for w in raw.words if w in new.words]
     ref = np.concatenate([np.array([raw.matrix[raw.words.index(w)] for w in common]),
                           np.array([new.matrix[new.words.index(w)] for w in common])], axis=1)
     assert out.words == common
