@@ -418,7 +418,7 @@ def run(argv: list[str] | None = None) -> int:
         where = f"--{name.replace('_', '-')} {job.paths[name]}: " if name else ""
         print(f"input-error: {where}{exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DivergenceError, ArithmeticError) as exc:
+    except DivergenceError as exc:
         print(f"numeric-error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

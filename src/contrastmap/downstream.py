@@ -109,9 +109,9 @@ def run_downstream(load_raw: Callable[[Collection[str]], EmbeddingTable],
     Each document is tokenized once; each arm's loader is passed the corpus
     words once the split is known to be sound, and each word is looked up
     once per arm. A table is released once its arm's documents are embedded,
-    and their matrix once the arm is scored, before the next one loads. An
-    arm whose document means, or the squares of its fit's features, overflow
-    raises an :class:`InputError` naming the arm, ``"raw"`` or ``"concat"``.
+    and their matrix once the arm is scored, before the next one loads. An arm
+    whose document means, fit or test scores fail at its scale raises an
+    :class:`InputError` naming the arm, ``"raw"`` or ``"concat"``.
     """
     if not (0.0 < test_fraction < 0.5):
         raise ValueError("test_fraction must be in (0, 0.5)")
@@ -143,13 +143,16 @@ def run_downstream(load_raw: Callable[[Collection[str]], EmbeddingTable],
             for row, doc in enumerate(order):
                 X[row] = embed_document(table.matrix, rows[docs[doc]])
         del table
-        with blaming(arm):  # a document's mean, or the squares of the fit, overflow
+        with blaming(arm):  # a mean, the fit or a test score fails at this table's scale
             if not np.isfinite(X).all():
                 raise InputError("a document's mean vector overflows")
             w, b = train_linear(X[:n_train], labels[train_idx])
-        p = _sigmoid(X[n_train:] @ w + b)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                z = X[n_train:] @ w + b
+            if not np.isfinite(z).all():
+                raise InputError("a test document's linear score overflows")
         del X  # before the next arm's loader runs
-        accuracies[arm] = float(np.mean((p >= 0.5) == labels[test_idx]))
+        accuracies[arm] = float(np.mean((_sigmoid(z) >= 0.5) == labels[test_idx]))
 
     acc_raw, acc_concat = accuracies["raw"], accuracies["concat"]
     gain = (acc_concat - acc_raw) / acc_raw if acc_raw > 0 else 0.0

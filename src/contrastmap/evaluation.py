@@ -12,7 +12,7 @@ import numpy as np
 from .boosting import boosted_proba, train_boosted_trees
 from .embeddings import EmbeddingTable, cosine_distance, gather_rows
 from .errors import InputError, blaming
-from .network import _labelled_matrix, _sigmoid, logistic_loss
+from .network import DivergenceError, _labelled_matrix, _sigmoid, logistic_loss
 from .pairs import ANTONYM, SYNONYM, PairSet
 
 N_BINS = 100
@@ -177,7 +177,7 @@ def train_linear(X: np.ndarray, y: np.ndarray,
     Armijo condition holds (Boyd and Vandenberghe, Convex Optimization,
     9.5). The fit stops when the Newton decrement is within round-off of the
     objective, or when a line search finds no strict decrease; reaching
-    ``NEWTON_STEPS`` raises ``ArithmeticError``.
+    ``NEWTON_STEPS`` raises :class:`DivergenceError`.
     """
     X, y = _labelled_matrix(X, y)
     if not (math.isfinite(l2) and l2 > 0.0):  # at l2 = 0 separable data has no optimum
@@ -190,7 +190,6 @@ def train_linear(X: np.ndarray, y: np.ndarray,
     for _ in range(NEWTON_STEPS):
         p = _sigmoid(z)
         r = p - y
-        g = np.append(X.T @ r / n + l2 * w, r.mean())
         s = p * (1.0 - p)
         root = np.sqrt(s)
         H = np.zeros((d + 1, d + 1))  # the bias is the last row and column
@@ -200,11 +199,17 @@ def train_linear(X: np.ndarray, y: np.ndarray,
                 H[:d, :d] += Xs.T @ Xs
         if not np.isfinite(H).all():  # features near 1e154 and above
             raise InputError("the squares of the linear fit's features overflow")
+        g = np.append(X.T @ r / n + l2 * w, r.mean())  # finite where the squares are
         H[:d, d] = H[d, :d] = X.T @ s
         H[d, d] = s.sum()
         H /= n
         H[range(d), range(d)] += l2
-        step = np.linalg.solve(H, -g)
+        try:  # features so large that l2 I is lost in rounding beside their squares
+            step = np.linalg.solve(H, -g)
+            if not np.isfinite(step).all():
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            raise InputError("the linear fit's Hessian is too ill-conditioned to solve") from None
         decrement = -(g @ step)
         dw, db = step[:d], step[d]
         if decrement <= 4.0 * eps * f:  # only round-off is left of f's decrease,
@@ -219,7 +224,7 @@ def train_linear(X: np.ndarray, y: np.ndarray,
         if not f_new < f:
             return w, b
         w, b, z, f = w + t * dw, b + t * db, z + t * dz, f_new
-    raise ArithmeticError(f"logistic fit did not converge in {NEWTON_STEPS} Newton steps")
+    raise DivergenceError(f"logistic fit did not converge in {NEWTON_STEPS} Newton steps")
 
 
 def classify_accuracy(proba: Callable[[np.ndarray], np.ndarray], U: np.ndarray,
@@ -248,14 +253,14 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
 
     Bad data raises an :class:`InputError` naming the argument at fault: a
     train/test vocabulary overlap, unresolvable pairs, train pairs of one
-    relation, or a table whose ``u + v``, its square in the fit or a test score
-    overflows. The linear classifier, a logistic regression on ``u + v`` with
-    each train pair counted once per order, scores a pair the same in either
-    order. Whether u and v agree or oppose along a direction, which tells
-    synonyms from antonyms, is not linear in their sum, so its accuracy stays
-    near chance where the boosted trees' does not; they train on the rows
-    ``[u; v]`` and ``[v; u]`` of each pair, order-averaged at test time by
-    :func:`classify_accuracy`.
+    relation, or a table whose ``u + v`` overflows or whose fit or test scores
+    fail at its scale. The linear classifier, a logistic regression on
+    ``u + v`` with each train pair counted once per order, scores a pair the
+    same in either order. Whether u and v agree or oppose along a direction,
+    which tells synonyms from antonyms, is not linear in their sum, so its
+    accuracy stays near chance where the boosted trees' does not; they train on
+    the rows ``[u; v]`` and ``[v; u]`` of each pair, order-averaged at test
+    time by :func:`classify_accuracy`.
     """
     shared = train_pairs.vocabulary() & test_pairs.vocabulary()
     if shared:
@@ -271,7 +276,7 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
         with blaming("train_pairs"):  # none resolve, or, before the fit, all of one relation
             _, y, ((left, right),) = _pair_rows([table], train_pairs)
             sums, _ = _labelled_matrix(_pair_sums(M, left, right, "train", name), y)
-        with blaming(name):  # the squares of its pair sums, or a test pair's score, overflow
+        with blaming(name):  # the fit on its pair sums, or a test pair's score, fails
             # the full-width fit on both orders [u; v] and [v; u] of every pair has
             # the weights [w; w], where w is the fit on u + v at twice the penalty
             w, b = train_linear(sums, y, l2=2 * LINEAR_DEFAULTS["l2"])

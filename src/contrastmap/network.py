@@ -30,8 +30,8 @@ ADAM_DECAY2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-class DivergenceError(RuntimeError):
-    """Raised when a non-finite loss or gradient appears during training."""
+class DivergenceError(ArithmeticError):
+    """A non-finite loss or gradient in training, or a fit that did not converge."""
 
 
 class MlpParams:
@@ -76,9 +76,6 @@ class MlpParams:
     @property
     def output_dim(self) -> int:
         return self.layer_dims[-1]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(self.layer_dims, self.flat.copy(), self.hidden_activation)
 
 
 def init_params(layer_dims: list[int], hidden_activation: str = "tanh",

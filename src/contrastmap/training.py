@@ -86,17 +86,6 @@ def resolve_triplets(table: EmbeddingTable, triplets: list[Triplet]):
     return tuple(rows[:, resolved]), len(triplets) - int(np.count_nonzero(resolved))
 
 
-def _gather(table: EmbeddingTable, rows, idx: np.ndarray):
-    """The vectors of triplets ``idx``, per column, one (len(idx), m) array at a time."""
-    return (table.matrix[r[idx]] for r in rows)
-
-
-def _split_validation(n: int, fraction: float, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(n * fraction))) if n > 1 else 0
-    return perm[n_val:], perm[:n_val]
-
-
 def _default_dims(m: int, dims: list[int] | None) -> list[int]:
     """The map's layer dims, ``[m, 128, 40]`` when ``dims`` is None. They must
     start at the embedding dimension ``m`` and end below it."""
@@ -122,78 +111,78 @@ def _head_dims(k: int, head_dims: list[int] | None) -> list[int]:
 
 # no RuntimeWarnings: a non-finite loss or gradient raises DivergenceError
 @np.errstate(over="ignore", invalid="ignore")
-def _fit(models: list[MlpParams], step, val_loss, n: int, config: TrainConfig,
-         start: float, dropped: int) -> tuple[list[MlpParams], TrainReport]:
-    """The epoch loop both training modes share.
+def _fit(table: EmbeddingTable, triplets: list[Triplet], config: TrainConfig,
+         models: list[MlpParams], step, val_loss) -> tuple[list[MlpParams], TrainReport]:
+    """The training run both modes share.
 
-    Holds out a seeded validation fraction of the ``n`` triplets, then per
-    epoch shuffles the rest into mini-batches. ``step(models, idx)`` returns
-    the mean loss on triplet rows ``idx`` and one gradient per model, and
-    each model takes one optimizer step. ``val_loss(models, idx)`` scores the
-    held-out rows (the epoch's training loss stands in when none are held
-    out). Training stops after ``early_stop_patience`` non-improving epochs
-    and returns the models as they were at the best validation epoch.
+    Resolves the triplets, holds out a seeded validation fraction, and per
+    epoch shuffles the rest into batches: lazy generators of the anchor,
+    synonym and antonym vectors, one block at a time. ``step(models, batch)``
+    returns the mean loss and one gradient per model, and each model takes an
+    optimizer step. ``val_loss(models, batch)`` scores the held-out triplets;
+    when there are none, the epoch's training loss stands in. Training stops
+    after ``early_stop_patience`` non-improving epochs and returns the best
+    epoch's models: an optimizer step makes a new model, so they need no copy.
     """
+    start = time.perf_counter()
+    rows, dropped = resolve_triplets(table, triplets)
+    n = len(rows[0])
     rng = np.random.default_rng(config.seed)
     states = [init_optimizer(m, learning_rate=config.learning_rate) for m in models]
-    train_idx, val_idx = _split_validation(n, config.validation_fraction, rng)
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(n * config.validation_fraction))) if n > 1 else 0
+    train_idx, val_idx = perm[n_val:], perm[:n_val]
     train_losses: list[float] = []
     val_losses: list[float] = []
-    best = [m.copy() for m in models]
-    best_val = math.inf
-    bad_epochs = 0
+    best = list(models)  # the first epoch's finite validation loss replaces it
+    best_val, bad_epochs = math.inf, 0
     for _ in range(config.max_epochs):
         order = rng.permutation(len(train_idx))
         epoch_loss = 0.0
         for lo in range(0, len(order), config.batch_size):
             idx = train_idx[order[lo:lo + config.batch_size]]
-            loss, grads = step(models, idx)
+            loss, grads = step(models, (table.matrix[r[idx]] for r in rows))
             if not math.isfinite(loss):
                 raise DivergenceError("diverged")
             for i, grad in enumerate(grads):
                 models[i], states[i] = optimizer_step(models[i], grad, states[i])
             epoch_loss += loss * len(idx)
         train_losses.append(epoch_loss / max(len(order), 1))
-        val = val_loss(models, val_idx) if len(val_idx) else train_losses[-1]
+        val = (val_loss(models, (table.matrix[r[val_idx]] for r in rows)) if n_val
+               else train_losses[-1])
         if not math.isfinite(val):
             raise DivergenceError("diverged")
         val_losses.append(val)
         if val < best_val - 1e-12:
             best_val = val
-            best = [m.copy() for m in models]
+            best = list(models)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= config.early_stop_patience:
                 break
-    report = TrainReport(train_losses, val_losses, len(val_losses),
-                         time.perf_counter() - start, n, len(val_idx), dropped)
-    return best, report
+    return best, TrainReport(train_losses, val_losses, len(val_losses),
+                             time.perf_counter() - start, n, n_val, dropped)
 
 
 def train_baseline(table: EmbeddingTable, triplets: list[Triplet],
                    config: TrainConfig) -> tuple[MlpParams, TrainReport]:
-    """Train the contrasting map on the triplet cosine loss.
-
-    Holds out a seeded validation fraction of triplets, early-stops after
-    ``early_stop_patience`` non-improving epochs, and restores the best
-    validation epoch's parameters.
-    """
+    """Train the contrasting map on the triplet cosine loss, early-stopped on a
+    seeded validation fraction of the triplets, and return the best validation
+    epoch's map with the run's report."""
     if config.mode != BASELINE:
         raise ValueError("config.mode must be 'baseline'")
-    start = time.perf_counter()
-    rows, dropped = resolve_triplets(table, triplets)
     dims = _default_dims(table.dimension, config.layer_dims)
     params = init_params(dims, config.hidden_activation, seed=config.seed)
 
-    def step(models, idx):
-        loss, grad = triplet_backward(models[0], *_gather(table, rows, idx))
+    def step(models, batch):
+        loss, grad = triplet_backward(models[0], *batch)
         return loss, [grad]
 
-    def val_loss(models, idx):
-        return triplet_loss(models[0], *_gather(table, rows, idx))
+    def val_loss(models, batch):
+        return triplet_loss(models[0], *batch)
 
-    (best,), report = _fit([params], step, val_loss, len(rows[0]), config, start, dropped)
+    (best,), report = _fit(table, triplets, config, [params], step, val_loss)
     return best, report
 
 
@@ -214,18 +203,15 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
     """
     if config.mode != CLASSIFIER_SYSTEM:
         raise ValueError("config.mode must be 'classifier_system'")
-    start = time.perf_counter()
-    rows, dropped = resolve_triplets(table, triplets)
     dims = _default_dims(table.dimension, config.layer_dims)
     head_dims = _head_dims(dims[-1], config.head_dims)
     params = init_params(dims, config.hidden_activation, seed=config.seed)
     head = init_params(head_dims, config.hidden_activation, seed=config.seed + 1)
 
-    def step(models, idx):
+    def step(models, batch):
         params, head = models
-        n = len(idx)
-        (Zw, cw), (Zs, cs), (Za, ca) = (_forward_cached(params, X)
-                                        for X in _gather(table, rows, idx))
+        (Zw, cw), (Zs, cs), (Za, ca) = (_forward_cached(params, X) for X in batch)
+        n = len(Zw)
         U, V, y = _head_pairs(Zw, Zs, Za)
         loss, head_grad, dU, dV = pair_head_loss_backward(head, U, V, y)
         grad = _backward(params, cw, dU[:n] + dU[n:])[0]
@@ -233,14 +219,13 @@ def train_classifier_system(table: EmbeddingTable, triplets: list[Triplet],
         _backward(params, ca, dV[n:], grad)
         return loss, [grad, head_grad]
 
-    def val_loss(models, idx):
+    def val_loss(models, batch):
         # one branch's gather and forward cache at a time: the held-out rows are many
-        U, V, y = _head_pairs(*(_forward_cached(models[0], X)[0]
-                                for X in _gather(table, rows, idx)))
+        U, V, y = _head_pairs(*(_forward_cached(models[0], X)[0] for X in batch))
         return logistic_loss(y, pair_head_logits(models[1], U, V))
 
-    (best_params, best_head), report = _fit([params, head], step, val_loss, len(rows[0]),
-                                            config, start, dropped)
+    (best_params, best_head), report = _fit(table, triplets, config, [params, head], step,
+                                            val_loss)
     return best_params, best_head, report
 
 

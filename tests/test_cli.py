@@ -300,6 +300,24 @@ _vector_text = _vector_line.flatmap(lambda line: st.tuples(line, st.lists(
         lambda p: "\n".join([p[0], *p[1]]))
 
 
+@pytest.mark.parametrize("flag, other", [("--raw", "--concat"), ("--concat", "--raw")])
+@settings(max_examples=60, deadline=None)
+@given(text=st.one_of(_vector_text, _vector_text, st.text()))
+# w00072 is a word of the fixture corpus's test documents only, so its row's
+# score overflows under a fit on the train documents
+@example(text="w00072 1.7e308 1.7e308\nw00000 1 0\nw00001 0 1")
+@example(text="w00000 2.396924179816421e+307")  # X.T @ r overflows before the squares do
+@example(text="w00000 3191387.0 3191387.0")  # the fit's Hessian is singular in rounding
+@example(text="w00000 15148937153.0 1e+16 1.1787894449393447e-269")  # its solve overflows
+def test_downstream_on_malformed_tables_exits_0_or_names_the_input(fixtures, flag, other,
+                                                                   text):
+    code, err, path = _run_on_text(["downstream", other, str(fixtures["embeddings"]),
+                                    "--data", str(fixtures["corpus"])], flag, text)
+    assert code in (0, 2), err
+    if code:
+        assert err.startswith(f"input-error: {flag} {path}: "), err
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(_vector_text, _vector_text, st.text()))
 @example("w00000 1e308 -1e308\nw00001 5e-324 1e-200\nw00002 -1e300 1e-310\nw00003 3 4")
@@ -505,14 +523,22 @@ def test_parse_errors_name_the_input(fixtures, tmp_path, capsys, flag, content, 
     # finite means whose squares overflow in the fit
     ("--raw", "w0 1e200 -2e200\nw1 3e200 1e200\nw2 -2e200 3e200\n",
      "the squares of the linear fit's features overflow"),
-], ids=["--concat", "--raw", "--raw-squares"])
+    # equal columns so large that the l2 penalty rounds away beside their squares
+    ("--raw", "w0 3e6 3e6\nw1 3e6 3e6\nw2 3e6 3e6\n",
+     "the linear fit's Hessian is too ill-conditioned to solve"),
+    # finite test means whose scores under the fit on the train documents overflow
+    ("--raw", "w0 1 0\nw1 0 1\nw2 1 1\nw3 1.7e308 1.7e308\n",
+     "a test document's linear score overflows"),
+], ids=["--concat", "--raw", "--raw-squares", "--raw-ill-conditioned", "--raw-test-score"])
 def test_downstream_names_the_table_whose_document_means_overflow(tmp_path, capsys, flag,
                                                                   rows, message):
     finite, huge, data = (tmp_path / name for name in ("finite.txt", "huge.txt", "data.csv"))
     finite.write_text("w0 1 0\nw1 0 1\nw2 1 1\n")
     huge.write_text(rows)
-    docs = ["w0 w1", "w1 w2", "w0 w2 w1", "w2 w0"]
-    data.write_text("text,label\n" + "".join(f"{d},{i % 2}\n" for i, d in enumerate(docs * 2)))
+    # documents 4 and 7 are the test side at seed 0; w3, which they alone hold,
+    # is in no other table
+    docs = ["w0 w1", "w1 w2", "w0 w2 w1", "w2 w0", "w0 w1 w3", "w1 w2", "w0 w2 w1", "w2 w0 w3"]
+    data.write_text("text,label\n" + "".join(f"{d},{i % 2}\n" for i, d in enumerate(docs)))
     inputs = {"--raw": finite, "--concat": finite, flag: huge}
     code = run(["downstream", *[str(a) for kv in inputs.items() for a in kv],
                 "--data", str(data), "--out", str(tmp_path / "out")])
@@ -582,6 +608,27 @@ def test_value_error_in_a_fit_is_a_bug_not_bad_input(fixtures, tmp_path, monkeyp
              "--out", str(tmp_path / "out")])
     assert type(raised.value) is ValueError and "--data" not in str(raised.value)
     assert "input-error" not in capsys.readouterr().err
+
+
+def test_arithmetic_error_in_a_fit_is_a_bug_not_a_numeric_failure(fixtures, tmp_path,
+                                                                 monkeypatch, capsys):
+    """A fit that does not converge exits 3; a ZeroDivisionError, or any other
+    ArithmeticError that is not a DivergenceError, propagates."""
+    args = ["downstream", "--raw", str(fixtures["embeddings"]), "--concat",
+            str(fixtures["embeddings"]), "--data", str(fixtures["corpus"]),
+            "--out", str(tmp_path / "out")]
+    monkeypatch.setattr(contrastmap.evaluation, "NEWTON_STEPS", 1)
+    assert run(args) == 3
+    assert capsys.readouterr().err == ("numeric-error: logistic fit did not converge "
+                                       "in 1 Newton steps\n")
+
+    def broken(*args, **kwargs):
+        return 1 / 0
+
+    monkeypatch.setattr(contrastmap.downstream, "train_linear", broken)
+    with pytest.raises(ZeroDivisionError):
+        run(args)
+    assert "numeric-error" not in capsys.readouterr().err
 
 
 def test_downstream_tokenizes_each_document_once(fixtures, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -16,13 +17,14 @@ from hypothesis import strategies as st
 import contrastmap
 from contrastmap import embeddings, training
 from contrastmap.embeddings import GATHER_BYTES, EmbeddingTable, gather_rows, write_embedding_text
-from contrastmap.network import (MlpParams, _row_cosines, _sigmoid, forward,
-                                 init_params, pair_head_logits, pair_head_loss_backward)
+from contrastmap.network import (DivergenceError, MlpParams, _row_cosines, _sigmoid, forward,
+                                 init_optimizer, init_params, optimizer_step, pair_head_logits,
+                                 pair_head_loss_backward)
 from contrastmap.pairs import build_triplets, split_pairs
 from contrastmap.synthetic import planted_world
 from contrastmap.training import (BASELINE, CLASSIFIER_SYSTEM, TRANSFORM_BLOCK_ROWS,
-                                  TrainConfig, _head_dims, concat_embeddings, resolve_triplets,
-                                  train_baseline, train_classifier_system,
+                                  TrainConfig, TrainReport, _head_dims, concat_embeddings,
+                                  resolve_triplets, train_baseline, train_classifier_system,
                                   transform_vocabulary, write_concat_text)
 
 
@@ -551,7 +553,7 @@ def _training_closures(monkeypatch, table, triplets, mode, activation, **overrid
     perturbed so that the biases are nonzero."""
     seen = {}
 
-    def capture(models, step, val_loss, *_):
+    def capture(table, triplets, config, models, step, val_loss):
         seen.update(models=models, step=step, val_loss=val_loss)
         return models, None
 
@@ -564,12 +566,17 @@ def _training_closures(monkeypatch, table, triplets, mode, activation, **overrid
     return seen["models"], seen["step"], seen["val_loss"]
 
 
+def _batch(triplet_rows, idx):
+    """The lazy batch ``_fit`` hands a closure: triplets ``idx``'s rows, a column at a time."""
+    return (X[idx] for X in triplet_rows)
+
+
 def _assert_step_matches_reference(models, step, val_loss, mode, triplet_rows, idx):
     reference = _reference_baseline_step if mode == BASELINE else _reference_classifier_step
     # as in training: a non-finite loss is an outcome to compare, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        loss, grads = step(models, idx)
-        held_out = val_loss(models, idx)
+        loss, grads = step(models, _batch(triplet_rows, idx))
+        held_out = val_loss(models, _batch(triplet_rows, idx))
         ref_loss, ref_grads = reference(*models, *(X[idx] for X in triplet_rows))
     assert len(grads) == len(ref_grads) == len(models)
     assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
@@ -614,18 +621,92 @@ def test_classifier_step_gradients_match_finite_differences(monkeypatch):
     models, step, _ = _training_closures(monkeypatch, world.table, triplets,
                                          CLASSIFIER_SYSTEM, "tanh",
                                          layer_dims=[6, 5, 3], head_dims=[6, 4, 1])
-    idx = np.arange(9)
-    grads = [g.copy() for g in step(models, idx)[1]]
+    triplet_rows, idx = _reference_resolve(world.table, triplets), np.arange(9)
+    grads = [g.copy() for g in step(models, _batch(triplet_rows, idx))[1]]
     h = 1e-6
     for model, grad in zip(models, grads):
         numeric = np.empty_like(model.flat)
         for i in range(len(model.flat)):
             orig = model.flat[i]
             model.flat[i] = orig + h
-            up = step(models, idx)[0]
+            up = step(models, _batch(triplet_rows, idx))[0]
             model.flat[i] = orig - h
-            down = step(models, idx)[0]
+            down = step(models, _batch(triplet_rows, idx))[0]
             model.flat[i] = orig
             numeric[i] = (up - down) / (2 * h)
         assert np.all(np.abs(grad) > 1e-8)  # every entry is checked at relative tolerance
         np.testing.assert_allclose(grad, numeric, rtol=1e-5)
+
+
+def _reference_split_validation(n, fraction, rng):
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(n * fraction))) if n > 1 else 0
+    return perm[n_val:], perm[:n_val]
+
+
+def _reference_copy(model):
+    return MlpParams(model.layer_dims, model.flat.copy(), model.hidden_activation)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _reference_fit(table, triplets, config, models, step, val_loss):
+    """The training loop as it was while the trainers resolved the triplets and
+    a split helper drew the validation rows, copying every model at each
+    improving epoch."""
+    start = time.perf_counter()
+    rows, dropped = resolve_triplets(table, triplets)
+    n = len(rows[0])
+    rng = np.random.default_rng(config.seed)
+    states = [init_optimizer(m, learning_rate=config.learning_rate) for m in models]
+    train_idx, val_idx = _reference_split_validation(n, config.validation_fraction, rng)
+    train_losses, val_losses = [], []
+    best = [_reference_copy(m) for m in models]
+    best_val, bad_epochs = math.inf, 0
+    for _ in range(config.max_epochs):
+        order = rng.permutation(len(train_idx))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), config.batch_size):
+            idx = train_idx[order[lo:lo + config.batch_size]]
+            loss, grads = step(models, (table.matrix[r[idx]] for r in rows))
+            if not math.isfinite(loss):
+                raise DivergenceError("diverged")
+            for i, grad in enumerate(grads):
+                models[i], states[i] = optimizer_step(models[i], grad, states[i])
+            epoch_loss += loss * len(idx)
+        train_losses.append(epoch_loss / max(len(order), 1))
+        val = (val_loss(models, (table.matrix[r[val_idx]] for r in rows)) if len(val_idx)
+               else train_losses[-1])
+        if not math.isfinite(val):
+            raise DivergenceError("diverged")
+        val_losses.append(val)
+        if val < best_val - 1e-12:
+            best_val, bad_epochs = val, 0
+            best = [_reference_copy(m) for m in models]
+        else:
+            bad_epochs += 1
+            if bad_epochs >= config.early_stop_patience:
+                break
+    report = TrainReport(train_losses, val_losses, len(val_losses),
+                         time.perf_counter() - start, n, len(val_idx), dropped)
+    return best, report
+
+
+@pytest.mark.parametrize("mode, stopped, best_epoch", [(BASELINE, 20, 16),
+                                                       (CLASSIFIER_SYSTEM, 13, 9)])
+def test_fit_matches_the_copying_reference_loop(monkeypatch, mode, stopped, best_epoch):
+    world = planted_world(600, 20, seed=3)
+    triplets = build_triplets(split_pairs(world.pairs).train, seed=1)
+    config = TrainConfig(layer_dims=[20, 16, 4], learning_rate=3e-2, batch_size=32,
+                         max_epochs=60, early_stop_patience=4, seed=5, mode=mode)
+    train = train_baseline if mode == BASELINE else train_classifier_system
+    *models, report = train(world.table, triplets, config)
+    monkeypatch.setattr(training, "_fit", _reference_fit)
+    *ref_models, ref_report = train(world.table, triplets, config)
+    # the best epoch comes before the stop, so the last epoch's models are not returned
+    assert report.stopped_epoch == stopped
+    assert 1 + int(np.argmin(report.val_losses)) == best_epoch
+    assert report.to_dict(include_wall_time=False) == ref_report.to_dict(include_wall_time=False)
+    assert len(models) == len(ref_models)
+    for model, ref in zip(models, ref_models):
+        assert model.layer_dims == ref.layer_dims
+        assert model.flat.tobytes() == ref.flat.tobytes()
