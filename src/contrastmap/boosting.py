@@ -35,6 +35,7 @@ from .network import logistic_loss  # noqa: F401  (part of the boosting API)
 H_EPS = 1e-16
 GAIN_TOL = 1e-12
 MAX_BINS = 255  # value bins per feature
+BOOSTED_DEFAULTS = {"rounds": 200, "shrinkage": 0.1, "max_depth": 2}
 
 
 @dataclass
@@ -152,8 +153,9 @@ def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = 200,
-                        shrinkage: float = 0.1, max_depth: int = 2) -> BoostedTrees:
+def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = BOOSTED_DEFAULTS["rounds"],
+                        shrinkage: float = BOOSTED_DEFAULTS["shrinkage"],
+                        max_depth: int = BOOSTED_DEFAULTS["max_depth"]) -> BoostedTrees:
     """Fit the ensemble: base-rate log-odds, then one tree per round."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")

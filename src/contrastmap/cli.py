@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -18,8 +19,8 @@ from pathlib import Path
 from . import __version__
 from .embeddings import parse_embedding_text, write_embedding_text
 from .errors import InputError, blaming
-from .network import (MODEL_FORMAT_VERSION, DivergenceError, load_params,
-                      save_params)
+from .network import (ACTIVATIONS, MODEL_FORMAT_VERSION, DivergenceError,
+                      load_params, save_params)
 from .pairs import (build_triplets, component_stats, load_pairs, split_pairs,
                     write_pairs)
 from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig, _default_dims,
@@ -27,8 +28,8 @@ from .training import (BASELINE, CLASSIFIER_SYSTEM, TrainConfig, _default_dims,
                        transform_vocabulary, write_concat_text)
 # not called here; perfbench's traced run wraps it under this module's name
 from .training import concat_embeddings  # noqa: F401
-from .evaluation import (build_accuracy_table, distance_report, extreme_pairs,
-                         shift_report)
+from .evaluation import (BOOSTED_DEFAULTS, build_accuracy_table, distance_report,
+                         extreme_pairs, shift_report)
 from .downstream import load_text_csv, run_downstream
 
 EXIT_OK = 0
@@ -337,6 +338,8 @@ def _cmd_downstream(args, run: _Run) -> None:
 
 
 def build_parser() -> _Parser:
+    def default(func, name: str):  # the library's default of func's keyword name
+        return inspect.signature(func).parameters[name].default
     parser = _Parser(prog="contrastmap",
                      description="Contrasting-map experiment pipeline")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -356,26 +359,27 @@ def build_parser() -> _Parser:
         return p
 
     p = command("split", "leakage-free train/test pair split", _cmd_split, ("pairs",))
-    p.add_argument("--test-every", type=_checked(int, lambda v: v >= 2, ">= 2"), default=4)
+    p.add_argument("--test-every", type=_checked(int, lambda v: v >= 2, ">= 2"),
+                   default=default(split_pairs, "test_every"))
 
     command("stats", "relation-graph component statistics", _cmd_stats, ("pairs",))
 
     p = command("train", "train the contrasting map", _cmd_train,
                 ("embeddings", "pairs"), {"pairs": "train-side pair TSV"})
-    p.add_argument("--mode", choices=["baseline", "classifier-system"],
-                   default="baseline")
+    p.add_argument("--mode", choices=["baseline", "classifier-system"], default="baseline")
     p.add_argument("--dims", type=_dims_arg,
                    help="comma-separated layer dims, e.g. 300,128,40")
     p.add_argument("--head-dims", type=_dims_arg,
                    help="classifier head dims (classifier-system)")
-    p.add_argument("--activation", choices=["tanh", "relu"], default="tanh")
-    p.add_argument("--lr", type=_positive_float, default=1e-3)
-    p.add_argument("--batch-size", type=_positive_int, default=256)
-    p.add_argument("--epochs", type=_positive_int, default=50)
-    p.add_argument("--patience", type=_positive_int, default=5)
+    p.add_argument("--activation", choices=ACTIVATIONS, default=TrainConfig.hidden_activation)
+    p.add_argument("--lr", type=_positive_float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=_positive_int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=_positive_int, default=TrainConfig.early_stop_patience)
     p.add_argument("--val-fraction", type=_checked(float, lambda v: 0 < v <= 0.5, "in (0, 0.5]"),
-                   default=0.1)
-    p.add_argument("--cap-per-anchor", type=_positive_int, default=20)
+                   default=TrainConfig.validation_fraction)
+    p.add_argument("--cap-per-anchor", type=_positive_int,
+                   default=default(build_triplets, "cap_per_anchor"))
 
     command("transform", "materialize transformed + concat tables", _cmd_transform,
             ("model", "embeddings"))
@@ -393,12 +397,12 @@ def build_parser() -> _Parser:
 
     p = command("eval-classifiers", "raw/new/concat accuracy table", _cmd_eval_classifiers,
                 ("raw", "new", "concat", "train_pairs", "test_pairs"))
-    p.add_argument("--rounds", type=_positive_int, default=200)
+    p.add_argument("--rounds", type=_positive_int, default=BOOSTED_DEFAULTS["rounds"])
 
     p = command("downstream", "mean-embedding text classification", _cmd_downstream,
                 ("raw", "concat", "data"), {"data": "text,label CSV"})
     p.add_argument("--test-fraction", type=_checked(float, lambda v: 0 < v < 0.5, "in (0, 0.5)"),
-                   default=0.25)
+                   default=default(run_downstream, "test_fraction"))
     return parser
 
 

@@ -9,7 +9,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .boosting import boosted_proba, train_boosted_trees
+from .boosting import BOOSTED_DEFAULTS, boosted_proba, train_boosted_trees
 from .embeddings import EmbeddingTable, cosine_distance, gather_rows
 from .errors import InputError, blaming
 from .network import DivergenceError, _labelled_matrix, _sigmoid, logistic_loss
@@ -22,7 +22,6 @@ LINEAR_DEFAULTS = {"l2": 1e-4}
 NEWTON_STEPS = 100  # a cap: the L2 logistic fits here stop within a few steps
 ARMIJO = 0.25       # share of the predicted decrease a Newton step must achieve
 HESSIAN_ROWS = 1024  # rows of X scaled at once for the Hessian: no (n, d) temporary
-BOOSTED_DEFAULTS = {"rounds": 200, "shrinkage": 0.1, "max_depth": 2}
 
 
 @dataclass

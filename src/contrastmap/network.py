@@ -267,10 +267,10 @@ class OptimizerState:
     step_count: int
     first_moment: np.ndarray
     second_moment: np.ndarray
-    learning_rate: float = 1e-3
+    learning_rate: float
 
 
-def init_optimizer(params: MlpParams, learning_rate: float = 1e-3) -> OptimizerState:
+def init_optimizer(params: MlpParams, learning_rate: float) -> OptimizerState:
     return OptimizerState(0, np.zeros_like(params.flat), np.zeros_like(params.flat),
                           learning_rate)
 

@@ -3,6 +3,7 @@ and rerun determinism."""
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -20,14 +21,14 @@ from hypothesis import strategies as st
 import contrastmap
 from contrastmap import cli
 from contrastmap.cli import run
-from contrastmap.downstream import load_text_csv
-from contrastmap.pairs import load_pairs
+from contrastmap.downstream import load_text_csv, run_downstream
+from contrastmap.pairs import build_triplets, load_pairs, split_pairs
 from contrastmap.synthetic import planted_world, sentiment_corpus, write_sentiment_csv
 from contrastmap.embeddings import parse_embedding_text, write_embedding_text
-from contrastmap.evaluation import shift_report
-from contrastmap.network import init_params, save_params
+from contrastmap.evaluation import BOOSTED_DEFAULTS, shift_report
+from contrastmap.network import ACTIVATIONS, init_params, save_params
 from contrastmap.pairs import write_pairs
-from contrastmap.training import concat_embeddings, transform_vocabulary
+from contrastmap.training import TrainConfig, concat_embeddings, transform_vocabulary
 
 
 # a child Python process turns every warning, numpy's RuntimeWarnings included,
@@ -150,6 +151,31 @@ def test_eval_extremes_n_checked_at_parsing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "usage-error:" in err and "-n" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    def keyword_default(func, name):
+        return inspect.signature(func).parameters[name].default
+
+    parser = cli.build_parser()
+    parse, out = parser.parse_args, ["--out", "out"]
+    split = parse(["split", "--pairs", "p"] + out)
+    assert split.test_every == keyword_default(split_pairs, "test_every")
+    train = parse(["train", "--embeddings", "e", "--pairs", "p"] + out)
+    config = TrainConfig()
+    assert (train.activation, train.lr, train.batch_size, train.epochs, train.patience,
+            train.val_fraction) == (config.hidden_activation, config.learning_rate,
+                                    config.batch_size, config.max_epochs,
+                                    config.early_stop_patience, config.validation_fraction)
+    assert train.cap_per_anchor == keyword_default(build_triplets, "cap_per_anchor")
+    subcommands = parser._subparsers._group_actions[0].choices
+    (activation,) = (a for a in subcommands["train"]._actions if a.dest == "activation")
+    assert tuple(activation.choices) == ACTIVATIONS
+    classifiers = parse(["eval-classifiers", "--raw", "r", "--new", "n", "--concat", "c",
+                         "--train-pairs", "p", "--test-pairs", "q"] + out)
+    assert classifiers.rounds == BOOSTED_DEFAULTS["rounds"]
+    downstream = parse(["downstream", "--raw", "r", "--concat", "c", "--data", "d"] + out)
+    assert downstream.test_fraction == keyword_default(run_downstream, "test_fraction")
 
 
 @pytest.mark.filterwarnings("error")

@@ -192,7 +192,7 @@ def test_one_small_step_decreases_loss():
 def test_optimizer_zero_gradient():
     params = init_params([4, 2], seed=0)
     zero = np.zeros_like(params.flat)
-    state = init_optimizer(params)
+    state = init_optimizer(params, learning_rate=1e-3)
     new_params, new_state = optimizer_step(params, zero, state)
     assert new_state.step_count == 1
     assert all(np.array_equal(a, b)
@@ -212,7 +212,7 @@ def test_optimizer_deterministic():
     rng = np.random.default_rng(7)
     params = init_params([4, 2], seed=0)
     grads = rng.standard_normal(params.flat.shape)
-    state = init_optimizer(params)
+    state = init_optimizer(params, learning_rate=1e-3)
     p1, s1 = optimizer_step(params, grads, state)
     p2, s2 = optimizer_step(params, grads, state)
     assert all(np.array_equal(a, b) for a, b in zip(p1.weights, p2.weights))
@@ -224,7 +224,7 @@ def test_optimizer_diverged():
     grads = np.zeros_like(params.flat)
     grads[:params.weights[0].size] = np.nan
     with pytest.raises(DivergenceError, match="diverged"):
-        optimizer_step(params, grads, init_optimizer(params))
+        optimizer_step(params, grads, init_optimizer(params, learning_rate=1e-3))
 
 
 
@@ -287,7 +287,7 @@ def test_flat_optimizer_matches_per_array_reference_bit_for_bit(dims, lr):
 
 def test_optimizer_step_leaves_its_inputs_unchanged():
     params = init_params([6, 5, 3], seed=2)
-    state = init_optimizer(params)
+    state = init_optimizer(params, learning_rate=1e-3)
     grad = np.random.default_rng(15).standard_normal(params.flat.shape)
     before = (params.flat.copy(), grad.copy())
     new_params, new_state = optimizer_step(params, grad, state)
