@@ -19,6 +19,11 @@ sum so that it cannot overflow. An inner node keeps its rows' codes, taken
 from its parent's, so a fit holds the (d, n) codes and one root-to-node path
 of them, a byte per row and feature each.
 
+``_bin`` bins one column and ``_boost`` runs the rounds on the codes:
+``train_boosted_trees`` bins each column of its float matrix, while the
+accuracy table (``evaluation.build_accuracy_table``) bins its pair features
+straight from the embedding table and never builds that matrix.
+
 Everything is deterministic: split-gain ties break on the lowest feature
 index, then the lowest bin.
 """
@@ -58,26 +63,25 @@ class BoostedTrees:
     shrinkage: float
 
 
-def _bin(X: np.ndarray):
-    """Codes (d, n) uint8 of every feature, and each bin's smallest and
-    largest value, (d, MAX_BINS) each."""
-    n, d = X.shape
-    codes = np.empty((d, n), dtype=np.uint8)
-    lower, upper = np.zeros((d, MAX_BINS)), np.zeros((d, MAX_BINS))
-    for f in range(d):
-        order = np.argsort(X[:, f])  # equal values share a code: any tie order will do
-        v = X[order, f]
-        begins = np.zeros(n, dtype=np.intp)  # 1 where a bin begins: at each new value
-        begins[1:] = v[1:] > v[:-1]
+def _bin(x: np.ndarray):
+    """Codes (n,) uint8 of one feature column ``x``, and each bin's smallest
+    and largest value, (MAX_BINS,) each."""
+    n = len(x)
+    order = np.argsort(x)  # equal values share a code: any tie order will do
+    v = x[order]
+    begins = np.zeros(n, dtype=np.intp)  # 1 where a bin begins: at each new value
+    begins[1:] = v[1:] > v[:-1]
+    starts = np.flatnonzero(begins)
+    if len(starts) >= MAX_BINS:  # too many: at the first new value after each n / MAX_BINS rows
+        at = np.searchsorted(starts, np.arange(1, MAX_BINS) * n // MAX_BINS)
+        begins[:] = 0
+        begins[starts[at[at < len(starts)]]] = 1
         starts = np.flatnonzero(begins)
-        if len(starts) >= MAX_BINS:  # too many: at the first new value after each n / MAX_BINS rows
-            at = np.searchsorted(starts, np.arange(1, MAX_BINS) * n // MAX_BINS)
-            begins[:] = 0
-            begins[starts[at[at < len(starts)]]] = 1
-            starts = np.flatnonzero(begins)
-        codes[f, order] = np.cumsum(begins, out=begins)
-        lower[f, :len(starts) + 1] = v[np.r_[0, starts]]
-        upper[f, :len(starts) + 1] = v[np.r_[starts - 1, n - 1]]
+    codes = np.empty(n, dtype=np.uint8)
+    codes[order] = np.cumsum(begins, out=begins)
+    lower, upper = np.zeros(MAX_BINS), np.zeros(MAX_BINS)
+    lower[:len(starts) + 1] = v[np.r_[0, starts]]
+    upper[:len(starts) + 1] = v[np.r_[starts - 1, n - 1]]
     return codes, lower, upper
 
 
@@ -153,20 +157,19 @@ def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = BOOSTED_DEFAULTS["rounds"],
-                        shrinkage: float = BOOSTED_DEFAULTS["shrinkage"],
-                        max_depth: int = BOOSTED_DEFAULTS["max_depth"]) -> BoostedTrees:
-    """Fit the ensemble: base-rate log-odds, then one tree per round."""
+def _boost(codes: np.ndarray, lower: np.ndarray, upper: np.ndarray, y: np.ndarray,
+           rounds: int, shrinkage: float, max_depth: int) -> BoostedTrees:
+    """The round loop on binned features: ``codes`` (d, n) and ``lower``,
+    ``upper`` (d, MAX_BINS) stack each feature's :func:`_bin`, and ``y`` holds
+    the checked 0/1 labels of both classes."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if not (math.isfinite(shrinkage) and shrinkage > 0.0):
         raise ValueError(f"shrinkage must be finite and > 0, got {shrinkage}")
-    X, y = _labelled_matrix(X, y)
     p_base = y.mean()
     base = math.log(p_base / (1.0 - p_base))
-    codes, lower, upper = _bin(X)
     rows = np.arange(len(y))
     scores = np.full(len(y), base)
     update = np.empty(len(y))  # each round's leaves write their values to their rows
@@ -178,6 +181,18 @@ def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = BOOSTED_DEFA
         trees.append(_build_tree(codes, rows, lower, upper, g, h, max_depth, update))
         scores += shrinkage * update
     return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage)
+
+
+def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = BOOSTED_DEFAULTS["rounds"],
+                        shrinkage: float = BOOSTED_DEFAULTS["shrinkage"],
+                        max_depth: int = BOOSTED_DEFAULTS["max_depth"]) -> BoostedTrees:
+    """Fit the ensemble: base-rate log-odds, then one tree per round."""
+    X, y = _labelled_matrix(X, y)
+    codes = np.empty(X.T.shape, dtype=np.uint8)
+    lower, upper = np.empty((2, X.shape[1], MAX_BINS))
+    for f, x in enumerate(X.T):
+        codes[f], lower[f], upper[f] = _bin(x)
+    return _boost(codes, lower, upper, y, rounds, shrinkage, max_depth)
 
 
 def boosted_scores(model: BoostedTrees, X: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .boosting import BOOSTED_DEFAULTS, boosted_proba, train_boosted_trees
+from .boosting import BOOSTED_DEFAULTS, MAX_BINS, _bin, _boost, boosted_proba
 from .embeddings import EmbeddingTable, cosine_distance, gather_rows
 from .errors import InputError, blaming
 from .network import DivergenceError, _labelled_matrix, _sigmoid, logistic_loss
@@ -259,7 +259,10 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
     which tells synonyms from antonyms, is not linear in their sum, so its
     accuracy stays near chance where the boosted trees' does not; they train on
     the rows ``[u; v]`` and ``[v; u]`` of each pair, order-averaged at test
-    time by :func:`classify_accuracy`.
+    time by :func:`classify_accuracy`. Those rows are binned column by column
+    from the table, so the trees hold one byte per train row and feature, not
+    a float64 matrix; their codes are those of the :func:`featurize_pair`
+    layout.
     """
     shared = train_pairs.vocabulary() & test_pairs.vocabulary()
     if shared:
@@ -274,7 +277,7 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
             _, y_test, ((left_test, right_test),) = _pair_rows([table], test_pairs)
         with blaming("train_pairs"):  # none resolve, or, before the fit, all of one relation
             _, y, ((left, right),) = _pair_rows([table], train_pairs)
-            sums, _ = _labelled_matrix(_pair_sums(M, left, right, "train", name), y)
+            sums, y = _labelled_matrix(_pair_sums(M, left, right, "train", name), y)
         with blaming(name):  # the fit on its pair sums, or a test pair's score, fails
             # the full-width fit on both orders [u; v] and [v; u] of every pair has
             # the weights [w; w], where w is the fit on u + v at twice the penalty
@@ -284,16 +287,19 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
             if not np.isfinite(z).all():
                 raise InputError("a test pair's linear score overflows")
         linear_pred = _sigmoid(z) >= 0.5
-        # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u], filled a
-        # block at a time into the one matrix the trees train on
+        # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u]; column j of
+        # the [u; v] rows is binned once, and feature d + j, the [v; u] rows'
+        # column j, is feature j with each pair's two rows swapped
         first = np.column_stack([left, right]).ravel()
-        second = np.column_stack([right, left]).ravel()
-        Xtr = np.empty((len(first), 2 * table.dimension))
-        step = gather_rows(table.dimension)
-        for lo in range(0, len(first), step):
-            Xtr[lo:lo + step] = featurize_pair(M[first[lo:lo + step]], M[second[lo:lo + step]])
+        d = table.dimension
+        codes = np.empty((2 * d, len(first)), dtype=np.uint8)
+        lower, upper = np.empty((2, 2 * d, MAX_BINS))
+        for j in range(d):
+            codes[j], lower[j], upper[j] = _bin(M[first, j])
+        codes[d:] = codes[:d, np.arange(len(first)) ^ 1]
+        lower[d:], upper[d:] = lower[:d], upper[:d]
         ytr = np.repeat(y, 2)
-        trees = train_boosted_trees(Xtr, ytr, **boosted)
+        trees = _boost(codes, lower, upper, ytr, **boosted)
         accuracies[space] = {
             "linear": float(np.mean(linear_pred == y_test)),
             "boosted": classify_accuracy(lambda X: boosted_proba(trees, X),

@@ -5,11 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from contrastmap import boosting
+from contrastmap import boosting, evaluation
 from contrastmap.boosting import (GAIN_TOL, H_EPS, MAX_BINS, TreeNode,
                                   boosted_proba, boosted_scores, logistic_loss,
                                   train_boosted_trees)
-from contrastmap.evaluation import _pair_rows, featurize_pair
+from contrastmap.embeddings import EmbeddingTable
+from contrastmap.evaluation import _pair_rows, build_accuracy_table, featurize_pair
 from contrastmap.pairs import split_pairs
 from contrastmap.synthetic import planted_world
 
@@ -206,7 +207,7 @@ def _reference_trees(X, y, rounds, shrinkage, max_depth):
 def _code_matrix(X):
     """The library's bin codes of ``X`` as an (n, d) float matrix, NaN's bin as
     NaN, and each bin's smallest and largest value, read from ``X``."""
-    codes = boosting._bin(X)[0]
+    codes = np.array([boosting._bin(x)[0] for x in X.T])
     Xc = codes.T.astype(np.float64)
     Xc[codes.T == MAX_BINS] = np.nan
     lower = np.full((X.shape[1], MAX_BINS + 1), np.inf)
@@ -249,8 +250,12 @@ def _augmented_train_rows(world):
     return X, np.repeat(syn.astype(int), 2)
 
 
+def _planted():
+    return planted_world(n_words=300, dim=8, seed=5)
+
+
 def _planted_pair_features():
-    return _augmented_train_rows(planted_world(n_words=300, dim=8, seed=5))
+    return _augmented_train_rows(_planted())
 
 
 def _xor():
@@ -280,10 +285,25 @@ def _twinned(X):
     return np.hstack([X, X])
 
 
-def _blocked_pair_features():
+def _blocked():
     # 525 distinct values per column: more than MAX_BINS, so the columns are binned
-    X, y = _augmented_train_rows(planted_world(n_words=700, dim=16, seed=5))
+    return planted_world(n_words=700, dim=16, seed=5)
+
+
+def _blocked_pair_features():
+    X, y = _augmented_train_rows(_blocked())
     return _twinned(X), y
+
+
+def _tied():
+    """:func:`_blocked` with its vectors rounded: distinct words share values
+    (-0.0 and 0.0 among them), over MAX_BINS distinct ones in some columns
+    and under it in others."""
+    world = _blocked()
+    M = world.table.matrix
+    world.table = EmbeddingTable(world.table.words, np.hstack([M[:, :8].round(1),
+                                                               M[:, 8:].round(2)]))
+    return world
 
 
 def _blocked_special_values():
@@ -312,6 +332,38 @@ def test_trees_match_masked_reference_bit_for_bit(fixture, max_depth):
                      for t in _reference_trees(Xc, y, 8, 0.3, max_depth)]
     assert (fixture is _blocked_pair_features) == all(wide)
     assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference]
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("world", [_planted, _blocked, _tied])
+def test_accuracy_table_bins_pairs_as_the_augmented_matrix(monkeypatch, world, max_depth):
+    """The accuracy table bins each pair column straight from the table: its
+    codes, bin edges and trees are those of the order-augmented matrix that
+    featurize_pair lays out, binned whole and fit by train_boosted_trees."""
+    world = world()
+    fits = []
+
+    def boost(*args, **kwargs):
+        fits.append((args, boosting._boost(*args, **kwargs)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(evaluation, "_boost", boost)
+    split = split_pairs(world.pairs)
+    settings = {"rounds": 8, "shrinkage": 0.3, "max_depth": max_depth}
+    build_accuracy_table(world.table, world.table, world.table, split.train, split.test,
+                         boosted_config=settings)
+    X, y = _augmented_train_rows(world)
+    codes, lower, upper = (np.array(a) for a in zip(*(boosting._bin(x) for x in X.T)))
+    reference = train_boosted_trees(X, y, **settings)
+    assert len(fits) == 3
+    for (pair_codes, pair_lower, pair_upper, labels), model in fits:
+        assert pair_codes.tobytes() == codes.tobytes()
+        # -0.0 and 0.0 share a bin in the order argsort gives them, so the
+        # edges of that bin may differ in the sign of their zero alone
+        assert np.array_equal(pair_lower, lower) and np.array_equal(pair_upper, upper)
+        assert np.array_equal(labels, y)
+        assert model.base_score.hex() == reference.base_score.hex()
+        assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference.trees]
 
 
 def _fit_peak_over_input():
@@ -368,10 +420,10 @@ def _binning_fixture():
 
 def test_bin_codes_ascend_with_value():
     X = _binning_fixture()
-    codes, lower, upper = boosting._bin(X)
-    assert codes.dtype == np.uint8 and codes.shape == X.T.shape
-    for f, values in enumerate(X.T):
-        c = codes[f]
+    for values in X.T:
+        c, lower, upper = boosting._bin(values)
+        assert c.dtype == np.uint8 and c.shape == values.shape
+        assert lower.shape == upper.shape == (MAX_BINS,)
         order = np.argsort(values, kind="stable")
         assert np.all(np.diff(c[order].astype(int)) >= 0)  # monotone in value
         for v in np.unique(values):
@@ -380,25 +432,24 @@ def test_bin_codes_ascend_with_value():
         assert len(used) <= MAX_BINS
         assert np.array_equal(used, np.arange(len(used)))  # no empty bin between codes
         for b in used:
-            assert lower[f, b] == values[c == b].min() and upper[f, b] == values[c == b].max()
+            assert lower[b] == values[c == b].min() and upper[b] == values[c == b].max()
 
 
 def test_features_with_few_values_get_one_bin_per_value():
     X = _binning_fixture()
-    codes = boosting._bin(X)[0]
     for f in (2, 4, 5):
         x = X[:, f]
         distinct = np.unique(x)
         assert len(distinct) == (MAX_BINS, 3, 1)[(2, 4, 5).index(f)]
         # the code of each value is its rank among the distinct values
-        assert np.array_equal(codes[f], np.searchsorted(distinct, x))
+        assert np.array_equal(boosting._bin(x)[0], np.searchsorted(distinct, x))
 
 
 def test_wide_features_get_bins_of_about_equal_row_count():
     X = _binning_fixture()
-    codes = boosting._bin(X)[0]
     for f in (0, 1, 3):
-        x, c = X[:, f], codes[f]
+        x = X[:, f]
+        c = boosting._bin(x)[0]
         step = math.ceil(len(x) / MAX_BINS)
         assert len(np.unique(x)) > MAX_BINS and len(np.unique(c)) <= MAX_BINS
         for b in np.unique(c):

@@ -539,6 +539,23 @@ def test_train_linear_peak_memory_stays_under_half_the_features():
     assert peak < 0.5 * X.nbytes
 
 
+def test_accuracy_table_peak_memory_stays_under_one_training_matrix():
+    # the trees bin each pair column from the table: the float64 (2n, 2d)
+    # order-augmented matrix of the widest space is never built
+    world = planted_world(n_words=5000, dim=50, seed=1)
+    new = transform_vocabulary(init_params([50, 32, 8], seed=1), world.table)
+    concat = concat_embeddings(world.table, new)
+    split = split_pairs(world.pairs)
+    tracemalloc.start()
+    try:
+        table = build_accuracy_table(world.table, new, concat, split.train, split.test,
+                                     boosted_config={"rounds": 2})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.counts["concatenated"]["train_examples"] * 2 * concat.dimension * 8
+
+
 def test_train_linear_raises_at_the_step_cap(monkeypatch):
     monkeypatch.setattr(evaluation, "NEWTON_STEPS", 1)
     with pytest.raises(ArithmeticError, match="did not converge in 1 Newton steps"):
