@@ -15,9 +15,12 @@ Each node sums its rows' gradients and hessians per bin with ``np.bincount``,
 in row order, and prefix-sums the bins for every candidate's gain. A split
 after bin b has as its threshold the midpoint of the largest value of bin b
 and the smallest value of the node's next non-empty bin, halved before the
-sum so that it cannot overflow. An inner node keeps its rows' codes, taken
-from its parent's, so a fit holds the (d, n) codes and one root-to-node path
-of them, a byte per row and feature each.
+sum so that it cannot overflow. A node holds only its row indices: it
+gathers each feature's codes of its rows from the one (d, n) code matrix,
+a byte per row and feature, as it builds that feature's histogram, and the
+root reads the codes themselves. The gain of every candidate is computed in
+place, over the prefix sums, so a node's search holds about four (d,
+MAX_BINS) float64 arrays whatever its row count.
 
 ``_bin`` bins one column and ``_boost`` runs the rounds on the codes:
 ``train_boosted_trees`` bins each column of its float matrix, while the
@@ -85,30 +88,46 @@ def _bin(x: np.ndarray):
     return codes, lower, upper
 
 
-def _best_split(codes: np.ndarray, gn: np.ndarray, hn: np.ndarray):
+def _node_codes(codes: np.ndarray, f: int, rows: np.ndarray) -> np.ndarray:
+    """Feature ``f``'s codes of a node's ``rows``; the root holds every row,
+    in order, and reads the codes themselves. The rows are valid indices, so
+    ``take`` need not check them ("clip" skips the check, at half the cost)."""
+    return codes[f] if len(rows) == codes.shape[1] else codes[f].take(rows, mode="clip")
+
+
+def _best_split(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray):
     """Best (gain, feature, bin) for one node, or None when no valid split
-    exists. ``codes`` (d, m) are the node's rows' codes and ``gn``, ``hn``
-    their gradients and hessians, all in row order, which fixes each bin's sum."""
+    exists. ``codes`` (d, n) are every row's codes, ``rows`` the node's, and
+    ``gn``, ``hn`` their gradients and hessians, all in row order, which
+    fixes each bin's sum."""
     gl, hl = np.empty((2, len(codes), MAX_BINS))
     nonempty = np.empty((len(codes), MAX_BINS), dtype=bool)
     counted = hn.min() > 0.0  # then a bin is non-empty where its hessian sum is
-    for f, c in enumerate(codes):
-        c = c.astype(np.intp)
+    c = np.empty(len(rows), dtype=np.intp)  # one feature's node codes at a time
+    for f in range(len(codes)):
+        c[:] = _node_codes(codes, f, rows)
         gl[f] = np.bincount(c, gn, MAX_BINS)
         hl[f] = np.bincount(c, hn, MAX_BINS)
         nonempty[f] = (hl[f] if counted else np.bincount(c, minlength=MAX_BINS)) > 0
     np.cumsum(gl, axis=1, out=gl)
     np.cumsum(hl, axis=1, out=hl)
-    # a split may follow a non-empty value bin that a later one follows
-    seen = np.cumsum(nonempty, axis=1)
-    valid = nonempty & (seen < seen[:, -1:])
+    # a split may follow a non-empty value bin that a later one follows; a
+    # count of at most MAX_BINS bins fits a byte
+    seen = np.cumsum(nonempty, axis=1, dtype=np.uint8)
+    valid = seen < seen[:, -1:]
+    valid &= nonempty
     if not valid.any():
         return None
-    G, H = gl[:, -1:], hl[:, -1:]
-    # gain = gl*gl/(hl+H_EPS) + gr*gr/(hr+H_EPS) - G*G/(H+H_EPS), in this order
-    gain = gl * gl / (hl + H_EPS)
-    gr, hr = G - gl, H - hl
-    gain += gr * gr / (hr + H_EPS)
+    G, H = gl[:, -1:].copy(), hl[:, -1:].copy()
+    # gain = gl*gl/(hl+H_EPS) + gr*gr/(hr+H_EPS) - G*G/(H+H_EPS), in this
+    # order, with gr and hr written over gl and hl
+    gain = gl * gl
+    gain /= hl + H_EPS
+    gr, hr = np.subtract(G, gl, out=gl), np.subtract(H, hl, out=hl)
+    gr *= gr
+    hr += H_EPS
+    gr /= hr
+    gain += gr
     gain -= G * G / (H + H_EPS)
     gain[~valid] = -np.inf
     # row-major argmax: the first maximum has the lowest feature, then bin
@@ -116,13 +135,12 @@ def _best_split(codes: np.ndarray, gn: np.ndarray, hn: np.ndarray):
     return float(gain[f, b]), f, b
 
 
-def _build_tree(codes: np.ndarray | None, rows: np.ndarray, lower: np.ndarray,
-                upper: np.ndarray, g: np.ndarray, h: np.ndarray, depth: int,
-                out: np.ndarray) -> TreeNode:
-    """The subtree of the node of ``rows``, in row order, whose codes are
-    the (d, len(rows)) ``codes``. Each leaf writes its value to ``out[rows]``."""
+def _build_tree(codes: np.ndarray, rows: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                g: np.ndarray, h: np.ndarray, depth: int, out: np.ndarray) -> TreeNode:
+    """The subtree of the node of ``rows``, in row order, split on the (d, n)
+    ``codes`` of every row. Each leaf writes its value to ``out[rows]``."""
     gn, hn = g[rows], h[rows]
-    split = _best_split(codes, gn, hn) if depth > 0 else None
+    split = _best_split(codes, rows, gn, hn) if depth > 0 else None
     if split is not None and split[0] <= GAIN_TOL:
         # a zero-gain split is worth taking only when a child split can still
         # realize the gain (XOR-style interactions): needs remaining depth and
@@ -133,12 +151,11 @@ def _build_tree(codes: np.ndarray | None, rows: np.ndarray, lower: np.ndarray,
         out[rows] = value = -gn.sum() / (hn.sum() + H_EPS)
         return TreeNode(value=value)
     _, feature, b = split
-    goes_left = codes[feature] <= b
-    lo, hi = upper[feature, b], lower[feature, codes[feature, ~goes_left].min()]
+    c = _node_codes(codes, feature, rows)
+    goes_left = c <= b
+    lo, hi = upper[feature, b], lower[feature, c[~goes_left].min()]
     t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
-    # a leaf searches nothing and needs no codes
-    left, right = (_build_tree(codes.compress(keep, axis=1) if depth > 1 else None, rows[keep],
-                               lower, upper, g, h, depth - 1, out)
+    left, right = (_build_tree(codes, rows[keep], lower, upper, g, h, depth - 1, out)
                    for keep in (goes_left, ~goes_left))
     return TreeNode(feature=feature, threshold=float(t if t < hi else lo), left=left, right=right)
 

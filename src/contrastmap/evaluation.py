@@ -235,12 +235,17 @@ def classify_accuracy(proba: Callable[[np.ndarray], np.ndarray], U: np.ndarray,
 
 
 def _pair_sums(M: np.ndarray, left: np.ndarray, right: np.ndarray, side: str, name: str):
-    """``M[left] + M[right]``; an :class:`InputError` naming the table ``name``
-    where a ``side`` pair's sum overflows, as values near the float64 limit can."""
+    """``M[left] + M[right]``, summed into one matrix a block of gathered rows
+    at a time; an :class:`InputError` naming the table ``name`` where a
+    ``side`` pair's sum overflows, as values near the float64 limit can."""
+    sums = np.empty((len(left), M.shape[1]))
+    step = gather_rows(M.shape[1])
     with np.errstate(over="ignore"):
-        sums = M[left] + M[right]
-    if not np.isfinite(sums).all():
-        raise InputError(f"a {side} pair's u + v overflows", name)
+        for lo in range(0, len(left), step):
+            block = sums[lo:lo + step]
+            np.add(M[left[lo:lo + step]], M[right[lo:lo + step]], out=block)
+            if not np.isfinite(block).all():
+                raise InputError(f"a {side} pair's u + v overflows", name)
     return sums
 
 
@@ -282,6 +287,7 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
             # the full-width fit on both orders [u; v] and [v; u] of every pair has
             # the weights [w; w], where w is the fit on u + v at twice the penalty
             w, b = train_linear(sums, y, l2=2 * LINEAR_DEFAULTS["l2"])
+            del sums  # the linear fit alone reads them: gone before the test sums
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
                 z = _pair_sums(M, left_test, right_test, "test", name) @ w + b
             if not np.isfinite(z).all():
@@ -300,6 +306,7 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
         lower[d:], upper[d:] = lower[:d], upper[:d]
         ytr = np.repeat(y, 2)
         trees = _boost(codes, lower, upper, ytr, **boosted)
+        del codes, lower, upper  # the fit alone reads them: gone before the test scores
         accuracies[space] = {
             "linear": float(np.mean(linear_pred == y_test)),
             "boosted": classify_accuracy(lambda X: boosted_proba(trees, X),

@@ -402,6 +402,120 @@ def test_fit_peak_memory_stays_under_one_and_a_half_times_the_input():
     assert _fit_peak_over_input() < 1.5
 
 
+# --- differential test against the split search that copied node codes -------
+# The search as it was before it computed gains in place and before a node
+# kept only its rows: each inner node copied its rows' codes with
+# ``codes.compress``, and the gain was one expression of temporaries.
+
+def _parent_best_split(codes, gn, hn):
+    gl, hl = np.empty((2, len(codes), MAX_BINS))
+    nonempty = np.empty((len(codes), MAX_BINS), dtype=bool)
+    counted = hn.min() > 0.0
+    for f, c in enumerate(codes):
+        c = c.astype(np.intp)
+        gl[f] = np.bincount(c, gn, MAX_BINS)
+        hl[f] = np.bincount(c, hn, MAX_BINS)
+        nonempty[f] = (hl[f] if counted else np.bincount(c, minlength=MAX_BINS)) > 0
+    np.cumsum(gl, axis=1, out=gl)
+    np.cumsum(hl, axis=1, out=hl)
+    seen = np.cumsum(nonempty, axis=1)
+    valid = nonempty & (seen < seen[:, -1:])
+    if not valid.any():
+        return None
+    G, H = gl[:, -1:], hl[:, -1:]
+    gain = gl * gl / (hl + H_EPS)
+    gr, hr = G - gl, H - hl
+    gain += gr * gr / (hr + H_EPS)
+    gain -= G * G / (H + H_EPS)
+    gain[~valid] = -np.inf
+    f, b = divmod(int(np.argmax(gain)), MAX_BINS)
+    return float(gain[f, b]), f, b
+
+
+def _parent_build_tree(codes, rows, lower, upper, g, h, depth, out):
+    gn, hn = g[rows], h[rows]
+    split = _parent_best_split(codes, gn, hn) if depth > 0 else None
+    if split is not None and split[0] <= GAIN_TOL:
+        if depth < 2 or gn.min() >= 0.0 or gn.max() <= 0.0:
+            split = None
+    if split is None:
+        out[rows] = value = -gn.sum() / (hn.sum() + H_EPS)
+        return TreeNode(value=value)
+    _, feature, b = split
+    goes_left = codes[feature] <= b
+    lo, hi = upper[feature, b], lower[feature, codes[feature, ~goes_left].min()]
+    t = 0.5 * lo + 0.5 * hi
+    left, right = (_parent_build_tree(codes.compress(keep, axis=1) if depth > 1 else None,
+                                      rows[keep], lower, upper, g, h, depth - 1, out)
+                   for keep in (goes_left, ~goes_left))
+    return TreeNode(feature=feature, threshold=float(t if t < hi else lo), left=left, right=right)
+
+
+def _random_fit(zero_hessian, seed):
+    """Bin codes and edges of 600 rows of wide, few-valued and constant columns,
+    with random gradients and hessians; every 97th hessian is zero if ``zero_hessian``."""
+    rng, n = np.random.default_rng(seed), 600
+    X = np.column_stack([rng.standard_normal((n, 3)), rng.integers(0, 4, size=(n, 2)),
+                         np.full(n, 1.5)])
+    codes, lower, upper = (np.array(a) for a in zip(*(boosting._bin(x) for x in X.T)))
+    g, h = rng.standard_normal(n), rng.uniform(0.01, 0.25, n)
+    if zero_hessian:
+        h[::97] = 0.0
+    return codes, lower, upper, g, h
+
+
+def _hexed(split):
+    return None if split is None else (split[0].hex(), split[1], split[2])
+
+
+@pytest.mark.parametrize("zero_hessian", [False, True])
+@pytest.mark.parametrize("size", [1, 2, 254, 255, 256, 599, 600])  # 600: the root
+def test_best_split_matches_the_copying_search(zero_hessian, size):
+    # one draw's best gain can round alike under a reordered expression: many draws
+    for seed in range(20):
+        codes, _, _, g, h = _random_fit(zero_hessian, seed)
+        rng = np.random.default_rng(seed)
+        if zero_hessian:  # row 0 has none: its node's bins are counted, not weighed
+            rows = np.sort(np.r_[0, 1 + rng.choice(len(g) - 1, size - 1, replace=False)])
+        else:
+            rows = np.sort(rng.choice(len(g), size, replace=False))
+        assert (h[rows].min() == 0.0) == zero_hessian
+        split = boosting._best_split(codes, rows, g[rows], h[rows])
+        assert _hexed(split) == _hexed(_parent_best_split(codes[:, rows], g[rows], h[rows]))
+        assert (split is None) == (size == 1)
+
+
+@pytest.mark.parametrize("zero_hessian", [False, True])
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
+def test_build_tree_matches_the_copying_search(zero_hessian, max_depth):
+    for seed in range(5):
+        codes, lower, upper, g, h = _random_fit(zero_hessian, seed)
+        rows = np.arange(len(g))
+        out, parent_out = np.empty(len(g)), np.empty(len(g))
+        tree = boosting._build_tree(codes, rows, lower, upper, g, h, max_depth, out)
+        parent = _parent_build_tree(codes, rows, lower, upper, g, h, max_depth, parent_out)
+        assert _bits(tree) == _bits(parent)
+        assert out.tobytes() == parent_out.tobytes()
+        assert sum(f >= 0 for f, _, _ in _bits(tree)) >= max_depth  # the nodes split
+
+
+def test_best_split_peak_memory_stays_under_six_histograms():
+    # the gains are computed over the prefix sums in place: the copying
+    # search's expression temporaries took 9.85 (d, MAX_BINS) float64 arrays
+    rng = np.random.default_rng(5)
+    d, n = 100, 15000
+    codes = rng.integers(0, MAX_BINS, size=(d, n), dtype=np.uint8)
+    rows, g, h = np.arange(n), rng.standard_normal(n), rng.uniform(0.01, 0.25, n)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        assert boosting._best_split(codes, rows, g, h) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 6 * d * MAX_BINS * 8
+
+
 # --- binning -----------------------------------------------------------------
 
 def _binning_fixture():
