@@ -11,16 +11,42 @@ exact greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at
 most ``MAX_BINS`` bins of about equal row count, cut only where the value
 changes. Features must be finite, as for every binary fit here.
 
-Each node sums its rows' gradients and hessians per bin with ``np.bincount``,
-in row order, and prefix-sums the bins for every candidate's gain. A split
-after bin b has as its threshold the midpoint of the largest value of bin b
-and the smallest value of the node's next non-empty bin, halved before the
-sum so that it cannot overflow. A node holds only its row indices: it
-gathers each feature's codes of its rows from the one (d, n) code matrix,
-a byte per row and feature, as it builds that feature's histogram, and the
-root reads the codes themselves. The gain of every candidate is computed in
-place, over the prefix sums, so a node's search holds about four (d,
-MAX_BINS) float64 arrays whatever its row count.
+The root, and the smaller child of each split, sum their rows' gradients
+and hessians per bin with ``np.bincount``, in row order; the larger child
+takes its parent's sums minus its sibling's, written over the parent's
+arrays (LightGBM's histogram subtraction). Per-bin row counts are exact
+integers taken the same way, the root's once per fit (``_bin`` uses every
+code below a feature's bin count), and they alone mark the non-empty bins.
+Each node prefix-sums its bins for every candidate's gain. A split after bin
+b has as its threshold the midpoint of the largest value of bin b and the
+smallest value of the node's next non-empty bin, halved before the sum so
+that it cannot overflow. A node holds only its row indices: it gathers each
+feature's codes of its rows from the one (d, n) code matrix, a byte per row
+and feature, as it sums that feature's bins, and the root reads the codes
+themselves. Gains are computed in place over the prefix sums. A node whose
+children split holds its sums and counts, 2.5 (d, MAX_BINS) float64 arrays,
+until its children hold theirs: a depth-2 tree peaks at about 9.5 such
+arrays above its inputs, 7 with row-order sums alone.
+
+A derived sum differs from the row-order sum in its last bits, and a
+near-tie between two splits can then fall the other way. So a derived node
+bounds how far each of its gains can be from the row-order one and
+re-scores from row-order sums (``_best_split`` on those features) every
+feature whose best gain plus its bound reaches the largest gain minus its
+bound. The chosen split and the gain that ``GAIN_TOL`` checks are then the
+direct search's, and every tree is bit for bit that of row-order sums. The
+bound, with u the unit roundoff and gamma_k = ku / (1 - ku) (Higham 2002):
+a sum of k terms in order is off the exact sum by at most gamma_(k-1) times
+their absolute sum; a difference adds both operands' errors and u times its
+size; a prefix over at most MAX_BINS bins adds gamma_MAX_BINS times their
+absolute sum. That bounds the distance a (gradients) and c (hessians) between
+the derived and row-order prefix sums, twice that for the right child's. A
+gain term x * x / (y + H_EPS) then moves by at most t (2a + ct), t = (|x| +
+a) / (y + H_EPS - c), with no finite bound where y + H_EPS <= c (a hessian
+sum within its bound of zero, as saturated rows with h == 0 leave). The sum
+over the three terms is doubled: a >= 510u times the rows' absolute gradient
+sum, so the rounding of both searches' gains, at most 16u t (|x| + a) per
+term, and of the bound's own arithmetic take far less than the second half.
 
 ``_bin`` bins one column and ``_boost`` runs the rounds on the codes:
 ``train_boosted_trees`` bins each column of its float matrix, while the
@@ -44,6 +70,7 @@ H_EPS = 1e-16
 GAIN_TOL = 1e-12
 MAX_BINS = 255  # value bins per feature
 BOOSTED_DEFAULTS = {"rounds": 200, "shrinkage": 0.1, "max_depth": 2}
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
 
 
 @dataclass
@@ -88,6 +115,12 @@ def _bin(x: np.ndarray):
     return codes, lower, upper
 
 
+def _gamma(k: int) -> float:
+    """Bound on the relative error of a float sum of k + 1 terms taken in
+    order (Higham, Accuracy and Stability of Numerical Algorithms, 2002)."""
+    return k * _U / (1.0 - k * _U)
+
+
 def _node_codes(codes: np.ndarray, f: int, rows: np.ndarray) -> np.ndarray:
     """Feature ``f``'s codes of a node's ``rows``; the root holds every row,
     in order, and reads the codes themselves. The rows are valid indices, so
@@ -95,11 +128,70 @@ def _node_codes(codes: np.ndarray, f: int, rows: np.ndarray) -> np.ndarray:
     return codes[f] if len(rows) == codes.shape[1] else codes[f].take(rows, mode="clip")
 
 
+def _prefix(gl: np.ndarray, hl: np.ndarray, nonempty: np.ndarray):
+    """Prefix-sums a node's per-bin sums ``gl``, ``hl`` (d, MAX_BINS) in place
+    and returns the mask of valid splits, or None when there is none."""
+    np.cumsum(gl, axis=1, out=gl)
+    np.cumsum(hl, axis=1, out=hl)
+    # a split may follow a non-empty value bin that a later one follows; a
+    # count of at most MAX_BINS bins fits a byte
+    seen = np.cumsum(nonempty, axis=1, dtype=np.uint8)
+    valid = seen < seen[:, -1:]
+    valid &= nonempty
+    return valid if valid.any() else None
+
+
+def _term_bound(x: np.ndarray, y: np.ndarray, a: float, c: float) -> np.ndarray:
+    """How far x * x / (y + H_EPS) can move when x moves by up to ``a`` and y
+    by up to ``c``: t (2a + ct) with t = (|x| + a) / (y + H_EPS - c), and
+    infinite where that denominator is not positive."""
+    z = y + (H_EPS - c)
+    t = np.abs(x)
+    t += a
+    t /= z
+    t[z <= 0.0] = np.inf
+    np.multiply(t, c, out=z)
+    z += 2.0 * a
+    z *= t
+    return z
+
+
+def _gains(gl: np.ndarray, hl: np.ndarray, valid: np.ndarray, err=None):
+    """Every candidate's gain from the prefix sums ``gl``, ``hl``, which it
+    writes over, and -inf where no split is valid. Given ``err``, bounds (a,
+    c) on the distance of the prefix sums from the direct search's, it also
+    returns a bound on each gain's distance from that search's gain."""
+    G, H = gl[:, -1:].copy(), hl[:, -1:].copy()
+    bound = None if err is None else _term_bound(gl, hl, *err)
+    # gain = gl*gl/(hl+H_EPS) + gr*gr/(hr+H_EPS) - G*G/(H+H_EPS), in this
+    # order, with gr and hr written over gl and hl
+    gain = gl * gl
+    gain /= hl + H_EPS
+    gr, hr = np.subtract(G, gl, out=gl), np.subtract(H, hl, out=hl)
+    if bound is not None:  # the right child's sums are off by both of theirs
+        bound += _term_bound(G, H, *err)
+        bound += _term_bound(gr, hr, 2.0 * err[0], 2.0 * err[1])
+        bound *= 2.0  # the rounding of both searches' gains and of this bound
+    gr *= gr
+    hr += H_EPS
+    gr /= hr
+    gain += gr
+    gain -= G * G / (H + H_EPS)
+    gain[~valid] = -np.inf
+    return gain, bound
+
+
+def _argmax(gain: np.ndarray):
+    # row-major argmax: the first maximum has the lowest feature, then bin
+    f, b = divmod(int(np.argmax(gain)), MAX_BINS)
+    return float(gain[f, b]), f, b
+
+
 def _best_split(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray):
     """Best (gain, feature, bin) for one node, or None when no valid split
-    exists. ``codes`` (d, n) are every row's codes, ``rows`` the node's, and
-    ``gn``, ``hn`` their gradients and hessians, all in row order, which
-    fixes each bin's sum."""
+    exists: the direct search. ``codes`` (d, n) are every row's codes,
+    ``rows`` the node's, and ``gn``, ``hn`` their gradients and hessians, all
+    in row order, which fixes each bin's sum."""
     gl, hl = np.empty((2, len(codes), MAX_BINS))
     nonempty = np.empty((len(codes), MAX_BINS), dtype=bool)
     counted = hn.min() > 0.0  # then a bin is non-empty where its hessian sum is
@@ -109,38 +201,101 @@ def _best_split(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndar
         gl[f] = np.bincount(c, gn, MAX_BINS)
         hl[f] = np.bincount(c, hn, MAX_BINS)
         nonempty[f] = (hl[f] if counted else np.bincount(c, minlength=MAX_BINS)) > 0
-    np.cumsum(gl, axis=1, out=gl)
-    np.cumsum(hl, axis=1, out=hl)
-    # a split may follow a non-empty value bin that a later one follows; a
-    # count of at most MAX_BINS bins fits a byte
-    seen = np.cumsum(nonempty, axis=1, dtype=np.uint8)
-    valid = seen < seen[:, -1:]
-    valid &= nonempty
-    if not valid.any():
+    valid = _prefix(gl, hl, nonempty)
+    return None if valid is None else _argmax(_gains(gl, hl, valid)[0])
+
+
+@dataclass
+class _Histograms:
+    """A node's per-bin gradient and hessian sums, ``g`` and ``h`` (d,
+    MAX_BINS) float64, and its exact per-bin row counts (d, MAX_BINS) int32.
+    ``mass`` bounds the sum of |g| and of |h| over the node's rows, and
+    ``err`` the sum over its bins of each per-bin sum's distance from the
+    exact one. ``derived`` sums are the parent's minus the sibling's."""
+    g: np.ndarray
+    h: np.ndarray
+    counts: np.ndarray
+    mass: np.ndarray  # (2,): gradient, hessian
+    err: np.ndarray  # (2,)
+    derived: bool
+
+    def gap(self, n: int) -> np.ndarray:
+        """Bounds (a, c) on how far the gradient and hessian prefix sums over
+        at most MAX_BINS bins lie from those of the node's ``n`` rows summed
+        directly: the errors and prefix rounding of both."""
+        return (self.err + _gamma(MAX_BINS) * (self.mass + self.err)
+                + (_gamma(n) + _gamma(MAX_BINS)) * self.mass)
+
+
+def _summed(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
+            counts: np.ndarray | None = None) -> _Histograms:
+    """The node's histograms summed directly, in row order as the direct search
+    sums them; ``counts`` are its row counts when known."""
+    g, h = np.empty((2, len(codes), MAX_BINS))
+    fill = counts is None
+    if fill:
+        counts = np.empty((len(codes), MAX_BINS), dtype=np.int32)
+    c = np.empty(len(rows), dtype=np.intp)
+    for f in range(len(codes)):
+        c[:] = _node_codes(codes, f, rows)
+        g[f] = np.bincount(c, gn, MAX_BINS)
+        h[f] = np.bincount(c, hn, MAX_BINS)
+        if fill:
+            counts[f] = np.bincount(c, minlength=MAX_BINS)
+    mass = np.array([np.abs(gn).sum(), np.abs(hn).sum()])
+    # a sum of k terms in order is off by at most _gamma(k - 1) times their |sum|
+    return _Histograms(g, h, counts, mass, _gamma(len(rows)) * mass, derived=False)
+
+
+def _larger(parent: _Histograms, small: _Histograms) -> _Histograms:
+    """The larger child's histograms: ``parent``'s minus its ``small`` child's,
+    written over ``parent``'s sums. Each difference adds the errors of both
+    and its own rounding, u times its magnitude; the parent bounds the mass."""
+    np.subtract(parent.g, small.g, out=parent.g)
+    np.subtract(parent.h, small.h, out=parent.h)
+    err = parent.err + small.err
+    return _Histograms(parent.g, parent.h, parent.counts - small.counts, parent.mass,
+                       err + _U * (parent.mass + err), derived=True)
+
+
+def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
+            hists: _Histograms, keep: bool):
+    """:func:`_best_split` of a node from its histograms, which it writes over
+    unless ``keep``. A derived node re-scores directly every feature whose
+    derived gains might, within their bound, hold the direct search's best."""
+    gl, hl = (hists.g.copy(), hists.h.copy()) if keep else (hists.g, hists.h)
+    valid = _prefix(gl, hl, hists.counts > 0)
+    if valid is None:
         return None
-    G, H = gl[:, -1:].copy(), hl[:, -1:].copy()
-    # gain = gl*gl/(hl+H_EPS) + gr*gr/(hr+H_EPS) - G*G/(H+H_EPS), in this
-    # order, with gr and hr written over gl and hl
-    gain = gl * gl
-    gain /= hl + H_EPS
-    gr, hr = np.subtract(G, gl, out=gl), np.subtract(H, hl, out=hl)
-    gr *= gr
-    hr += H_EPS
-    gr /= hr
-    gain += gr
-    gain -= G * G / (H + H_EPS)
-    gain[~valid] = -np.inf
-    # row-major argmax: the first maximum has the lowest feature, then bin
-    f, b = divmod(int(np.argmax(gain)), MAX_BINS)
-    return float(gain[f, b]), f, b
+    if not hists.derived:
+        return _argmax(_gains(gl, hl, valid)[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gain, bound = _gains(gl, hl, valid, hists.gap(len(rows)))
+        lo, hi = np.subtract(gain, bound, out=gl), np.add(gain, bound, out=hl)
+    unbounded = ~np.isfinite(bound)  # a denominator within its bound of 0
+    lo[unbounded], hi[unbounded] = -np.inf, np.inf
+    lo[~valid] = hi[~valid] = -np.inf
+    features = np.flatnonzero(hi.max(axis=1) >= lo.max())
+    gain, f, b = _best_split(codes[features], rows, gn, hn)
+    return gain, int(features[f]), b
 
 
 def _build_tree(codes: np.ndarray, rows: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                g: np.ndarray, h: np.ndarray, depth: int, out: np.ndarray) -> TreeNode:
+                g: np.ndarray, h: np.ndarray, depth: int, out: np.ndarray,
+                hists: _Histograms | None = None) -> TreeNode:
     """The subtree of the node of ``rows``, in row order, split on the (d, n)
-    ``codes`` of every row. Each leaf writes its value to ``out[rows]``."""
+    ``codes`` of every row. Each leaf writes its value to ``out[rows]``. A
+    node whose children split holds its histograms, ``hists`` or summed here,
+    so that each split sums only its smaller child's."""
     gn, hn = g[rows], h[rows]
-    split = _best_split(codes, rows, gn, hn) if depth > 0 else None
+    if hists is None and depth > 1:
+        hists = _summed(codes, rows, gn, hn)
+    if depth == 0:
+        split = None
+    elif hists is None:
+        split = _best_split(codes, rows, gn, hn)
+    else:
+        split = _search(codes, rows, gn, hn, hists, keep=depth > 1)
     if split is not None and split[0] <= GAIN_TOL:
         # a zero-gain split is worth taking only when a child split can still
         # realize the gain (XOR-style interactions): needs remaining depth and
@@ -155,9 +310,22 @@ def _build_tree(codes: np.ndarray, rows: np.ndarray, lower: np.ndarray, upper: n
     goes_left = c <= b
     lo, hi = upper[feature, b], lower[feature, c[~goes_left].min()]
     t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
-    left, right = (_build_tree(codes, rows[keep], lower, upper, g, h, depth - 1, out)
-                   for keep in (goes_left, ~goes_left))
-    return TreeNode(feature=feature, threshold=float(t if t < hi else lo), left=left, right=right)
+    parts = rows[goes_left], rows[~goes_left]
+    given = {}  # each child's histograms, held only until it is built
+    order = (0, 1)
+    if depth > 1:  # the children split: sum the smaller, derive the larger
+        small = int(len(parts[1]) < len(parts[0]))
+        r = parts[small]
+        given[small] = _summed(codes, r, g[r], h[r])
+        given[1 - small] = _larger(hists, given[small])
+        del hists
+        order = (small, 1 - small)  # the derived child searches with no sibling held
+    children = [None, None]
+    for i in order:
+        children[i] = _build_tree(codes, parts[i], lower, upper, g, h, depth - 1, out,
+                                  given.pop(i, None))
+    return TreeNode(feature=feature, threshold=float(t if t < hi else lo),
+                    left=children[0], right=children[1])
 
 
 def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
@@ -191,11 +359,15 @@ def _boost(codes: np.ndarray, lower: np.ndarray, upper: np.ndarray, y: np.ndarra
     scores = np.full(len(y), base)
     update = np.empty(len(y))  # each round's leaves write their values to their rows
     trees: list[TreeNode] = []
+    counts = None  # the root's row counts: fixed, for _bin uses every code below a bin count
     for _ in range(rounds):
         p = _sigmoid(scores)
         g = p - y
         h = p * (1.0 - p)
-        trees.append(_build_tree(codes, rows, lower, upper, g, h, max_depth, update))
+        root = _summed(codes, rows, g, h, counts) if max_depth > 1 else None
+        counts = None if root is None else root.counts
+        trees.append(_build_tree(codes, rows, lower, upper, g, h, max_depth, update, root))
+        del root  # its spent sums, before the next round sums the root again
         scores += shrinkage * update
     return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage)
 
