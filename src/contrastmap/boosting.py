@@ -5,28 +5,35 @@ loss, histogram split search, Newton leaf values and shrinkage.
 
 Each fit bins every feature once, as LightGBM does (Ke et al., NeurIPS 2017):
 one argsort per feature gives each row a uint8 code that ascends with its
-value. A feature with at most ``MAX_BINS`` distinct values gets one bin per
-value, so its candidate splits and thresholds are exactly those of XGBoost's
-exact greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at
-most ``MAX_BINS`` bins of about equal row count, cut only where the value
+value. The argsort may run over the feature's distinct sources, each
+weighted by the rows that hold it: the cuts fall at the same row positions,
+so the codes and bin edges are those of the rows (a zero edge where the
+feature holds both -0.0 and 0.0 takes its sign from the argsort's order). A
+feature with at most ``MAX_BINS`` distinct values gets one bin per value, so
+its candidate splits and thresholds are exactly those of XGBoost's exact
+greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at most
+``MAX_BINS`` bins of about equal row count, cut only where the value
 changes. Features must be finite, as for every binary fit here.
 
 The root, and the smaller child of each split, sum their rows' gradients
-and hessians per bin with ``np.bincount``, in row order; the larger child
-takes its parent's sums minus its sibling's, written over the parent's
-arrays (LightGBM's histogram subtraction). Per-bin row counts are exact
-integers taken the same way, the root's once per fit (``_bin`` uses every
-code below a feature's bin count), and they alone mark the non-empty bins.
-Each node prefix-sums its bins for every candidate's gain. A split after bin
-b has as its threshold the midpoint of the largest value of bin b and the
-smallest value of the node's next non-empty bin, halved before the sum so
-that it cannot overflow. A node holds only its row indices: it gathers each
-feature's codes of its rows from the one (d, n) code matrix, a byte per row
-and feature, as it sums that feature's bins, and the root reads the codes
-themselves. Gains are computed in place over the prefix sums. A node whose
-children split holds its sums and counts, 2.5 (d, MAX_BINS) float64 arrays,
-until its children hold theirs: a depth-2 tree peaks at about 9.5 such
-arrays above its inputs, 7 with row-order sums alone.
+and hessians per bin in one pass, a complex ``np.add.at`` of g + ih: a
+complex add is two independent float adds, and ``add.at`` applies them in
+row order from zero, so each part is bit for bit ``np.bincount``'s row-order
+sum. The larger child takes its parent's sums minus its sibling's, written
+over the parent's arrays (LightGBM's histogram subtraction). Per-bin row
+counts are exact integers from ``np.bincount``, the root's once per fit
+(``_bin`` uses every code below a feature's bin count), and they alone mark
+the non-empty bins. Each node prefix-sums its bins for every candidate's
+gain. A split after bin b has as its threshold the midpoint of the largest
+value of bin b and the smallest value of the node's next non-empty bin,
+halved before the sum so that it cannot overflow. A node holds only its row
+indices: it gathers each feature's codes of its rows from the one (d, n)
+code matrix, a byte per row and feature, as it sums that feature's bins,
+and the root reads the codes themselves. Gains are computed in place over
+the prefix sums. A node whose children split holds its sums and counts,
+2.5 (d, MAX_BINS) float64 arrays, until its children hold theirs: a depth-2
+tree peaks at about 9.5 such arrays above its inputs, 7 with row-order sums
+alone.
 
 A derived sum differs from the row-order sum in its last bits, and a
 near-tie between two splits can then fall the other way. So a derived node
@@ -49,9 +56,10 @@ sum, so the rounding of both searches' gains, at most 16u t (|x| + a) per
 term, and of the bound's own arithmetic take far less than the second half.
 
 ``_bin`` bins one column and ``_boost`` runs the rounds on the codes:
-``train_boosted_trees`` bins each column of its float matrix, while the
-accuracy table (``evaluation.build_accuracy_table``) bins its pair features
-straight from the embedding table and never builds that matrix.
+``train_boosted_trees`` bins each column of its float matrix, one row per
+source, while the accuracy table (``evaluation.build_accuracy_table``) bins
+each pair column over its distinct train words, weighted by their row
+counts, straight from the embedding table and never builds that matrix.
 
 Everything is deterministic: split-gain ties break on the lowest feature
 index, then the lowest bin.
@@ -93,25 +101,29 @@ class BoostedTrees:
     shrinkage: float
 
 
-def _bin(x: np.ndarray):
-    """Codes (n,) uint8 of one feature column ``x``, and each bin's smallest
-    and largest value, (MAX_BINS,) each."""
-    n = len(x)
+def _bin(x: np.ndarray, weight: np.ndarray | None = None):
+    """Codes (m,) uint8 of one feature's ``m`` sources ``x``, and each bin's
+    smallest and largest value, (MAX_BINS,) each. Source i stands for
+    ``weight[i]`` rows, or one: the bins are those of ``np.repeat(x,
+    weight)``, and each row's code is its source's."""
     order = np.argsort(x)  # equal values share a code: any tie order will do
     v = x[order]
-    begins = np.zeros(n, dtype=np.intp)  # 1 where a bin begins: at each new value
+    # the rows of sorted sources 0..i, in sorted order, end at ends[i]
+    ends = np.cumsum(np.ones(len(x), dtype=np.intp) if weight is None else weight[order])
+    n = int(ends[-1])
+    begins = np.zeros(len(x), dtype=np.intp)  # 1 where a bin begins: at each new value
     begins[1:] = v[1:] > v[:-1]
     starts = np.flatnonzero(begins)
     if len(starts) >= MAX_BINS:  # too many: at the first new value after each n / MAX_BINS rows
-        at = np.searchsorted(starts, np.arange(1, MAX_BINS) * n // MAX_BINS)
+        at = np.searchsorted(ends[starts - 1], np.arange(1, MAX_BINS) * n // MAX_BINS)
         begins[:] = 0
         begins[starts[at[at < len(starts)]]] = 1
         starts = np.flatnonzero(begins)
-    codes = np.empty(n, dtype=np.uint8)
+    codes = np.empty(len(x), dtype=np.uint8)
     codes[order] = np.cumsum(begins, out=begins)
     lower, upper = np.zeros(MAX_BINS), np.zeros(MAX_BINS)
     lower[:len(starts) + 1] = v[np.r_[0, starts]]
-    upper[:len(starts) + 1] = v[np.r_[starts - 1, n - 1]]
+    upper[:len(starts) + 1] = v[np.r_[starts - 1, len(x) - 1]]
     return codes, lower, upper
 
 
@@ -187,6 +199,26 @@ def _argmax(gain: np.ndarray):
     return float(gain[f, b]), f, b
 
 
+def _sum_bins(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
+              g: np.ndarray, h: np.ndarray, counts: np.ndarray | None = None) -> None:
+    """Writes each feature's per-bin sums of the node's gradients ``gn`` and
+    hessians ``hn`` to ``g``, ``h`` (d, MAX_BINS), and its per-bin row counts
+    to ``counts`` when given (a bool ``counts`` takes whether each bin holds
+    a row). One complex ``add.at`` per feature takes both sums in row order,
+    each part bit for bit ``np.bincount``'s (see the module docstring)."""
+    w = np.empty(len(rows), dtype=np.complex128)
+    w.real, w.imag = gn, hn  # g + 1j * h would build two more temporaries
+    acc = np.empty(MAX_BINS, dtype=np.complex128)
+    c = np.empty(len(rows), dtype=np.intp)  # one feature's node codes at a time
+    for f in range(len(codes)):
+        c[:] = _node_codes(codes, f, rows)
+        acc[:] = 0.0
+        np.add.at(acc, c, w)
+        g[f], h[f] = acc.real, acc.imag
+        if counts is not None:
+            counts[f] = np.bincount(c, minlength=MAX_BINS)
+
+
 def _best_split(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray):
     """Best (gain, feature, bin) for one node, or None when no valid split
     exists: the direct search. ``codes`` (d, n) are every row's codes,
@@ -195,12 +227,9 @@ def _best_split(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndar
     gl, hl = np.empty((2, len(codes), MAX_BINS))
     nonempty = np.empty((len(codes), MAX_BINS), dtype=bool)
     counted = hn.min() > 0.0  # then a bin is non-empty where its hessian sum is
-    c = np.empty(len(rows), dtype=np.intp)  # one feature's node codes at a time
-    for f in range(len(codes)):
-        c[:] = _node_codes(codes, f, rows)
-        gl[f] = np.bincount(c, gn, MAX_BINS)
-        hl[f] = np.bincount(c, hn, MAX_BINS)
-        nonempty[f] = (hl[f] if counted else np.bincount(c, minlength=MAX_BINS)) > 0
+    _sum_bins(codes, rows, gn, hn, gl, hl, None if counted else nonempty)
+    if counted:
+        np.greater(hl, 0.0, out=nonempty)
     valid = _prefix(gl, hl, nonempty)
     return None if valid is None else _argmax(_gains(gl, hl, valid)[0])
 
@@ -232,16 +261,11 @@ def _summed(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
     """The node's histograms summed directly, in row order as the direct search
     sums them; ``counts`` are its row counts when known."""
     g, h = np.empty((2, len(codes), MAX_BINS))
-    fill = counts is None
-    if fill:
+    if counts is None:
         counts = np.empty((len(codes), MAX_BINS), dtype=np.int32)
-    c = np.empty(len(rows), dtype=np.intp)
-    for f in range(len(codes)):
-        c[:] = _node_codes(codes, f, rows)
-        g[f] = np.bincount(c, gn, MAX_BINS)
-        h[f] = np.bincount(c, hn, MAX_BINS)
-        if fill:
-            counts[f] = np.bincount(c, minlength=MAX_BINS)
+        _sum_bins(codes, rows, gn, hn, g, h, counts)
+    else:
+        _sum_bins(codes, rows, gn, hn, g, h)
     mass = np.array([np.abs(gn).sum(), np.abs(hn).sum()])
     # a sum of k terms in order is off by at most _gamma(k - 1) times their |sum|
     return _Histograms(g, h, counts, mass, _gamma(len(rows)) * mass, derived=False)

@@ -249,6 +249,28 @@ def _pair_sums(M: np.ndarray, left: np.ndarray, right: np.ndarray, side: str, na
     return sums
 
 
+def _pair_codes(M: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """The boosted trees' codes (2d, 2n) and bin edges (2d, MAX_BINS) of the
+    order-augmented train rows: rows 2i and 2i + 1 are pair i, of table rows
+    ``left[i]`` and ``right[i]``, as [u; v] and as [v; u]. Column j of the
+    [u; v] rows is binned once, over its distinct words weighted by how many
+    rows hold them, and feature d + j, the [v; u] rows' column j, is feature
+    j with each pair's two rows swapped. Its temporaries end with the call,
+    before the fit."""
+    words, row_word, weight = np.unique(np.column_stack([left, right]).ravel(),
+                                        return_inverse=True, return_counts=True)
+    swapped = row_word.reshape(-1, 2)[:, ::-1].ravel()
+    d = M.shape[1]
+    codes = np.empty((2 * d, len(row_word)), dtype=np.uint8)
+    lower, upper = np.empty((2, 2 * d, MAX_BINS))
+    for j in range(d):
+        word_codes, lower[j], upper[j] = _bin(M[words, j], weight)
+        word_codes.take(row_word, out=codes[j])
+        word_codes.take(swapped, out=codes[d + j])
+    lower[d:], upper[d:] = lower[:d], upper[:d]
+    return codes, lower, upper
+
+
 def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
                          concat: EmbeddingTable, train_pairs: PairSet,
                          test_pairs: PairSet,
@@ -264,10 +286,12 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
     which tells synonyms from antonyms, is not linear in their sum, so its
     accuracy stays near chance where the boosted trees' does not; they train on
     the rows ``[u; v]`` and ``[v; u]`` of each pair, order-averaged at test
-    time by :func:`classify_accuracy`. Those rows are binned column by column
-    from the table, so the trees hold one byte per train row and feature, not
-    a float64 matrix; their codes are those of the :func:`featurize_pair`
-    layout.
+    time by :func:`classify_accuracy`. Each column of those rows is binned
+    from the table over its distinct train words, weighted by the rows that
+    hold them, so the trees hold one byte per train row and feature, not a
+    float64 matrix; their codes and bin edges are those of the
+    :func:`featurize_pair` layout (a zero edge where a column holds both -0.0
+    and 0.0 takes its sign from argsort's order).
     """
     shared = train_pairs.vocabulary() & test_pairs.vocabulary()
     if shared:
@@ -293,17 +317,7 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
             if not np.isfinite(z).all():
                 raise InputError("a test pair's linear score overflows")
         linear_pred = _sigmoid(z) >= 0.5
-        # rows 2i and 2i + 1 are pair i as [u; v] and as [v; u]; column j of
-        # the [u; v] rows is binned once, and feature d + j, the [v; u] rows'
-        # column j, is feature j with each pair's two rows swapped
-        first = np.column_stack([left, right]).ravel()
-        d = table.dimension
-        codes = np.empty((2 * d, len(first)), dtype=np.uint8)
-        lower, upper = np.empty((2, 2 * d, MAX_BINS))
-        for j in range(d):
-            codes[j], lower[j], upper[j] = _bin(M[first, j])
-        codes[d:] = codes[:d, np.arange(len(first)) ^ 1]
-        lower[d:], upper[d:] = lower[:d], upper[:d]
+        codes, lower, upper = _pair_codes(M, left, right)
         ytr = np.repeat(y, 2)
         trees = _boost(codes, lower, upper, ytr, **boosted)
         del codes, lower, upper  # the fit alone reads them: gone before the test scores

@@ -306,6 +306,13 @@ def _tied():
     return world
 
 
+def _shared():
+    """Groups of 20 words, every two of them a pair: each train word is in 19
+    train pairs, so each pair column holds it in 19 rows, and its 460
+    distinct words, over MAX_BINS, are cut by their row counts."""
+    return planted_world(n_words=600, dim=8, group_size=20, seed=5)
+
+
 def _blocked_special_values():
     # small integers and two huge values whose midpoint overflows to inf
     rng = np.random.default_rng(8)
@@ -335,7 +342,7 @@ def test_trees_match_masked_reference_bit_for_bit(fixture, max_depth):
 
 
 @pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
-@pytest.mark.parametrize("world", [_planted, _blocked, _tied])
+@pytest.mark.parametrize("world", [_planted, _blocked, _tied, _shared])
 def test_accuracy_table_bins_pairs_as_the_augmented_matrix(monkeypatch, world, max_depth):
     """The accuracy table bins each pair column straight from the table: its
     codes, bin edges and trees are those of the order-augmented matrix that
@@ -514,6 +521,44 @@ def test_best_split_peak_memory_stays_under_six_histograms():
     finally:
         tracemalloc.stop()
     assert peak - entry < 6 * d * MAX_BINS * 8
+
+
+def _parent_summed(codes, rows, gn, hn):
+    """A node's per-bin gradient and hessian sums and row counts as one
+    ``np.bincount`` per feature took each, in row order."""
+    g, h = np.empty((2, len(codes), MAX_BINS))
+    counts = np.empty((len(codes), MAX_BINS), dtype=np.int32)
+    for f in range(len(codes)):
+        c = codes[f, rows].astype(np.intp)
+        g[f] = np.bincount(c, gn, MAX_BINS)
+        h[f] = np.bincount(c, hn, MAX_BINS)
+        counts[f] = np.bincount(c, minlength=MAX_BINS)
+    return g, h, counts
+
+
+@pytest.mark.parametrize("size", [1, 2, 37, 600])  # 600: the root
+def test_histogram_sums_are_the_row_order_bincounts(size):
+    # zero hessians, -0.0 and subnormal gradients and huge and tiny values
+    # in one bin, and bins that no row uses (codes 0-6 and 250-254 are unused)
+    rng = np.random.default_rng(size)
+    n = 600
+    codes = rng.integers(7, 250, size=(4, n), dtype=np.uint8)
+    codes[3] = rng.integers(7, 10, n)  # few bins, many rows each
+    g = rng.standard_normal(n) * np.where(rng.random(n) < 0.1, 1e300, 1.0)
+    g[::5] = -0.0
+    g[1::7] = 5e-324 * rng.integers(-3, 4, n)[1::7]  # subnormal or zero
+    h = rng.uniform(0.0, 0.25, n)
+    h[::3] = 0.0
+    rows = np.arange(n) if size == n else np.sort(rng.choice(n, size, replace=False))
+    gn, hn = g[rows], h[rows]
+    hists = boosting._summed(codes, rows, gn, hn)
+    parent = _parent_summed(codes, rows, gn, hn)
+    assert hists.g.tobytes() == parent[0].tobytes()
+    assert hists.h.tobytes() == parent[1].tobytes()
+    assert hists.counts.tobytes() == parent[2].tobytes()
+    # given counts, only the sums are taken
+    again = boosting._summed(codes, rows, gn, hn, parent[2])
+    assert again.g.tobytes() == parent[0].tobytes() and again.h.tobytes() == parent[1].tobytes()
 
 
 # --- derived histograms: the larger child is its parent's minus its sibling's --
@@ -709,6 +754,36 @@ def test_wide_features_get_bins_of_about_equal_row_count():
             assert len(in_bin) <= step + largest_value
             if f == 0:  # all values distinct: the bins are as even as rounding allows
                 assert len(in_bin) in (step - 1, step)
+
+
+def _weighted_columns():
+    """(words, weight) columns: wide and narrow, with rows of one word and of
+    many, words that share a value, and a single word. No column holds both
+    -0.0 and 0.0, whose bin edges follow argsort's order of the two."""
+    rng = np.random.default_rng(21)
+    wide = rng.standard_normal(900)
+    heavy = rng.integers(1, 60, 900)
+    return [(wide, heavy),
+            (wide, np.ones(900, dtype=np.intp)),  # weight-1 words: the rows themselves
+            (wide[:200], heavy[:200]),  # under MAX_BINS words
+            (wide[:MAX_BINS + 1], heavy[:MAX_BINS + 1]),
+            # words with equal values, over and under MAX_BINS values (+ 0.0
+            # turns the -0.0 that rounding leaves into 0.0)
+            (np.round(wide, 2) + 0.0, heavy),
+            (np.round(wide[:300], 1) + 0.0, heavy[:300]),
+            (np.array([2.5, 2.5, -1.0, 2.5]), np.array([3, 1, 7, 2])),
+            (np.array([4.0]), np.array([5])),  # a single value
+            (np.array([4.0, 4.0]), np.array([1, 9]))]
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_weighted_bins_are_those_of_the_repeated_rows(case):
+    words, weight = _weighted_columns()[case]
+    codes, lower, upper = boosting._bin(words, weight)
+    row_codes, row_lower, row_upper = boosting._bin(np.repeat(words, weight))
+    assert codes.dtype == np.uint8 and codes.shape == words.shape
+    assert np.repeat(codes, weight).tobytes() == row_codes.tobytes()
+    assert lower.tobytes() == row_lower.tobytes() and upper.tobytes() == row_upper.tobytes()
 
 
 def _node_sizes(node, X, rows):
