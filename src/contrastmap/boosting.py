@@ -15,45 +15,48 @@ greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at most
 ``MAX_BINS`` bins of about equal row count, cut only where the value
 changes. Features must be finite, as for every binary fit here.
 
-The root, and the smaller child of each split, sum their rows' gradients
-and hessians per bin in one pass, a complex ``np.add.at`` of g + ih: a
-complex add is two independent float adds, and ``add.at`` applies them in
-row order from zero, so each part is bit for bit ``np.bincount``'s row-order
-sum. The larger child takes its parent's sums minus its sibling's, written
-over the parent's arrays (LightGBM's histogram subtraction). Per-bin row
-counts are exact integers from ``np.bincount``, the root's once per fit
-(``_bin`` uses every code below a feature's bin count), and they alone mark
-the non-empty bins. Each node prefix-sums its bins for every candidate's
-gain. A split after bin b has as its threshold the midpoint of the largest
-value of bin b and the smallest value of the node's next non-empty bin,
-halved before the sum so that it cannot overflow. A node holds only its row
-indices: it gathers each feature's codes of its rows from the one (d, n)
-code matrix, a byte per row and feature, as it sums that feature's bins,
-and the root reads the codes themselves. Gains are computed in place over
-the prefix sums. A node whose children split holds its sums and counts,
-2.5 (d, MAX_BINS) float64 arrays, until its children hold theirs: a depth-2
-tree peaks at about 9.5 such arrays above its inputs, 7 with row-order sums
-alone.
+Every node's histograms come from ``_summed`` or from ``_larger``, and every
+node searches them with ``_search``. ``_summed`` serves the root of every
+tree that splits, the smaller child of each split and the re-scoring below:
+it sums the rows' gradients and hessians per bin in one pass, a complex
+``np.add.at`` of g + ih. A complex add is two independent float adds, and
+``add.at`` applies them in row order from zero, so each part is bit for bit
+``np.bincount``'s row-order sum. The larger child takes its parent's sums
+minus its sibling's, written over the parent's arrays (LightGBM's histogram
+subtraction). Per-bin row counts are exact int32 integers from
+``np.bincount``, the root's once per fit (``_bin`` uses every code below a
+feature's bin count), and they alone mark the non-empty bins, whatever the
+hessians hold. Each node prefix-sums its bins for every candidate's gain. A
+split after bin b has as its threshold the midpoint of the largest value of
+bin b and the smallest value of the node's next non-empty bin, halved before
+the sum so that it cannot overflow. A node holds only its row indices: it
+gathers each feature's codes of its rows from the one (d, n) code matrix, a
+byte per row and feature, as it sums that feature's bins, and the root reads
+the codes themselves. Gains are computed in place over the prefix sums. A
+node whose children split holds its sums and counts, 2.5 (d, MAX_BINS)
+float64 arrays, until its children hold theirs: a depth-2 tree peaks at
+about 8.8 such arrays above its inputs.
 
 A derived sum differs from the row-order sum in its last bits, and a
 near-tie between two splits can then fall the other way. So a derived node
-bounds how far each of its gains can be from the row-order one and
-re-scores from row-order sums (``_best_split`` on those features) every
-feature whose best gain plus its bound reaches the largest gain minus its
-bound. The chosen split and the gain that ``GAIN_TOL`` checks are then the
-direct search's, and every tree is bit for bit that of row-order sums. The
-bound, with u the unit roundoff and gamma_k = ku / (1 - ku) (Higham 2002):
-a sum of k terms in order is off the exact sum by at most gamma_(k-1) times
-their absolute sum; a difference adds both operands' errors and u times its
-size; a prefix over at most MAX_BINS bins adds gamma_MAX_BINS times their
-absolute sum. That bounds the distance a (gradients) and c (hessians) between
-the derived and row-order prefix sums, twice that for the right child's. A
-gain term x * x / (y + H_EPS) then moves by at most t (2a + ct), t = (|x| +
-a) / (y + H_EPS - c), with no finite bound where y + H_EPS <= c (a hessian
-sum within its bound of zero, as saturated rows with h == 0 leave). The sum
-over the three terms is doubled: a >= 510u times the rows' absolute gradient
-sum, so the rounding of both searches' gains, at most 16u t (|x| + a) per
-term, and of the bound's own arithmetic take far less than the second half.
+bounds how far each of its gains can be from the row-order one and re-scores
+from row-order sums (``_summed`` of those features, with their exact derived
+counts, then ``_search``) every feature whose best gain plus its bound
+reaches the largest gain minus its bound. The chosen split and the gain that
+``GAIN_TOL`` checks are then the direct search's, and every tree is bit for
+bit that of row-order sums. The bound, with u the unit roundoff and
+gamma_k = ku / (1 - ku) (Higham 2002): a sum of k terms in order is off the
+exact sum by at most gamma_(k-1) times their absolute sum; a difference adds
+both operands' errors and u times its size; a prefix over at most MAX_BINS
+bins adds gamma_MAX_BINS times their absolute sum. That bounds the distance
+a (gradients) and c (hessians) between the derived and row-order prefix
+sums, twice that for the right child's. A gain term x * x / (y + H_EPS) then
+moves by at most t (2a + ct), t = (|x| + a) / (y + H_EPS - c), with no
+finite bound where y + H_EPS <= c (a hessian sum within its bound of zero,
+as saturated rows with h == 0 leave). The sum over the three terms is
+doubled: a >= 510u times the rows' absolute gradient sum, so the rounding of
+both searches' gains, at most 16u t (|x| + a) per term, and of the bound's
+own arithmetic take far less than the second half.
 
 ``_bin`` bins one column and ``_boost`` runs the rounds on the codes:
 ``train_boosted_trees`` bins each column of its float matrix, one row per
@@ -199,41 +202,6 @@ def _argmax(gain: np.ndarray):
     return float(gain[f, b]), f, b
 
 
-def _sum_bins(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
-              g: np.ndarray, h: np.ndarray, counts: np.ndarray | None = None) -> None:
-    """Writes each feature's per-bin sums of the node's gradients ``gn`` and
-    hessians ``hn`` to ``g``, ``h`` (d, MAX_BINS), and its per-bin row counts
-    to ``counts`` when given (a bool ``counts`` takes whether each bin holds
-    a row). One complex ``add.at`` per feature takes both sums in row order,
-    each part bit for bit ``np.bincount``'s (see the module docstring)."""
-    w = np.empty(len(rows), dtype=np.complex128)
-    w.real, w.imag = gn, hn  # g + 1j * h would build two more temporaries
-    acc = np.empty(MAX_BINS, dtype=np.complex128)
-    c = np.empty(len(rows), dtype=np.intp)  # one feature's node codes at a time
-    for f in range(len(codes)):
-        c[:] = _node_codes(codes, f, rows)
-        acc[:] = 0.0
-        np.add.at(acc, c, w)
-        g[f], h[f] = acc.real, acc.imag
-        if counts is not None:
-            counts[f] = np.bincount(c, minlength=MAX_BINS)
-
-
-def _best_split(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray):
-    """Best (gain, feature, bin) for one node, or None when no valid split
-    exists: the direct search. ``codes`` (d, n) are every row's codes,
-    ``rows`` the node's, and ``gn``, ``hn`` their gradients and hessians, all
-    in row order, which fixes each bin's sum."""
-    gl, hl = np.empty((2, len(codes), MAX_BINS))
-    nonempty = np.empty((len(codes), MAX_BINS), dtype=bool)
-    counted = hn.min() > 0.0  # then a bin is non-empty where its hessian sum is
-    _sum_bins(codes, rows, gn, hn, gl, hl, None if counted else nonempty)
-    if counted:
-        np.greater(hl, 0.0, out=nonempty)
-    valid = _prefix(gl, hl, nonempty)
-    return None if valid is None else _argmax(_gains(gl, hl, valid)[0])
-
-
 @dataclass
 class _Histograms:
     """A node's per-bin gradient and hessian sums, ``g`` and ``h`` (d,
@@ -258,14 +226,25 @@ class _Histograms:
 
 def _summed(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
             counts: np.ndarray | None = None) -> _Histograms:
-    """The node's histograms summed directly, in row order as the direct search
-    sums them; ``counts`` are its row counts when known."""
+    """The node's histograms summed directly from its rows' gradients ``gn``
+    and hessians ``hn``: one complex ``add.at`` per feature takes both sums in
+    row order, each part bit for bit ``np.bincount``'s (see the module
+    docstring). ``counts`` are its row counts when known."""
     g, h = np.empty((2, len(codes), MAX_BINS))
-    if counts is None:
+    fresh = counts is None
+    if fresh:
         counts = np.empty((len(codes), MAX_BINS), dtype=np.int32)
-        _sum_bins(codes, rows, gn, hn, g, h, counts)
-    else:
-        _sum_bins(codes, rows, gn, hn, g, h)
+    w = np.empty(len(rows), dtype=np.complex128)
+    w.real, w.imag = gn, hn  # g + 1j * h would build two more temporaries
+    acc = np.empty(MAX_BINS, dtype=np.complex128)
+    c = np.empty(len(rows), dtype=np.intp)  # one feature's node codes at a time
+    for f in range(len(codes)):
+        c[:] = _node_codes(codes, f, rows)
+        acc[:] = 0.0
+        np.add.at(acc, c, w)
+        g[f], h[f] = acc.real, acc.imag
+        if fresh:
+            counts[f] = np.bincount(c, minlength=MAX_BINS)
     mass = np.array([np.abs(gn).sum(), np.abs(hn).sum()])
     # a sum of k terms in order is off by at most _gamma(k - 1) times their |sum|
     return _Histograms(g, h, counts, mass, _gamma(len(rows)) * mass, derived=False)
@@ -284,9 +263,12 @@ def _larger(parent: _Histograms, small: _Histograms) -> _Histograms:
 
 def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
             hists: _Histograms, keep: bool):
-    """:func:`_best_split` of a node from its histograms, which it writes over
-    unless ``keep``. A derived node re-scores directly every feature whose
-    derived gains might, within their bound, hold the direct search's best."""
+    """Best (gain, feature, bin) of a node from its histograms, which it
+    writes over unless ``keep``, or None when no valid split exists. ``codes``
+    (d, n) are every row's codes, ``rows`` the node's, and ``gn``, ``hn``
+    their gradients and hessians, in row order. A derived node re-scores from
+    row-order sums every feature whose derived gains might, within their
+    bound, hold the best gain of those sums."""
     gl, hl = (hists.g.copy(), hists.h.copy()) if keep else (hists.g, hists.h)
     valid = _prefix(gl, hl, hists.counts > 0)
     if valid is None:
@@ -300,26 +282,21 @@ def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
     lo[unbounded], hi[unbounded] = -np.inf, np.inf
     lo[~valid] = hi[~valid] = -np.inf
     features = np.flatnonzero(hi.max(axis=1) >= lo.max())
-    gain, f, b = _best_split(codes[features], rows, gn, hn)
+    codes = codes[features]
+    direct = _summed(codes, rows, gn, hn, hists.counts[features])  # derived counts are exact
+    gain, f, b = _search(codes, rows, gn, hn, direct, keep=False)
     return gain, int(features[f]), b
 
 
 def _build_tree(codes: np.ndarray, rows: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                 g: np.ndarray, h: np.ndarray, depth: int, out: np.ndarray,
-                hists: _Histograms | None = None) -> TreeNode:
+                hists: _Histograms | None) -> TreeNode:
     """The subtree of the node of ``rows``, in row order, split on the (d, n)
-    ``codes`` of every row. Each leaf writes its value to ``out[rows]``. A
-    node whose children split holds its histograms, ``hists`` or summed here,
-    so that each split sums only its smaller child's."""
+    ``codes`` of every row. Each leaf writes its value to ``out[rows]``. The
+    node's histograms ``hists`` (None at depth 0) are held while its
+    children split, so that each split sums only its smaller child's."""
     gn, hn = g[rows], h[rows]
-    if hists is None and depth > 1:
-        hists = _summed(codes, rows, gn, hn)
-    if depth == 0:
-        split = None
-    elif hists is None:
-        split = _best_split(codes, rows, gn, hn)
-    else:
-        split = _search(codes, rows, gn, hn, hists, keep=depth > 1)
+    split = None if depth == 0 else _search(codes, rows, gn, hn, hists, keep=depth > 1)
     if split is not None and split[0] <= GAIN_TOL:
         # a zero-gain split is worth taking only when a child split can still
         # realize the gain (XOR-style interactions): needs remaining depth and
@@ -330,24 +307,22 @@ def _build_tree(codes: np.ndarray, rows: np.ndarray, lower: np.ndarray, upper: n
         out[rows] = value = -gn.sum() / (hn.sum() + H_EPS)
         return TreeNode(value=value)
     _, feature, b = split
+    del gn, hn  # each child gathers its own, and the root's are copies of every row's
     c = _node_codes(codes, feature, rows)
     goes_left = c <= b
     lo, hi = upper[feature, b], lower[feature, c[~goes_left].min()]
     t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
     parts = rows[goes_left], rows[~goes_left]
-    given = {}  # each child's histograms, held only until it is built
-    order = (0, 1)
+    small = int(len(parts[1]) < len(parts[0]))
+    kids = [(small, None), (1 - small, None)]  # (child, its histograms), the smaller first
     if depth > 1:  # the children split: sum the smaller, derive the larger
-        small = int(len(parts[1]) < len(parts[0]))
         r = parts[small]
-        given[small] = _summed(codes, r, g[r], h[r])
-        given[1 - small] = _larger(hists, given[small])
-        del hists
-        order = (small, 1 - small)  # the derived child searches with no sibling held
+        kids[0] = small, _summed(codes, r, g[r], h[r])
+        kids[1] = 1 - small, _larger(hists, kids[0][1])
     children = [None, None]
-    for i in order:
-        children[i] = _build_tree(codes, parts[i], lower, upper, g, h, depth - 1, out,
-                                  given.pop(i, None))
+    while kids:  # each held only until it is built: the derived child searches alone
+        i, hists = kids.pop(0)
+        children[i] = _build_tree(codes, parts[i], lower, upper, g, h, depth - 1, out, hists)
     return TreeNode(feature=feature, threshold=float(t if t < hi else lo),
                     left=children[0], right=children[1])
 
@@ -388,7 +363,7 @@ def _boost(codes: np.ndarray, lower: np.ndarray, upper: np.ndarray, y: np.ndarra
         p = _sigmoid(scores)
         g = p - y
         h = p * (1.0 - p)
-        root = _summed(codes, rows, g, h, counts) if max_depth > 1 else None
+        root = _summed(codes, rows, g, h, counts) if max_depth else None
         counts = None if root is None else root.counts
         trees.append(_build_tree(codes, rows, lower, upper, g, h, max_depth, update, root))
         del root  # its spent sums, before the next round sums the root again

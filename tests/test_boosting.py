@@ -387,15 +387,17 @@ def _fit_peak_over_input():
     return peak / X.nbytes
 
 
-def test_rows_without_hessian_match_masked_reference():
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+def test_rows_without_hessian_match_masked_reference(max_depth):
     # a huge shrinkage saturates p to exactly 0 or 1 after one round, so
-    # later nodes hold rows with h == 0 that count as rows all the same
+    # later nodes hold rows with h == 0 that count as rows all the same,
+    # the root of a depth-1 tree among them
     X, y = _continuous()
-    model = train_boosted_trees(X, y, rounds=4, shrinkage=40.0, max_depth=2)
+    model = train_boosted_trees(X, y, rounds=4, shrinkage=40.0, max_depth=max_depth)
     p = boosting._sigmoid(model.base_score
                           + 40.0 * boosting._tree_predict(model.trees[0], X))
     assert np.any(p * (1.0 - p) == 0.0) and np.any(p * (1.0 - p) > 0.0)
-    reference = _reference_trees(X, y, 4, 40.0, 2)
+    reference = _reference_trees(X, y, 4, 40.0, max_depth)
     assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference]
 
 
@@ -475,6 +477,19 @@ def _hexed(split):
     return None if split is None else (split[0].hex(), split[1], split[2])
 
 
+def _direct_split(codes, rows, gn, hn):
+    """The search of the node of ``rows`` on its histograms summed directly."""
+    hists = boosting._summed(codes, rows, gn, hn)
+    return boosting._search(codes, rows, gn, hn, hists, keep=False)
+
+
+def _root_tree(codes, rows, lower, upper, g, h, depth, out):
+    """``_build_tree`` of the root, whose ``rows`` are every row, with its
+    histograms summed as ``_boost`` sums them."""
+    root = boosting._summed(codes, rows, g, h) if depth else None
+    return boosting._build_tree(codes, rows, lower, upper, g, h, depth, out, root)
+
+
 @pytest.mark.parametrize("zero_hessian", [False, True])
 @pytest.mark.parametrize("size", [1, 2, 254, 255, 256, 599, 600])  # 600: the root
 def test_best_split_matches_the_copying_search(zero_hessian, size):
@@ -482,12 +497,12 @@ def test_best_split_matches_the_copying_search(zero_hessian, size):
     for seed in range(20):
         codes, _, _, g, h = _random_fit(zero_hessian, seed)
         rng = np.random.default_rng(seed)
-        if zero_hessian:  # row 0 has none: its node's bins are counted, not weighed
+        if zero_hessian:  # row 0 has none, and its bin holds a row all the same
             rows = np.sort(np.r_[0, 1 + rng.choice(len(g) - 1, size - 1, replace=False)])
         else:
             rows = np.sort(rng.choice(len(g), size, replace=False))
         assert (h[rows].min() == 0.0) == zero_hessian
-        split = boosting._best_split(codes, rows, g[rows], h[rows])
+        split = _direct_split(codes, rows, g[rows], h[rows])
         assert _hexed(split) == _hexed(_parent_best_split(codes[:, rows], g[rows], h[rows]))
         assert (split is None) == (size == 1)
 
@@ -499,14 +514,14 @@ def test_build_tree_matches_the_copying_search(zero_hessian, max_depth):
         codes, lower, upper, g, h = _random_fit(zero_hessian, seed)
         rows = np.arange(len(g))
         out, parent_out = np.empty(len(g)), np.empty(len(g))
-        tree = boosting._build_tree(codes, rows, lower, upper, g, h, max_depth, out)
+        tree = _root_tree(codes, rows, lower, upper, g, h, max_depth, out)
         parent = _parent_build_tree(codes, rows, lower, upper, g, h, max_depth, parent_out)
         assert _bits(tree) == _bits(parent)
         assert out.tobytes() == parent_out.tobytes()
         assert sum(f >= 0 for f, _, _ in _bits(tree)) >= max_depth  # the nodes split
 
 
-def test_best_split_peak_memory_stays_under_six_histograms():
+def test_direct_search_peak_memory_stays_under_six_histograms():
     # the gains are computed over the prefix sums in place: the copying
     # search's expression temporaries took 9.85 (d, MAX_BINS) float64 arrays
     rng = np.random.default_rng(5)
@@ -516,7 +531,7 @@ def test_best_split_peak_memory_stays_under_six_histograms():
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        assert boosting._best_split(codes, rows, g, h) is not None
+        assert _direct_split(codes, rows, g, h) is not None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,19 +601,19 @@ def test_near_tie_in_a_derived_child_is_rescored():
     codes, lower, upper, g, h = _near_tie_fit(seed=1, n=60)
     rows = np.arange(len(g))
     out, parent_out = np.empty(len(g)), np.empty(len(g))
-    tree = boosting._build_tree(codes, rows, lower, upper, g, h, 2, out)
+    tree = _root_tree(codes, rows, lower, upper, g, h, 2, out)
     parent = _parent_build_tree(codes, rows, lower, upper, g, h, 2, parent_out)
     assert _bits(tree) == _bits(parent)
     assert out.tobytes() == parent_out.tobytes()
     # the larger child's derived sums alone would split on feature 2, not 1
-    _, f, b = boosting._best_split(codes, rows, g, h)
+    _, f, b = _direct_split(codes, rows, g, h)
     parts = rows[codes[f] <= b], rows[codes[f] > b]
     small, large = sorted(parts, key=len)
     derived = boosting._larger(boosting._summed(codes, rows, g, h),
                                boosting._summed(codes, small, g[small], h[small]))
     valid = boosting._prefix(derived.g, derived.h, derived.counts > 0)
     unverified = boosting._argmax(boosting._gains(derived.g, derived.h, valid)[0])
-    direct = boosting._best_split(codes, large, g[large], h[large])
+    direct = _direct_split(codes, large, g[large], h[large])
     assert (direct[1], unverified[1]) == (1, 2)
     assert (tree.left if len(parts[0]) > len(parts[1]) else tree.right).feature == 1
 
@@ -611,7 +626,7 @@ def test_build_tree_with_derived_children_matches_the_copying_search(zero_hessia
         codes, lower, upper, g, h = _near_tie_fit(seed, 600, zero_hessian)
         rows = np.arange(len(g))
         out, parent_out = np.empty(len(g)), np.empty(len(g))
-        tree = boosting._build_tree(codes, rows, lower, upper, g, h, max_depth, out)
+        tree = _root_tree(codes, rows, lower, upper, g, h, max_depth, out)
         parent = _parent_build_tree(codes, rows, lower, upper, g, h, max_depth, parent_out)
         assert _bits(tree) == _bits(parent)
         assert out.tobytes() == parent_out.tobytes()
@@ -678,7 +693,9 @@ def test_rows_without_hessian_rescore_derived_sums_near_zero(monkeypatch):
 def test_build_tree_peak_memory_at_depth_two_stays_under_ten_histograms():
     # the root's histograms and their copy for its search, then the larger
     # child's derived ones held while the smaller child searches: measured
-    # 9.51 (d, MAX_BINS) float64 arrays at this size, 7.05 without derivation
+    # 8.84 (d, MAX_BINS) float64 arrays at this size, 9.51 while each node
+    # kept its rows' gradients through its children's builds, and 7.05
+    # without derivation
     rng = np.random.default_rng(5)
     d, n = 100, 15000
     codes = rng.integers(0, MAX_BINS, size=(d, n), dtype=np.uint8)
@@ -688,7 +705,7 @@ def test_build_tree_peak_memory_at_depth_two_stays_under_ten_histograms():
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        tree = boosting._build_tree(codes, rows, edges, edges, g, h, 2, out)
+        tree = _root_tree(codes, rows, edges, edges, g, h, 2, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
