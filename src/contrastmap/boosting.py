@@ -15,21 +15,28 @@ greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at most
 ``MAX_BINS`` bins of about equal row count, cut only where the value
 changes. Features must be finite, as for every binary fit here.
 
-Every node's histograms come from ``_summed`` or from ``_larger``, and every
-node searches them with ``_search``. ``_summed`` serves the root of every
-tree that splits, the smaller child of each split and the re-scoring below:
-it sums the rows' gradients and hessians per bin in one pass, a complex
-``np.add.at`` of g + ih. A complex add is two independent float adds, and
-``add.at`` applies them in row order from zero, so each part is bit for bit
-``np.bincount``'s row-order sum. The larger child takes its parent's sums
+Every node's histograms come from ``_summed``, ``_word_summed`` or
+``_larger``, and every node searches them with ``_search``. ``_summed``
+serves the root of every tree that splits in ``train_boosted_trees``, the
+smaller child of each split and the re-scoring below: it sums the rows'
+gradients and hessians per bin in one pass, a complex ``np.add.at`` of g +
+ih. A complex add is two independent float adds, and ``add.at`` applies them
+in row order from zero, so each part is bit for bit ``np.bincount``'s
+row-order sum. The accuracy table's roots come from ``_word_summed``: each
+of its rows holds one train word in features j and one in features d + j,
+and takes its words' codes, so the root sums its rows' gradients and
+hessians per word of each half (four ``np.bincount`` calls over the rows),
+then those per bin with ``_summed`` over the words: 2d x W terms for W
+words, not 2d x 2n for 2n rows. The larger child takes its parent's sums
 minus its sibling's, written over the parent's arrays (LightGBM's histogram
 subtraction). Per-bin row counts are exact int32 integers from
 ``np.bincount``, the root's once per fit (``_bin`` uses every code below a
-feature's bin count), and they alone mark the non-empty bins, whatever the
-hessians hold. Each node prefix-sums its bins for every candidate's gain. A
-split after bin b has as its threshold the midpoint of the largest value of
-bin b and the smallest value of the node's next non-empty bin, halved before
-the sum so that it cannot overflow. A node holds only its row indices: it
+feature's bin count; a word-summed root weights each word by its rows), and
+they alone mark the non-empty bins, whatever the hessians hold. Each node
+prefix-sums its bins for every candidate's gain. A split after bin b has as
+its threshold the midpoint of the largest value of bin b and the smallest
+value of the node's next non-empty bin, halved before the sum so that it
+cannot overflow. A node holds only its row indices: it
 gathers each feature's codes of its rows from the one (d, n) code matrix, a
 byte per row and feature, as it sums that feature's bins, and the root reads
 the codes themselves. Gains are computed in place over the prefix sums. A
@@ -37,20 +44,22 @@ node whose children split holds its sums and counts, 2.5 (d, MAX_BINS)
 float64 arrays, until its children hold theirs: a depth-2 tree peaks at
 about 8.8 such arrays above its inputs.
 
-A derived sum differs from the row-order sum in its last bits, and a
-near-tie between two splits can then fall the other way. So a derived node
-bounds how far each of its gains can be from the row-order one and re-scores
-from row-order sums (``_summed`` of those features, with their exact derived
-counts, then ``_search``) every feature whose best gain plus its bound
-reaches the largest gain minus its bound. The chosen split and the gain that
-``GAIN_TOL`` checks are then the direct search's, and every tree is bit for
-bit that of row-order sums. The bound, with u the unit roundoff and
-gamma_k = ku / (1 - ku) (Higham 2002): a sum of k terms in order is off the
-exact sum by at most gamma_(k-1) times their absolute sum; a difference adds
-both operands' errors and u times its size; a prefix over at most MAX_BINS
-bins adds gamma_MAX_BINS times their absolute sum. That bounds the distance
-a (gradients) and c (hessians) between the derived and row-order prefix
-sums, twice that for the right child's. A gain term x * x / (y + H_EPS) then
+A word-summed or derived sum differs from the row-order sum in its last
+bits, and a near-tie between two splits can then fall the other way. So a
+node with such inexact sums bounds how far each of its gains can be from the
+row-order one and re-scores from row-order sums (``_summed`` of those
+features, with their exact counts, then ``_search``) every feature whose
+best gain plus its bound reaches the largest gain minus its bound. The
+chosen split and the gain that ``GAIN_TOL`` checks are then the direct
+search's, and every tree is bit for bit that of row-order sums. The bound,
+with u the unit roundoff and gamma_k = ku / (1 - ku) (Higham 2002): a sum of
+k terms in any order is off the exact sum by at most gamma_(k-1) times their
+absolute sum, so a word-summed root's error bound is a row-order root's,
+gamma_n times the mass of its n rows; a difference adds both operands'
+errors and u times its size; a prefix over at most MAX_BINS bins adds
+gamma_MAX_BINS times their absolute sum. That bounds the distance a
+(gradients) and c (hessians) between the inexact and row-order prefix sums,
+twice that for the right child's. A gain term x * x / (y + H_EPS) then
 moves by at most t (2a + ct), t = (|x| + a) / (y + H_EPS - c), with no
 finite bound where y + H_EPS <= c (a hessian sum within its bound of zero,
 as saturated rows with h == 0 leave). The sum over the three terms is
@@ -60,9 +69,11 @@ own arithmetic take far less than the second half.
 
 ``_bin`` bins one column and ``_boost`` runs the rounds on the codes:
 ``train_boosted_trees`` bins each column of its float matrix, one row per
-source, while the accuracy table (``evaluation.build_accuracy_table``) bins
-each pair column over its distinct train words, weighted by their row
-counts, straight from the embedding table and never builds that matrix.
+source, and sums each root in row order, while the accuracy table
+(``evaluation.build_accuracy_table``) bins each pair column over its
+distinct train words, weighted by their row counts, straight from the
+embedding table, never builds that matrix, and passes ``_boost`` the words
+to sum each root over.
 
 Everything is deterministic: split-gain ties break on the lowest feature
 index, then the lowest bin.
@@ -208,13 +219,14 @@ class _Histograms:
     MAX_BINS) float64, and its exact per-bin row counts (d, MAX_BINS) int32.
     ``mass`` bounds the sum of |g| and of |h| over the node's rows, and
     ``err`` the sum over its bins of each per-bin sum's distance from the
-    exact one. ``derived`` sums are the parent's minus the sibling's."""
+    exact one. ``inexact`` sums are not in row order: a word-summed root's,
+    or a larger child's, its parent's minus its sibling's."""
     g: np.ndarray
     h: np.ndarray
     counts: np.ndarray
     mass: np.ndarray  # (2,): gradient, hessian
     err: np.ndarray  # (2,)
-    derived: bool
+    inexact: bool
 
     def gap(self, n: int) -> np.ndarray:
         """Bounds (a, c) on how far the gradient and hessian prefix sums over
@@ -247,7 +259,28 @@ def _summed(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
             counts[f] = np.bincount(c, minlength=MAX_BINS)
     mass = np.array([np.abs(gn).sum(), np.abs(hn).sum()])
     # a sum of k terms in order is off by at most _gamma(k - 1) times their |sum|
-    return _Histograms(g, h, counts, mass, _gamma(len(rows)) * mass, derived=False)
+    return _Histograms(g, h, counts, mass, _gamma(len(rows)) * mass, inexact=False)
+
+
+def _word_summed(word_codes: np.ndarray, row_word: np.ndarray, swapped: np.ndarray,
+                 g: np.ndarray, h: np.ndarray, counts: np.ndarray | None = None) -> _Histograms:
+    """The root's histograms of rows whose features j and d + j take the codes
+    ``word_codes[j]`` (d, W) of their words ``row_word`` and ``swapped``: the
+    rows' gradients ``g`` and hessians ``h`` summed per word for each half,
+    then per bin by :func:`_summed` over the words. The sums are not in row
+    order; their error bound is a row-order root's (see the module
+    docstring). ``counts`` are the root's row counts when known."""
+    d, n_words = word_codes.shape
+    if counts is None:  # each word's rows, the same in either half: exact integers
+        weight = np.bincount(row_word, minlength=n_words)
+        half = [np.bincount(c, weight, MAX_BINS) for c in word_codes]
+        counts = np.array(half + half, dtype=np.int32)
+    words = np.arange(n_words)
+    halves = [_summed(word_codes, words, np.bincount(r, g, n_words),
+                      np.bincount(r, h, n_words), counts[:d]) for r in (row_word, swapped)]
+    mass = np.array([np.abs(g).sum(), np.abs(h).sum()])
+    return _Histograms(np.concatenate([s.g for s in halves]), np.concatenate([s.h for s in halves]),
+                       counts, mass, _gamma(len(g)) * mass, inexact=True)
 
 
 def _larger(parent: _Histograms, small: _Histograms) -> _Histograms:
@@ -258,7 +291,7 @@ def _larger(parent: _Histograms, small: _Histograms) -> _Histograms:
     np.subtract(parent.h, small.h, out=parent.h)
     err = parent.err + small.err
     return _Histograms(parent.g, parent.h, parent.counts - small.counts, parent.mass,
-                       err + _U * (parent.mass + err), derived=True)
+                       err + _U * (parent.mass + err), inexact=True)
 
 
 def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
@@ -266,14 +299,14 @@ def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
     """Best (gain, feature, bin) of a node from its histograms, which it
     writes over unless ``keep``, or None when no valid split exists. ``codes``
     (d, n) are every row's codes, ``rows`` the node's, and ``gn``, ``hn``
-    their gradients and hessians, in row order. A derived node re-scores from
-    row-order sums every feature whose derived gains might, within their
-    bound, hold the best gain of those sums."""
+    their gradients and hessians, in row order. A node with inexact sums
+    re-scores from row-order sums every feature whose gains might, within
+    their bound, hold the best gain of those sums."""
     gl, hl = (hists.g.copy(), hists.h.copy()) if keep else (hists.g, hists.h)
     valid = _prefix(gl, hl, hists.counts > 0)
     if valid is None:
         return None
-    if not hists.derived:
+    if not hists.inexact:
         return _argmax(_gains(gl, hl, valid)[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gain, bound = _gains(gl, hl, valid, hists.gap(len(rows)))
@@ -283,7 +316,7 @@ def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
     lo[~valid] = hi[~valid] = -np.inf
     features = np.flatnonzero(hi.max(axis=1) >= lo.max())
     codes = codes[features]
-    direct = _summed(codes, rows, gn, hn, hists.counts[features])  # derived counts are exact
+    direct = _summed(codes, rows, gn, hn, hists.counts[features])  # its counts are exact
     gain, f, b = _search(codes, rows, gn, hn, direct, keep=False)
     return gain, int(features[f]), b
 
@@ -342,10 +375,13 @@ def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
 
 
 def _boost(codes: np.ndarray, lower: np.ndarray, upper: np.ndarray, y: np.ndarray,
-           rounds: int, shrinkage: float, max_depth: int) -> BoostedTrees:
+           rounds: int, shrinkage: float, max_depth: int,
+           words: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> BoostedTrees:
     """The round loop on binned features: ``codes`` (d, n) and ``lower``,
     ``upper`` (d, MAX_BINS) stack each feature's :func:`_bin`, and ``y`` holds
-    the checked 0/1 labels of both classes."""
+    the checked 0/1 labels of both classes. Given ``words``, the
+    ``(word_codes, row_word, swapped)`` that ``codes`` were gathered from
+    (see :func:`_word_summed`), each root is summed over those words."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if max_depth < 0:
@@ -363,7 +399,12 @@ def _boost(codes: np.ndarray, lower: np.ndarray, upper: np.ndarray, y: np.ndarra
         p = _sigmoid(scores)
         g = p - y
         h = p * (1.0 - p)
-        root = _summed(codes, rows, g, h, counts) if max_depth else None
+        if not max_depth:
+            root = None
+        elif words is None:
+            root = _summed(codes, rows, g, h, counts)
+        else:
+            root = _word_summed(*words, g, h, counts)
         counts = None if root is None else root.counts
         trees.append(_build_tree(codes, rows, lower, upper, g, h, max_depth, update, root))
         del root  # its spent sums, before the next round sums the root again

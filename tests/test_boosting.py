@@ -341,6 +341,24 @@ def test_trees_match_masked_reference_bit_for_bit(fixture, max_depth):
     assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference]
 
 
+def _table_fits(monkeypatch, world, settings):
+    """The (positional arguments, model) of each of the accuracy table's three
+    boosted fits on ``world``'s table as every space, at ``settings``."""
+    fits = []
+
+    def boost(*args, **kwargs):
+        assert kwargs["words"] is not None  # every root is summed over the train words
+        fits.append((args, boosting._boost(*args, **kwargs)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(evaluation, "_boost", boost)
+    split = split_pairs(world.pairs)
+    build_accuracy_table(world.table, world.table, world.table, split.train, split.test,
+                         boosted_config=settings)
+    assert len(fits) == 3
+    return fits
+
+
 @pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
 @pytest.mark.parametrize("world", [_planted, _blocked, _tied, _shared])
 def test_accuracy_table_bins_pairs_as_the_augmented_matrix(monkeypatch, world, max_depth):
@@ -348,21 +366,11 @@ def test_accuracy_table_bins_pairs_as_the_augmented_matrix(monkeypatch, world, m
     codes, bin edges and trees are those of the order-augmented matrix that
     featurize_pair lays out, binned whole and fit by train_boosted_trees."""
     world = world()
-    fits = []
-
-    def boost(*args, **kwargs):
-        fits.append((args, boosting._boost(*args, **kwargs)))
-        return fits[-1][1]
-
-    monkeypatch.setattr(evaluation, "_boost", boost)
-    split = split_pairs(world.pairs)
     settings = {"rounds": 8, "shrinkage": 0.3, "max_depth": max_depth}
-    build_accuracy_table(world.table, world.table, world.table, split.train, split.test,
-                         boosted_config=settings)
+    fits = _table_fits(monkeypatch, world, settings)
     X, y = _augmented_train_rows(world)
     codes, lower, upper = (np.array(a) for a in zip(*(boosting._bin(x) for x in X.T)))
     reference = train_boosted_trees(X, y, **settings)
-    assert len(fits) == 3
     for (pair_codes, pair_lower, pair_upper, labels), model in fits:
         assert pair_codes.tobytes() == codes.tobytes()
         # -0.0 and 0.0 share a bin in the order argsort gives them, so the
@@ -688,6 +696,98 @@ def test_rows_without_hessian_rescore_derived_sums_near_zero(monkeypatch):
     assert sum(unbounded) > 0
     reference = _reference_trees(X, y, 4, 40.0, 2)
     assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference]
+
+
+# --- word-summed roots: the accuracy table sums each root over its train words --
+# Each root's per-bin sums are taken per word, then per bin: not in row order,
+# so the root re-scores directly each feature its gains' bound cannot rule out.
+
+def _random_pairs(seed, zero_hessian):
+    """The order-augmented codes and words (``evaluation._pair_codes``) of 900
+    random pairs over 400 words, 6 columns, two of them rounded, with random
+    gradients and hessians; every 7th hessian is zero if ``zero_hessian``."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((400, 6))
+    M[:, 4:] = M[:, 4:].round(1)
+    left, right = rng.integers(0, 400, size=(2, 900))
+    codes, _, _, words = evaluation._pair_codes(M, left, right)
+    g, h = rng.standard_normal(1800), rng.uniform(0.01, 0.25, 1800)
+    if zero_hessian:
+        h[::7] = 0.0
+    return codes, words, g, h
+
+
+@pytest.mark.parametrize("zero_hessian", [False, True])
+def test_word_summed_root_stays_within_its_bound(zero_hessian):
+    for seed in range(5):
+        codes, words, g, h = _random_pairs(seed, zero_hessian)
+        root = boosting._word_summed(*words, g, h)
+        direct = boosting._summed(codes, np.arange(len(g)), g, h)
+        assert root.inexact and not direct.inexact
+        assert root.counts.tobytes() == direct.counts.tobytes()
+        # each channel's summed distance over its bins: the root's err
+        assert np.abs(root.g - direct.g).sum() <= root.err[0]
+        assert np.abs(root.h - direct.h).sum() <= root.err[1]
+        assert np.array_equal(root.err, direct.err)  # a row-order root's bound
+        assert np.any(root.g != direct.g)  # the word sums do differ
+
+
+def test_word_summed_root_breaks_ties_on_the_lowest_feature(monkeypatch):
+    # column j doubled as the last column d: features j and d tie at every
+    # root, and at round 1, when a pair's two rows share their gradients, so
+    # do their twins d + 1 + j and 2d + 1
+    world = _planted()
+    settings = {"rounds": 8, "shrinkage": 0.3, "max_depth": 2}
+    X, y = _augmented_train_rows(world)
+    j = train_boosted_trees(X, y, **settings).trees[0].feature
+    d = world.table.dimension
+    assert j < d
+    M = world.table.matrix
+    world.table = EmbeddingTable(world.table.words, np.hstack([M, M[:, j:j + 1]]))
+    X, y = _augmented_train_rows(world)
+    reference = train_boosted_trees(X, y, **settings)
+    assert reference.trees[0].feature == j
+    for _, model in _table_fits(monkeypatch, world, settings):
+        assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference.trees]
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3])
+def test_word_summed_roots_of_saturated_rows_match_the_augmented_fit(monkeypatch, max_depth):
+    # at shrinkage 40 later roots hold rows with h == 0: their hessian prefix
+    # sums near zero have no finite bound, and their features are re-scored
+    world = _blocked()
+    settings = {"rounds": 4, "shrinkage": 40.0, "max_depth": max_depth}
+    X, y = _augmented_train_rows(world)
+    reference = train_boosted_trees(X, y, **settings)
+    scores, saturated = np.full(len(y), reference.base_score), []
+    for tree in reference.trees[:-1]:  # each later root's rows
+        scores += 40.0 * boosting._tree_predict(tree, X)
+        p = boosting._sigmoid(scores)
+        saturated.append(np.any(p * (1.0 - p) == 0.0) and np.any(p * (1.0 - p) > 0.0))
+    assert any(saturated)
+    for _, model in _table_fits(monkeypatch, world, settings):
+        assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference.trees]
+
+
+def test_word_summed_roots_rescore_few_features(monkeypatch):
+    # a bound that re-scored every feature would keep every tree's bits and
+    # lose the word sums' gain: only a speed guard can see it
+    world = planted_world(n_words=2000, dim=32)
+    _, syn, ((left, right),) = _pair_rows([world.table], split_pairs(world.pairs).train)
+    codes, lower, upper, words = evaluation._pair_codes(world.table.matrix, left, right)
+    n = codes.shape[1]
+    rescored = []
+
+    def summed(codes, rows, gn, hn, counts=None):
+        if len(rows) == codes.shape[1] == n:  # every row of the fit: a root's re-scoring
+            rescored.append(len(codes))
+        return summed.wrapped(codes, rows, gn, hn, counts)
+
+    summed.wrapped = boosting._summed
+    monkeypatch.setattr(boosting, "_summed", summed)
+    boosting._boost(codes, lower, upper, np.repeat(syn.astype(float), 2),
+                    rounds=10, shrinkage=0.1, max_depth=2, words=words)
+    assert len(rescored) == 10 and max(rescored) <= 3
 
 
 def test_build_tree_peak_memory_at_depth_two_stays_under_ten_histograms():
