@@ -15,65 +15,62 @@ greedy search (Chen and Guestrin, KDD 2016). A wider feature gets at most
 ``MAX_BINS`` bins of about equal row count, cut only where the value
 changes. Features must be finite, as for every binary fit here.
 
-Every node's histograms come from ``_summed``, ``_word_summed`` or
-``_larger``, and every node searches them with ``_search``. ``_summed``
-serves the root of every tree that splits in ``train_boosted_trees``, the
-smaller child of each split and the re-scoring below: it sums the rows'
-gradients and hessians per bin in one pass, a complex ``np.add.at`` of g +
-ih. A complex add is two independent float adds, and ``add.at`` applies them
-in row order from zero, so each part is bit for bit ``np.bincount``'s
-row-order sum. The accuracy table's roots come from ``_word_summed``: each
-of its rows holds one train word in features j and one in features d + j,
-and takes its words' codes, so the root sums its rows' gradients and
-hessians per word of each half (four ``np.bincount`` calls over the rows),
-then those per bin with ``_summed`` over the words: 2d x W terms for W
-words, not 2d x 2n for 2n rows. The larger child takes its parent's sums
-minus its sibling's, written over the parent's arrays (LightGBM's histogram
-subtraction). Per-bin row counts are exact int32 integers from
-``np.bincount``, the root's once per fit (``_bin`` uses every code below a
-feature's bin count; a word-summed root weights each word by its rows), and
-they alone mark the non-empty bins, whatever the hessians hold. Each node
-prefix-sums its bins for every candidate's gain. A split after bin b has as
-its threshold the midpoint of the largest value of bin b and the smallest
-value of the node's next non-empty bin, halved before the sum so that it
-cannot overflow. A node holds only its row indices: it
-gathers each feature's codes of its rows from the one (d, n) code matrix, a
-byte per row and feature, as it sums that feature's bins, and the root reads
-the codes themselves. Gains are computed in place over the prefix sums. A
-node whose children split holds its sums and counts, 2.5 (d, MAX_BINS)
-float64 arrays, until its children hold theirs: a depth-2 tree peaks at
-about 8.8 such arrays above its inputs.
+A fit's binned input is codes per source, a byte per source and column,
+plus maps that give each row its sources (see ``_boost``): the rows of
+``train_boosted_trees`` are their own sources, and those of the accuracy
+table read features j and d + j from two of its distinct train words. A node
+holds its rows and their sources, gathered once, and reads each feature's
+codes of them from its column's codes as it sums that feature's bins. Every
+node's histograms come from ``_summed``, ``_root`` or ``_larger``, and every
+node searches them with ``_search``. ``_summed`` serves the smaller child of
+each split, the re-scoring below and every root whose rows are the sources:
+it sums the rows' gradients and hessians per bin in one pass, a complex
+``np.add.at`` of g + ih. A complex add is two independent float adds, and
+``add.at`` applies them in row order from zero, so each part is bit for bit
+``np.bincount``'s row-order sum. Any other root sums its rows' gradients and
+hessians per source of each map (two ``np.bincount`` calls per map), then
+those per bin with ``_summed`` over the sources: k d x S terms for S
+sources and k maps, not k d x n for n rows. The larger child takes its
+parent's sums minus its sibling's, written over the parent's arrays
+(LightGBM's histogram subtraction). Per-bin row counts are exact int32
+integers, the root's from binning (``_bin`` uses every code below a
+feature's bin count), and they alone mark the non-empty bins, whatever the
+hessians hold. Each node prefix-sums its bins for every candidate's gain. A
+split after bin b has as its threshold the midpoint of the largest value of
+bin b and the smallest value of the node's next non-empty bin, halved before
+the sum so that it cannot overflow. Gains are computed in place over the
+prefix sums. A node whose children split holds its sums and counts, 2.5
+(d, MAX_BINS) float64 arrays, until its children hold theirs: a depth-2 tree
+peaks at about 8.8 such arrays above its inputs.
 
-A word-summed or derived sum differs from the row-order sum in its last
-bits, and a near-tie between two splits can then fall the other way. So a
-node with such inexact sums bounds how far each of its gains can be from the
-row-order one and re-scores from row-order sums (``_summed`` of those
-features, with their exact counts, then ``_search``) every feature whose
-best gain plus its bound reaches the largest gain minus its bound. The
+A root summed per source, or a derived sum, differs from the row-order sum
+in its last bits, and a near-tie between two splits can then fall the other
+way. So a node with such inexact sums bounds how far each of its gains can
+be from the row-order one and re-scores from row-order sums (``_summed`` of
+those features, with their exact counts, then ``_search``) every feature
+whose best gain plus its bound reaches the largest gain minus its bound. The
 chosen split and the gain that ``GAIN_TOL`` checks are then the direct
 search's, and every tree is bit for bit that of row-order sums. The bound,
 with u the unit roundoff and gamma_k = ku / (1 - ku) (Higham 2002): a sum of
 k terms in any order is off the exact sum by at most gamma_(k-1) times their
-absolute sum, so a word-summed root's error bound is a row-order root's,
+absolute sum, so a root summed per source has a row-order root's bound,
 gamma_n times the mass of its n rows; a difference adds both operands'
 errors and u times its size; a prefix over at most MAX_BINS bins adds
 gamma_MAX_BINS times their absolute sum. That bounds the distance a
 (gradients) and c (hessians) between the inexact and row-order prefix sums,
-twice that for the right child's. A gain term x * x / (y + H_EPS) then
-moves by at most t (2a + ct), t = (|x| + a) / (y + H_EPS - c), with no
-finite bound where y + H_EPS <= c (a hessian sum within its bound of zero,
-as saturated rows with h == 0 leave). The sum over the three terms is
-doubled: a >= 510u times the rows' absolute gradient sum, so the rounding of
-both searches' gains, at most 16u t (|x| + a) per term, and of the bound's
-own arithmetic take far less than the second half.
+twice that for the right child's. A gain term x * x / (y + H_EPS) then moves
+by at most t (2a + ct), t = (|x| + a) / (y + H_EPS - c), with no finite
+bound where y + H_EPS <= c (a hessian sum within its bound of zero, as
+saturated rows with h == 0 leave). The sum over the three terms is doubled:
+a >= 510u times the rows' absolute gradient sum, so the rounding of both
+searches' gains, at most 16u t (|x| + a) per term, and of the bound's own
+arithmetic take far less than the second half.
 
-``_bin`` bins one column and ``_boost`` runs the rounds on the codes:
-``train_boosted_trees`` bins each column of its float matrix, one row per
-source, and sums each root in row order, while the accuracy table
-(``evaluation.build_accuracy_table``) bins each pair column over its
-distinct train words, weighted by their row counts, straight from the
-embedding table, never builds that matrix, and passes ``_boost`` the words
-to sum each root over.
+``_bin`` bins one column and ``_boost`` runs the rounds on the binned
+input: ``train_boosted_trees`` bins each column of its float matrix, and
+the accuracy table (``evaluation.build_accuracy_table``) bins each pair
+column over its train words, weighted by their row counts, straight from
+the embedding table.
 
 Everything is deterministic: split-gain ties break on the lowest feature
 index, then the lowest bin.
@@ -147,11 +144,12 @@ def _gamma(k: int) -> float:
     return k * _U / (1.0 - k * _U)
 
 
-def _node_codes(codes: np.ndarray, f: int, rows: np.ndarray) -> np.ndarray:
-    """Feature ``f``'s codes of a node's ``rows``; the root holds every row,
-    in order, and reads the codes themselves. The rows are valid indices, so
-    ``take`` need not check them ("clip" skips the check, at half the cost)."""
-    return codes[f] if len(rows) == codes.shape[1] else codes[f].take(rows, mode="clip")
+def _sources(maps: np.ndarray | None, rows: np.ndarray, n: int) -> np.ndarray | None:
+    """The sources (k, len(rows)) of the node of ``rows`` among a fit's ``n``,
+    in the layout of ``maps`` (see :func:`_boost`): the root's are ``maps``."""
+    if len(rows) == n:
+        return maps
+    return rows[None] if maps is None else maps.take(rows, axis=1)
 
 
 def _prefix(gl: np.ndarray, hl: np.ndarray, nonempty: np.ndarray):
@@ -219,8 +217,8 @@ class _Histograms:
     MAX_BINS) float64, and its exact per-bin row counts (d, MAX_BINS) int32.
     ``mass`` bounds the sum of |g| and of |h| over the node's rows, and
     ``err`` the sum over its bins of each per-bin sum's distance from the
-    exact one. ``inexact`` sums are not in row order: a word-summed root's,
-    or a larger child's, its parent's minus its sibling's."""
+    exact one. ``inexact`` sums are not in row order: a root's summed per
+    source, or a larger child's, its parent's minus its sibling's."""
     g: np.ndarray
     h: np.ndarray
     counts: np.ndarray
@@ -236,50 +234,49 @@ class _Histograms:
                 + (_gamma(n) + _gamma(MAX_BINS)) * self.mass)
 
 
-def _summed(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
-            counts: np.ndarray | None = None) -> _Histograms:
-    """The node's histograms summed directly from its rows' gradients ``gn``
-    and hessians ``hn``: one complex ``add.at`` per feature takes both sums in
-    row order, each part bit for bit ``np.bincount``'s (see the module
-    docstring). ``counts`` are its row counts when known."""
-    g, h = np.empty((2, len(codes), MAX_BINS))
+def _summed(codes: np.ndarray, at: np.ndarray | None, gn: np.ndarray, hn: np.ndarray,
+            counts: np.ndarray | None = None, features=None) -> _Histograms:
+    """The histograms of a node's ``features`` (default: every one) summed
+    directly from its rows' gradients ``gn`` and hessians ``hn``: one complex
+    ``add.at`` per feature takes both sums in row order, each part bit for bit
+    ``np.bincount``'s (see the module docstring). ``at`` are the node's
+    sources (:func:`_sources`), and ``counts`` its row counts when known."""
+    d = len(codes)
+    features = range(d * (1 if at is None else len(at))) if features is None else features
+    g, h = np.empty((2, len(features), MAX_BINS))
     fresh = counts is None
     if fresh:
-        counts = np.empty((len(codes), MAX_BINS), dtype=np.int32)
-    w = np.empty(len(rows), dtype=np.complex128)
+        counts = np.empty((len(features), MAX_BINS), dtype=np.int32)
+    w = np.empty(len(gn), dtype=np.complex128)
     w.real, w.imag = gn, hn  # g + 1j * h would build two more temporaries
     acc = np.empty(MAX_BINS, dtype=np.complex128)
-    c = np.empty(len(rows), dtype=np.intp)  # one feature's node codes at a time
-    for f in range(len(codes)):
-        c[:] = _node_codes(codes, f, rows)
+    c = np.empty(len(gn), dtype=np.intp)  # one feature's node codes at a time
+    for i, f in enumerate(features):
+        # the sources are valid indices: "clip" skips take's check, at half the cost
+        c[:] = codes[f] if at is None else codes[f % d].take(at[f // d], mode="clip")
         acc[:] = 0.0
         np.add.at(acc, c, w)
-        g[f], h[f] = acc.real, acc.imag
+        g[i], h[i] = acc.real, acc.imag
         if fresh:
-            counts[f] = np.bincount(c, minlength=MAX_BINS)
+            counts[i] = np.bincount(c, minlength=MAX_BINS)
     mass = np.array([np.abs(gn).sum(), np.abs(hn).sum()])
     # a sum of k terms in order is off by at most _gamma(k - 1) times their |sum|
-    return _Histograms(g, h, counts, mass, _gamma(len(rows)) * mass, inexact=False)
+    return _Histograms(g, h, counts, mass, _gamma(len(gn)) * mass, inexact=False)
 
 
-def _word_summed(word_codes: np.ndarray, row_word: np.ndarray, swapped: np.ndarray,
-                 g: np.ndarray, h: np.ndarray, counts: np.ndarray | None = None) -> _Histograms:
-    """The root's histograms of rows whose features j and d + j take the codes
-    ``word_codes[j]`` (d, W) of their words ``row_word`` and ``swapped``: the
-    rows' gradients ``g`` and hessians ``h`` summed per word for each half,
-    then per bin by :func:`_summed` over the words. The sums are not in row
-    order; their error bound is a row-order root's (see the module
-    docstring). ``counts`` are the root's row counts when known."""
-    d, n_words = word_codes.shape
-    if counts is None:  # each word's rows, the same in either half: exact integers
-        weight = np.bincount(row_word, minlength=n_words)
-        half = [np.bincount(c, weight, MAX_BINS) for c in word_codes]
-        counts = np.array(half + half, dtype=np.int32)
-    words = np.arange(n_words)
-    halves = [_summed(word_codes, words, np.bincount(r, g, n_words),
-                      np.bincount(r, h, n_words), counts[:d]) for r in (row_word, swapped)]
+def _root(codes: np.ndarray, maps: np.ndarray | None, g: np.ndarray, h: np.ndarray,
+          counts: np.ndarray) -> _Histograms:
+    """The root's histograms, of row counts ``counts``: in row order where
+    the rows are the sources, else summed per source of each map, then per
+    bin by :func:`_summed` over the sources, with a row-order root's error
+    bound (see the module docstring)."""
+    if maps is None:
+        return _summed(codes, None, g, h, counts)
+    d, n = codes.shape
+    parts = [_summed(codes, None, np.bincount(m, g, n), np.bincount(m, h, n),
+                     counts[b * d:(b + 1) * d]) for b, m in enumerate(maps)]
     mass = np.array([np.abs(g).sum(), np.abs(h).sum()])
-    return _Histograms(np.concatenate([s.g for s in halves]), np.concatenate([s.h for s in halves]),
+    return _Histograms(np.concatenate([s.g for s in parts]), np.concatenate([s.h for s in parts]),
                        counts, mass, _gamma(len(g)) * mass, inexact=True)
 
 
@@ -294,14 +291,14 @@ def _larger(parent: _Histograms, small: _Histograms) -> _Histograms:
                        err + _U * (parent.mass + err), inexact=True)
 
 
-def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
+def _search(codes: np.ndarray, at: np.ndarray | None, gn: np.ndarray, hn: np.ndarray,
             hists: _Histograms, keep: bool):
     """Best (gain, feature, bin) of a node from its histograms, which it
-    writes over unless ``keep``, or None when no valid split exists. ``codes``
-    (d, n) are every row's codes, ``rows`` the node's, and ``gn``, ``hn``
-    their gradients and hessians, in row order. A node with inexact sums
-    re-scores from row-order sums every feature whose gains might, within
-    their bound, hold the best gain of those sums."""
+    writes over unless ``keep``, or None when no valid split exists. ``at``
+    are the node's sources, and ``gn``, ``hn`` its rows' gradients and
+    hessians, in row order. A node with inexact sums re-scores from row-order
+    sums every feature whose gains might, within their bound, hold the best
+    gain of those sums."""
     gl, hl = (hists.g.copy(), hists.h.copy()) if keep else (hists.g, hists.h)
     valid = _prefix(gl, hl, hists.counts > 0)
     if valid is None:
@@ -309,27 +306,28 @@ def _search(codes: np.ndarray, rows: np.ndarray, gn: np.ndarray, hn: np.ndarray,
     if not hists.inexact:
         return _argmax(_gains(gl, hl, valid)[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        gain, bound = _gains(gl, hl, valid, hists.gap(len(rows)))
+        gain, bound = _gains(gl, hl, valid, hists.gap(len(gn)))
         lo, hi = np.subtract(gain, bound, out=gl), np.add(gain, bound, out=hl)
     unbounded = ~np.isfinite(bound)  # a denominator within its bound of 0
     lo[unbounded], hi[unbounded] = -np.inf, np.inf
     lo[~valid] = hi[~valid] = -np.inf
     features = np.flatnonzero(hi.max(axis=1) >= lo.max())
-    codes = codes[features]
-    direct = _summed(codes, rows, gn, hn, hists.counts[features])  # its counts are exact
-    gain, f, b = _search(codes, rows, gn, hn, direct, keep=False)
+    direct = _summed(codes, at, gn, hn, hists.counts[features], features)  # exact counts
+    gain, f, b = _search(codes, at, gn, hn, direct, keep=False)
     return gain, int(features[f]), b
 
 
-def _build_tree(codes: np.ndarray, rows: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                g: np.ndarray, h: np.ndarray, depth: int, out: np.ndarray,
-                hists: _Histograms | None) -> TreeNode:
-    """The subtree of the node of ``rows``, in row order, split on the (d, n)
-    ``codes`` of every row. Each leaf writes its value to ``out[rows]``. The
-    node's histograms ``hists`` (None at depth 0) are held while its
-    children split, so that each split sums only its smaller child's."""
+def _build_tree(codes: np.ndarray, maps: np.ndarray | None, rows: np.ndarray,
+                lower: np.ndarray, upper: np.ndarray, g: np.ndarray, h: np.ndarray,
+                depth: int, out: np.ndarray, hists: _Histograms | None) -> TreeNode:
+    """The subtree of the node of ``rows``, in row order, split on the binned
+    input ``codes``, ``maps``, ``lower``, ``upper`` (see :func:`_boost`). Each
+    leaf writes its value to ``out[rows]``. The node's histograms ``hists``
+    (None at depth 0) are held while its children split, so that each split
+    sums only its smaller child's."""
     gn, hn = g[rows], h[rows]
-    split = None if depth == 0 else _search(codes, rows, gn, hn, hists, keep=depth > 1)
+    at = _sources(maps, rows, len(g)) if depth else None  # a leaf reads no codes
+    split = None if depth == 0 else _search(codes, at, gn, hn, hists, keep=depth > 1)
     if split is not None and split[0] <= GAIN_TOL:
         # a zero-gain split is worth taking only when a child split can still
         # realize the gain (XOR-style interactions): needs remaining depth and
@@ -341,21 +339,22 @@ def _build_tree(codes: np.ndarray, rows: np.ndarray, lower: np.ndarray, upper: n
         return TreeNode(value=value)
     _, feature, b = split
     del gn, hn  # each child gathers its own, and the root's are copies of every row's
-    c = _node_codes(codes, feature, rows)
+    j = feature % len(codes)  # the column that the feature reads
+    c = codes[j] if at is None else codes[j].take(at[feature // len(codes)], mode="clip")
     goes_left = c <= b
-    lo, hi = upper[feature, b], lower[feature, c[~goes_left].min()]
+    lo, hi = upper[j, b], lower[j, c[~goes_left].min()]
     t = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) can overflow, or round up to hi
     parts = rows[goes_left], rows[~goes_left]
     small = int(len(parts[1]) < len(parts[0]))
     kids = [(small, None), (1 - small, None)]  # (child, its histograms), the smaller first
     if depth > 1:  # the children split: sum the smaller, derive the larger
         r = parts[small]
-        kids[0] = small, _summed(codes, r, g[r], h[r])
+        kids[0] = small, _summed(codes, _sources(maps, r, len(g)), g[r], h[r])
         kids[1] = 1 - small, _larger(hists, kids[0][1])
     children = [None, None]
     while kids:  # each held only until it is built: the derived child searches alone
         i, hists = kids.pop(0)
-        children[i] = _build_tree(codes, parts[i], lower, upper, g, h, depth - 1, out, hists)
+        children[i] = _build_tree(codes, maps, parts[i], lower, upper, g, h, depth - 1, out, hists)
     return TreeNode(feature=feature, threshold=float(t if t < hi else lo),
                     left=children[0], right=children[1])
 
@@ -374,14 +373,16 @@ def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boost(codes: np.ndarray, lower: np.ndarray, upper: np.ndarray, y: np.ndarray,
-           rounds: int, shrinkage: float, max_depth: int,
-           words: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> BoostedTrees:
-    """The round loop on binned features: ``codes`` (d, n) and ``lower``,
-    ``upper`` (d, MAX_BINS) stack each feature's :func:`_bin`, and ``y`` holds
-    the checked 0/1 labels of both classes. Given ``words``, the
-    ``(word_codes, row_word, swapped)`` that ``codes`` were gathered from
-    (see :func:`_word_summed`), each root is summed over those words."""
+def _boost(codes: np.ndarray, maps: np.ndarray | None, lower: np.ndarray, upper: np.ndarray,
+           counts: np.ndarray, y: np.ndarray, rounds: int, shrinkage: float,
+           max_depth: int) -> BoostedTrees:
+    """The round loop on binned features. ``codes`` (d, S) and ``lower``,
+    ``upper`` (d, MAX_BINS) stack the :func:`_bin` of d columns over S
+    sources. ``maps`` (k, n) gives each of the n rows its sources: row r reads
+    column j in feature b * d + j as the code of source ``maps[b][r]``, and
+    ``maps`` None means k = 1 and each row is its own source, in order.
+    ``counts`` (k * d, MAX_BINS) int32 are the fit's row counts per bin, and
+    ``y`` holds the checked 0/1 labels of both classes."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if max_depth < 0:
@@ -394,19 +395,12 @@ def _boost(codes: np.ndarray, lower: np.ndarray, upper: np.ndarray, y: np.ndarra
     scores = np.full(len(y), base)
     update = np.empty(len(y))  # each round's leaves write their values to their rows
     trees: list[TreeNode] = []
-    counts = None  # the root's row counts: fixed, for _bin uses every code below a bin count
     for _ in range(rounds):
         p = _sigmoid(scores)
         g = p - y
         h = p * (1.0 - p)
-        if not max_depth:
-            root = None
-        elif words is None:
-            root = _summed(codes, rows, g, h, counts)
-        else:
-            root = _word_summed(*words, g, h, counts)
-        counts = None if root is None else root.counts
-        trees.append(_build_tree(codes, rows, lower, upper, g, h, max_depth, update, root))
+        root = _root(codes, maps, g, h, counts) if max_depth else None
+        trees.append(_build_tree(codes, maps, rows, lower, upper, g, h, max_depth, update, root))
         del root  # its spent sums, before the next round sums the root again
         scores += shrinkage * update
     return BoostedTrees(base_score=base, trees=trees, shrinkage=shrinkage)
@@ -419,9 +413,11 @@ def train_boosted_trees(X: np.ndarray, y: np.ndarray, rounds: int = BOOSTED_DEFA
     X, y = _labelled_matrix(X, y)
     codes = np.empty(X.T.shape, dtype=np.uint8)
     lower, upper = np.empty((2, X.shape[1], MAX_BINS))
+    counts = np.empty((X.shape[1], MAX_BINS), dtype=np.int32)
     for f, x in enumerate(X.T):
         codes[f], lower[f], upper[f] = _bin(x)
-    return _boost(codes, lower, upper, y, rounds, shrinkage, max_depth)
+        counts[f] = np.bincount(codes[f], minlength=MAX_BINS)
+    return _boost(codes, None, lower, upper, counts, y, rounds, shrinkage, max_depth)
 
 
 def boosted_scores(model: BoostedTrees, X: np.ndarray) -> np.ndarray:

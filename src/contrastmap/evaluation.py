@@ -250,28 +250,25 @@ def _pair_sums(M: np.ndarray, left: np.ndarray, right: np.ndarray, side: str, na
 
 
 def _pair_codes(M: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """The boosted trees' codes (2d, 2n) and bin edges (2d, MAX_BINS) of the
-    order-augmented train rows, and their words: rows 2i and 2i + 1 are pair
-    i, of table rows ``left[i]`` and ``right[i]``, as [u; v] and as [v; u].
-    Column j of the [u; v] rows is binned once, over its distinct words
-    weighted by how many rows hold them, and feature d + j, the [v; u] rows'
-    column j, is feature j with each pair's two rows swapped. The words are
-    ``(word_codes, row_word, swapped)``: each word's codes (d, W), and each
-    row's word for features j and for features d + j, which ``_boost`` sums
-    each root over. Its other temporaries end with the call, before the fit."""
+    """The boosted trees' binned input (see :func:`boosting._boost`) of the
+    order-augmented train rows: rows 2i and 2i + 1 are pair i, of table rows
+    ``left[i]`` and ``right[i]``, as [u; v] and as [v; u]. The sources are
+    the distinct train words, and ``(codes, maps, lower, upper, counts)``
+    their codes (d, W) and the rows' two maps: each row's word in features j
+    and, with each pair's two rows swapped, in features d + j. Column j is
+    binned once, over the words weighted by how many rows hold them, and
+    those weights give its row counts in either half."""
     words, row_word, weight = np.unique(np.column_stack([left, right]).ravel(),
                                         return_inverse=True, return_counts=True)
-    swapped = row_word.reshape(-1, 2)[:, ::-1].ravel()
+    maps = np.stack([row_word, row_word.reshape(-1, 2)[:, ::-1].ravel()])
     d = M.shape[1]
-    codes = np.empty((2 * d, len(row_word)), dtype=np.uint8)
-    word_codes = np.empty((d, len(words)), dtype=np.uint8)
-    lower, upper = np.empty((2, 2 * d, MAX_BINS))
+    codes = np.empty((d, len(words)), dtype=np.uint8)
+    lower, upper = np.empty((2, d, MAX_BINS))
+    counts = np.empty((2 * d, MAX_BINS), dtype=np.int32)
     for j in range(d):
-        word_codes[j], lower[j], upper[j] = _bin(M[words, j], weight)
-        word_codes[j].take(row_word, out=codes[j])
-        word_codes[j].take(swapped, out=codes[d + j])
-    lower[d:], upper[d:] = lower[:d], upper[:d]
-    return codes, lower, upper, (word_codes, row_word, swapped)
+        codes[j], lower[j], upper[j] = _bin(M[words, j], weight)
+        counts[j] = counts[d + j] = np.bincount(codes[j], weight, MAX_BINS)
+    return codes, maps, lower, upper, counts
 
 
 def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
@@ -289,16 +286,14 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
     which tells synonyms from antonyms, is not linear in their sum, so its
     accuracy stays near chance where the boosted trees' does not; they train on
     the rows ``[u; v]`` and ``[v; u]`` of each pair, order-averaged at test
-    time by :func:`classify_accuracy`. Each column of those rows is binned
-    from the table over its distinct train words, weighted by the rows that
-    hold them, so the trees hold one byte per train row and feature, not a
-    float64 matrix; their codes and bin edges are those of the
+    time by :func:`classify_accuracy`. Their binned input is codes per train
+    word, a byte per word and column binned from the table over the words
+    weighted by their rows, and each row's two words (:func:`_pair_codes`):
+    no pair matrix is built, and the codes and bin edges are those of the
     :func:`featurize_pair` layout (a zero edge where a column holds both -0.0
-    and 0.0 takes its sign from argsort's order). Each tree's root sums its
-    rows' gradients and hessians per train word, then per bin, with a
-    row-order root's error bound, and re-scores from row-order sums each
-    feature that bound cannot rule out, so every tree is that of the
-    row-order sums.
+    and 0.0 takes its sign from argsort's order). Each root is summed per
+    word, then per bin, and re-scores from row-order sums each feature that
+    its error bound cannot rule out: every tree is that of row-order sums.
     """
     shared = train_pairs.vocabulary() & test_pairs.vocabulary()
     if shared:
@@ -324,10 +319,9 @@ def build_accuracy_table(raw: EmbeddingTable, new: EmbeddingTable,
             if not np.isfinite(z).all():
                 raise InputError("a test pair's linear score overflows")
         linear_pred = _sigmoid(z) >= 0.5
-        codes, lower, upper, words = _pair_codes(M, left, right)
         ytr = np.repeat(y, 2)
-        trees = _boost(codes, lower, upper, ytr, **boosted, words=words)
-        del codes, lower, upper, words  # the fit alone reads them: gone before the test scores
+        # the fit alone holds its binned input: gone before the test scores
+        trees = _boost(*_pair_codes(M, left, right), ytr, **boosted)
         accuracies[space] = {
             "linear": float(np.mean(linear_pred == y_test)),
             "boosted": classify_accuracy(lambda X: boosted_proba(trees, X),

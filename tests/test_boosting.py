@@ -347,7 +347,8 @@ def _table_fits(monkeypatch, world, settings):
     fits = []
 
     def boost(*args, **kwargs):
-        assert kwargs["words"] is not None  # every root is summed over the train words
+        # two maps, each row's word in either half: every root is summed over the words
+        assert args[1].shape == (2, len(args[5]))
         fits.append((args, boosting._boost(*args, **kwargs)))
         return fits[-1][1]
 
@@ -371,11 +372,15 @@ def test_accuracy_table_bins_pairs_as_the_augmented_matrix(monkeypatch, world, m
     X, y = _augmented_train_rows(world)
     codes, lower, upper = (np.array(a) for a in zip(*(boosting._bin(x) for x in X.T)))
     reference = train_boosted_trees(X, y, **settings)
-    for (pair_codes, pair_lower, pair_upper, labels), model in fits:
-        assert pair_codes.tobytes() == codes.tobytes()
+    for (word_codes, maps, pair_lower, pair_upper, _, labels), model in fits:
+        d = len(word_codes)
+        assert len(codes) == 2 * d
+        for f in range(2 * d):  # feature f reads column f % d of the sources maps[f // d]
+            assert word_codes[f % d][maps[f // d]].tobytes() == codes[f].tobytes()
         # -0.0 and 0.0 share a bin in the order argsort gives them, so the
         # edges of that bin may differ in the sign of their zero alone
-        assert np.array_equal(pair_lower, lower) and np.array_equal(pair_upper, upper)
+        assert np.array_equal(pair_lower, lower[:d]) and np.array_equal(pair_lower, lower[d:])
+        assert np.array_equal(pair_upper, upper[:d]) and np.array_equal(pair_upper, upper[d:])
         assert np.array_equal(labels, y)
         assert model.base_score.hex() == reference.base_score.hex()
         assert [_bits(t) for t in model.trees] == [_bits(t) for t in reference.trees]
@@ -485,17 +490,23 @@ def _hexed(split):
     return None if split is None else (split[0].hex(), split[1], split[2])
 
 
+def _own(codes, rows):
+    """The sources of the node of ``rows`` of a plain (d, n) code matrix,
+    whose rows are their own sources: ``_summed``'s and ``_search``'s ``at``."""
+    return boosting._sources(None, rows, codes.shape[1])
+
+
 def _direct_split(codes, rows, gn, hn):
     """The search of the node of ``rows`` on its histograms summed directly."""
-    hists = boosting._summed(codes, rows, gn, hn)
-    return boosting._search(codes, rows, gn, hn, hists, keep=False)
+    hists = boosting._summed(codes, _own(codes, rows), gn, hn)
+    return boosting._search(codes, _own(codes, rows), gn, hn, hists, keep=False)
 
 
 def _root_tree(codes, rows, lower, upper, g, h, depth, out):
     """``_build_tree`` of the root, whose ``rows`` are every row, with its
     histograms summed as ``_boost`` sums them."""
-    root = boosting._summed(codes, rows, g, h) if depth else None
-    return boosting._build_tree(codes, rows, lower, upper, g, h, depth, out, root)
+    root = boosting._summed(codes, _own(codes, rows), g, h) if depth else None
+    return boosting._build_tree(codes, None, rows, lower, upper, g, h, depth, out, root)
 
 
 @pytest.mark.parametrize("zero_hessian", [False, True])
@@ -574,13 +585,13 @@ def test_histogram_sums_are_the_row_order_bincounts(size):
     h[::3] = 0.0
     rows = np.arange(n) if size == n else np.sort(rng.choice(n, size, replace=False))
     gn, hn = g[rows], h[rows]
-    hists = boosting._summed(codes, rows, gn, hn)
+    hists = boosting._summed(codes, _own(codes, rows), gn, hn)
     parent = _parent_summed(codes, rows, gn, hn)
     assert hists.g.tobytes() == parent[0].tobytes()
     assert hists.h.tobytes() == parent[1].tobytes()
     assert hists.counts.tobytes() == parent[2].tobytes()
     # given counts, only the sums are taken
-    again = boosting._summed(codes, rows, gn, hn, parent[2])
+    again = boosting._summed(codes, _own(codes, rows), gn, hn, parent[2])
     assert again.g.tobytes() == parent[0].tobytes() and again.h.tobytes() == parent[1].tobytes()
 
 
@@ -617,8 +628,8 @@ def test_near_tie_in_a_derived_child_is_rescored():
     _, f, b = _direct_split(codes, rows, g, h)
     parts = rows[codes[f] <= b], rows[codes[f] > b]
     small, large = sorted(parts, key=len)
-    derived = boosting._larger(boosting._summed(codes, rows, g, h),
-                               boosting._summed(codes, small, g[small], h[small]))
+    derived = boosting._larger(boosting._summed(codes, _own(codes, rows), g, h),
+                               boosting._summed(codes, _own(codes, small), g[small], h[small]))
     valid = boosting._prefix(derived.g, derived.h, derived.counts > 0)
     unverified = boosting._argmax(boosting._gains(derived.g, derived.h, valid)[0])
     direct = _direct_split(codes, large, g[large], h[large])
@@ -646,12 +657,13 @@ def test_derived_gains_stay_within_their_bound(zero_hessian):
     codes, _, _, g, h = _random_fit(zero_hessian, seed=3)
     rng = np.random.default_rng(3)
     rows = np.arange(len(g))
-    hists = boosting._summed(codes, rows, g, h)
+    hists = boosting._summed(codes, _own(codes, rows), g, h)
     for _ in range(3):
         small = np.sort(rng.choice(rows, len(rows) // 3, replace=False))
         rows = np.setdiff1d(rows, small)
-        hists = boosting._larger(hists, boosting._summed(codes, small, g[small], h[small]))
-        direct = boosting._summed(codes, rows, g[rows], h[rows])
+        hists = boosting._larger(hists, boosting._summed(codes, _own(codes, small),
+                                                         g[small], h[small]))
+        direct = boosting._summed(codes, _own(codes, rows), g[rows], h[rows])
         assert np.array_equal(hists.counts, direct.counts)
         gl, hl = hists.g.copy(), hists.h.copy()
         valid = boosting._prefix(gl, hl, hists.counts > 0)
@@ -703,27 +715,30 @@ def test_rows_without_hessian_rescore_derived_sums_near_zero(monkeypatch):
 # so the root re-scores directly each feature its gains' bound cannot rule out.
 
 def _random_pairs(seed, zero_hessian):
-    """The order-augmented codes and words (``evaluation._pair_codes``) of 900
+    """The word codes, maps and root counts (``evaluation._pair_codes``) of 900
     random pairs over 400 words, 6 columns, two of them rounded, with random
     gradients and hessians; every 7th hessian is zero if ``zero_hessian``."""
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((400, 6))
     M[:, 4:] = M[:, 4:].round(1)
     left, right = rng.integers(0, 400, size=(2, 900))
-    codes, _, _, words = evaluation._pair_codes(M, left, right)
+    codes, maps, _, _, counts = evaluation._pair_codes(M, left, right)
     g, h = rng.standard_normal(1800), rng.uniform(0.01, 0.25, 1800)
     if zero_hessian:
         h[::7] = 0.0
-    return codes, words, g, h
+    return codes, maps, counts, g, h
 
 
 @pytest.mark.parametrize("zero_hessian", [False, True])
 def test_word_summed_root_stays_within_its_bound(zero_hessian):
     for seed in range(5):
-        codes, words, g, h = _random_pairs(seed, zero_hessian)
-        root = boosting._word_summed(*words, g, h)
-        direct = boosting._summed(codes, np.arange(len(g)), g, h)
+        codes, maps, counts, g, h = _random_pairs(seed, zero_hessian)
+        root = boosting._root(codes, maps, g, h, counts)
+        # the rows' codes gathered into the (2d, 2n) order-augmented matrix
+        augmented = np.concatenate([codes[:, m] for m in maps])
+        direct = boosting._summed(augmented, _own(augmented, np.arange(len(g))), g, h)
         assert root.inexact and not direct.inexact
+        assert counts.tobytes() == direct.counts.tobytes()  # _pair_codes' counts
         assert root.counts.tobytes() == direct.counts.tobytes()
         # each channel's summed distance over its bins: the root's err
         assert np.abs(root.g - direct.g).sum() <= root.err[0]
@@ -774,20 +789,55 @@ def test_word_summed_roots_rescore_few_features(monkeypatch):
     # lose the word sums' gain: only a speed guard can see it
     world = planted_world(n_words=2000, dim=32)
     _, syn, ((left, right),) = _pair_rows([world.table], split_pairs(world.pairs).train)
-    codes, lower, upper, words = evaluation._pair_codes(world.table.matrix, left, right)
-    n = codes.shape[1]
+    codes, maps, lower, upper, counts = evaluation._pair_codes(world.table.matrix, left, right)
+    n = maps.shape[1]
     rescored = []
 
-    def summed(codes, rows, gn, hn, counts=None):
-        if len(rows) == codes.shape[1] == n:  # every row of the fit: a root's re-scoring
-            rescored.append(len(codes))
-        return summed.wrapped(codes, rows, gn, hn, counts)
+    def summed(codes, at, gn, hn, counts=None, features=None):
+        if at is not None and at.shape[1] == n:  # every row of the fit: a root's re-scoring
+            rescored.append(len(features))
+        return summed.wrapped(codes, at, gn, hn, counts, features)
 
     summed.wrapped = boosting._summed
     monkeypatch.setattr(boosting, "_summed", summed)
-    boosting._boost(codes, lower, upper, np.repeat(syn.astype(float), 2),
-                    rounds=10, shrinkage=0.1, max_depth=2, words=words)
+    boosting._boost(codes, maps, lower, upper, counts, np.repeat(syn.astype(float), 2),
+                    rounds=10, shrinkage=0.1, max_depth=2)
     assert len(rescored) == 10 and max(rescored) <= 3
+
+
+def test_roots_stay_row_order_when_the_rows_are_the_sources(monkeypatch):
+    # a root marked inexact would keep every tree's bits and add re-scoring:
+    # only a speed guard can see it
+    X, y = _blocked_pair_features()
+    inputs, roots, resummed = [], [], []
+
+    def boost(codes, maps, lower, upper, counts, *args):
+        inputs.append((codes, maps, counts))
+        return boost.wrapped(codes, maps, lower, upper, counts, *args)
+
+    def root(codes, maps, g, h, counts):
+        hists = root.wrapped(codes, maps, g, h, counts)  # the tree writes over its sums
+        roots.append((hists.inexact, hists.g.tobytes(), hists.h.tobytes(), hists.counts.tobytes(),
+                      _parent_summed(codes, np.arange(len(g)), g, h)))
+        return hists
+
+    def summed(codes, at, gn, hn, counts=None, features=None):
+        if features is not None and len(gn) == len(y):  # a root's feature summed again
+            resummed.append(len(features))
+        return summed.wrapped(codes, at, gn, hn, counts, features)
+
+    for f in boost, root, summed:
+        f.wrapped = getattr(boosting, "_" + f.__name__)
+        monkeypatch.setattr(boosting, "_" + f.__name__, f)
+    train_boosted_trees(X, y, rounds=10, shrinkage=0.1, max_depth=2)
+    (codes, maps, counts), = inputs
+    assert maps is None and len(roots) == 10 and not resummed
+    for inexact, g, h, root_counts, (row_g, row_h, row_counts) in roots:
+        assert not inexact
+        assert g == row_g.tobytes() and h == row_h.tobytes() and root_counts == row_counts.tobytes()
+    # the counts of binning: those of _summed over every row
+    direct = boosting._summed(codes, None, np.zeros(len(y)), np.zeros(len(y)))
+    assert counts.tobytes() == direct.counts.tobytes()
 
 
 def test_build_tree_peak_memory_at_depth_two_stays_under_ten_histograms():
